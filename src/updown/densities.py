@@ -274,6 +274,31 @@ class Density:
         return float(self.quantile_many(0.5)[0])
 
 
+def _condensation_diverges(f, side, logw):
+    """Dyadic condensation test for the mass of w*f toward a support side.
+
+    The mass past the 2**-j tail quantile is comparable to 2**-j times the
+    weight there, so the series behavior of those terms decides
+    convergence; logw maps abscissae to log w. Computed in logs: pdf
+    underflow can make a divergent tail look finite to direct quadrature
+    (weight growth cancels pdf decay beyond the float horizon).
+    """
+    js = np.arange(6.0, 42.0)
+    lv = 2.0 ** -js
+    t = f.quantile_many(lv if side == "lo" else 1.0 - lv)
+    # quantiles saturate once the levels outrun the node table; those
+    # repeats say nothing about the tail
+    keep = np.concatenate([[True], np.diff(t) != 0.0])
+    js, t = js[keep], t[keep]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        la = -js * math.log(2.0) + np.asarray(logw(t), dtype=float)
+    if np.any(np.isposinf(la)) or np.any(np.isnan(la)) or la.size < 4:
+        return True
+    la = np.where(np.isneginf(la), -1e6, la)
+    slope = float(np.median(np.diff(la[-12:])))
+    return bool(slope > -0.05 * math.log(2.0))
+
+
 # -- affine images ----------------------------------------------------------
 
 
@@ -491,13 +516,11 @@ def stretched_gaussian(p, lam):
 
 def gzero(lam):
     """Profile a0 (-log|x|)^{1/(lam-1)} on (-1, 1), lam > 1."""
-    from .numerics import gamma
-
     lam = float(lam)
     if not lam > 1.0 + _SNAP:
         raise DomainError(f"gzero needs lam > 1, got {lam}")
     s = 1.0 / (lam - 1.0)
-    a0 = 0.5 / gamma(lam / (lam - 1.0))
+    a0 = 0.5 / math.gamma(lam / (lam - 1.0))
 
     def pdf(x):
         ax = np.abs(np.asarray(x, dtype=float))

@@ -1,8 +1,4 @@
-"""Exception taxonomy shared across the package.
-
-The CLI maps these onto exit codes: usage problems exit 2, math preconditions
-exit 3, inequality violations exit 4.
-"""
+"""Exception taxonomy shared across the package."""
 
 
 class DomainError(ValueError):
@@ -27,6 +23,10 @@ class TransformChainError(PreconditionError):
 
 class IntegrandError(RuntimeError):
     """The integrand produced NaN; carries the offending abscissa."""
+
+
+class AccuracyError(RuntimeError):
+    """Two evaluations of one quantity disagree beyond their tolerance."""
 
 
 class UnsupportedCaseError(NotImplementedError):

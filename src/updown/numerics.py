@@ -1,9 +1,9 @@
 """Self-contained numerical kernels.
 
 Adaptive Gauss-Kronrod 15(7) quadrature over extended-real intervals with
-geometric peeling toward singular endpoints, a bracketed monotone root solver,
-and a Lanczos Gamma. Everything is deterministic: fixed node tables, fixed
-budgets, no RNG, so repeated runs produce identical bytes.
+geometric peeling toward singular endpoints. Everything is deterministic:
+fixed node tables, fixed budgets, no RNG, so repeated runs produce identical
+bytes.
 """
 
 import heapq
@@ -319,118 +319,3 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=(), max_panels=4096):
     bound = max(tol, (rtol or 0.0) * abs(value))
     converged = bool((not diverged) and err <= bound)
     return QuadResult(float(value), float(err), converged)
-
-
-def solve_monotone(g, target, lo, hi, *, xtol=1e-13, max_iter=200):
-    """Root of g(x) = target on a straddling bracket of a monotone g.
-
-    Brent-style: inverse-quadratic / secant steps guarded by bisection. A
-    non-straddling bracket raises DomainError; failure to shrink onto a root
-    (non-monotone or discontinuous g) raises PreconditionError.
-    """
-    from .errors import PreconditionError
-
-    a, b = float(lo), float(hi)
-    fa = float(g(a)) - target
-    fb = float(g(b)) - target
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if math.isnan(fa) or math.isnan(fb):
-        raise DomainError(f"bracket value is NaN at {a if math.isnan(fa) else b}")
-    if fa * fb > 0.0:
-        raise DomainError(f"bracket [{a}, {b}] does not straddle target {target}")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
-        else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = float(g(b)) - target
-        if math.isnan(fb):
-            raise PreconditionError(f"function value became NaN at {b}")
-    raise PreconditionError("root bracketing failed to converge; "
-                            "function is not monotone on the bracket")
-
-
-def solve_monotone_vec(g, targets, lo, hi, iters=90):
-    """Vectorized bisection for arrays of straddling brackets.
-
-    g maps an array of abscissae to an array of values and must be monotone
-    on each bracket. Fixed iteration count keeps the result deterministic.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    increasing = np.asarray(g(hi)) >= np.asarray(g(lo))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        val = np.asarray(g(mid))
-        go_right = np.where(increasing, val < targets, val > targets)
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-# Lanczos coefficients, g = 7, 9 terms.
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x):
-    """Gamma function for x > 0 via a fixed-coefficient Lanczos sum."""
-    x = float(x)
-    if math.isnan(x) or x <= 0.0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (z + i)
-    t = z + 7.5
-    if x > 20.0:  # log form avoids overflow of t ** (z + 0.5)
-        out = math.exp((z + 0.5) * math.log(t) - t + math.log(2.50662827463100050 * acc))
-        return out
-    return 2.50662827463100050 * t ** (z + 0.5) * math.exp(-t) * acc

@@ -13,13 +13,14 @@ monotone bracket table and vectorized bisection.
 """
 
 import copy
+import functools
 import math
 
 import numpy as np
 
-from .densities import Density, rescale
-from .errors import (CapabilityError, DomainError, PreconditionError,
-                     TransformChainError)
+from .densities import Density, _condensation_diverges, rescale
+from .errors import (AccuracyError, CapabilityError, DomainError,
+                     PreconditionError, TransformChainError)
 from .numerics import INF, Interval, _gk, integrate
 
 
@@ -81,6 +82,22 @@ class _DownLayer:
         return s, tuple(out)
 
 
+def _float_key(x):
+    """Integer key of a double; keys are ordered as the doubles are."""
+    i = int(np.float64(x).view(np.int64))
+    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
+
+
+def _key_float(k):
+    v = float(np.int64(abs(k)).view(np.float64))
+    return v if k >= 0 else -v
+
+
+def _log_weight(v, c):
+    """log |c v|**(1/c), the up weight at coordinate v (v itself at c = 0)."""
+    return v if c == 0.0 else (math.log(abs(c)) + np.log(np.abs(v))) / c
+
+
 class _UpLayer:
     """Holds the cumulative weight table that realizes one up step.
 
@@ -88,6 +105,18 @@ class _UpLayer:
     u(t) = sigma * (C(anchor) - C(t)) with C the running integral of
     W(t) = weight(chi(t)) * f_root(t), where chi is the coordinate map of
     the preceding layers and sigma its orientation.
+
+    W can be singular only at a finite support edge and at the interior
+    zero zc of chi. Toward each such point, on each side where the support
+    continues, the table carries a ratio-2 ladder of nodes: up to 80 rungs,
+    stopping 64 ulp short of the point. The stub under the innermost rung
+    (distance dK from the point) is closed with the power law
+    W ~ w1 (d/dK)**(gam-1) through the two innermost rungs, so it holds
+    mass w1 dK/gam, divergent when gam <= 0. A convergent point is a table
+    node and its stub panel carries that mass. A divergent edge (by the
+    closure exponent or the condensation test) stays off the table with
+    infinite mass beyond the ladder. Either way, C at a point inside a stub
+    is the closed form of the same power law.
     """
 
     kind = "up"
@@ -107,32 +136,21 @@ class _UpLayer:
         coord, _ = _forward(self._root, self._prefix, np.asarray(t, dtype=float), -1)
         return np.asarray(coord, dtype=float)
 
+    def _logw(self, t):
+        return _log_weight(self._chi(t), self.c)
+
     def _w_root(self, t):
         t = np.asarray(t, dtype=float)
         fr = self._root.pdf(t)
-        ch = self._chi(t)
         with np.errstate(all="ignore"):
             # the weight and the pdf can over/underflow separately; sum logs
-            lw = ch if self.c == 0.0 else \
-                (math.log(abs(self.c)) + np.log(np.abs(ch))) / self.c
-            y = np.exp(lw + np.log(fr))
+            y = np.exp(self._logw(t) + np.log(fr))
         return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
-
-    def _w_rho(self, rho, side):
-        # t = zc + side * rho**(1/q) straightens the |chi|**(1/c) spike: the
-        # substituted integrand tends to a finite limit at rho = 0
-        rho = np.asarray(rho, dtype=float)
-        with np.errstate(all="ignore"):
-            step = rho ** (1.0 / self.q)
-            fac = rho ** (1.0 / self.q - 1.0) / self.q
-        out = self._w_root(self.zc + side * step) * fac
-        return np.where(np.isfinite(out), out, 0.0)
 
     # -- construction ---------------------------------------------------------
 
     def _locate_zero(self):
         self.zc = None
-        self.q = None
         if self.c == 0.0:
             return
         root = self._root
@@ -150,51 +168,21 @@ class _UpLayer:
         flip = np.nonzero(sg[:-1] * sg[1:] < 0.0)[0]
         if flip.size:
             i = int(flip[0])
-            a, b, ref = float(grid[i]), float(grid[i + 1]), sg[i]
-            for _ in range(90):
-                m = 0.5 * (a + b)
-                if np.sign(self._chi(np.array([m]))[0]) == ref:
-                    a = m
+            # bisect over the doubles' ordered bit patterns to adjacent
+            # floats: the ladders toward zc resolve the weight that finely,
+            # and a zero at 0 would take a thousand plain halvings
+            ka, kb, ref = _float_key(grid[i]), _float_key(grid[i + 1]), sg[i]
+            while kb - ka > 1:
+                km = (ka + kb) // 2
+                if np.sign(self._chi(np.array([_key_float(km)]))[0]) == ref:
+                    ka = km
                 else:
-                    b = m
-            self.zc = 0.5 * (a + b)
-        if self.zc is not None:
+                    kb = km
+            self.zc = _key_float(kb)
             if -1.0 <= self.c < 0.0:
                 raise PreconditionError(
                     f"up(alpha={self.alpha:g}): the coordinate weight is not "
                     f"integrable across the interior zero at {self.zc:.6g}")
-            self.q = 1.0 + 1.0 / self.c
-
-    def _tail_diverges(self, side):
-        """Condensation test for the weight mass toward a support side.
-
-        The weight mass past the 2**-j tail quantile is comparable to
-        2**-j times the weight there, so the series behavior of those
-        terms decides convergence. Computed in logs: pdf underflow can
-        make a divergent tail look finite to direct quadrature (weight
-        growth cancels pdf decay beyond the float horizon).
-        """
-        js = np.arange(6.0, 42.0)
-        lv = 2.0 ** -js
-        levels = lv if side == "lo" else 1.0 - lv
-        t = self._root.quantile_many(levels)
-        # quantiles saturate once the levels outrun the node table; those
-        # repeats say nothing about the tail
-        keep = np.concatenate([[True], np.diff(t) != 0.0])
-        js, t = js[keep], t[keep]
-        ch = self._chi(t)
-        with np.errstate(all="ignore"):
-            lw = ch if self.c == 0.0 else \
-                (math.log(abs(self.c)) + np.log(np.abs(ch))) / self.c
-            la = -js * math.log(2.0) + lw
-        if np.any(np.isposinf(la)) or np.any(np.isnan(la)):
-            return True
-        la = np.where(np.isneginf(la), -1e6, la)
-        if la.size < 4:
-            return True
-        tail = la[-12:]
-        slope = float(np.median(np.diff(tail)))
-        return bool(slope > -0.05 * math.log(2.0))
 
     def _stretch(self, anchor_pt, start, direction, deep):
         # geometric ladder away from the bulk; when the far tail carries
@@ -217,6 +205,43 @@ class _UpLayer:
                 zeros = 0
         return np.asarray(out, dtype=float)
 
+    def _ladders(self, ts):
+        """Rungs toward each singular point and the closure of each stub.
+
+        Returns the rung abscissae and one row (point, direction, w1, gam,
+        dK) per stub, direction pointing from the point into the support.
+        """
+        lo, hi = self._root.support.lo, self._root.support.hi
+        ends = [(lo, 1.0)] if math.isfinite(lo) else []
+        if math.isfinite(hi):
+            ends.append((hi, -1.0))
+        if self.zc is not None:
+            ends += [(self.zc, -1.0), (self.zc, 1.0)]
+        rungs, rows = [], []
+        for p, s in ends:
+            # start at the nearest node beyond which the table is already
+            # graded (next node within ratio 2), so that no coarse panel is
+            # left between the ladder and the bulk
+            d = np.sort(s * (ts - p))
+            d = d[d > 0.0]
+            graded = np.nonzero(d[1:] <= 2.0 * d[:-1])[0]
+            d0 = d[graded[0]] if graded.size else d[-1]
+            # rung 0 is that node itself and is always kept
+            ds = d0 * 0.5 ** np.arange(81.0)
+            ds = ds[:max(1, np.count_nonzero(ds >= 64.0 * np.spacing(abs(p))))]
+            rungs.append(p + s * ds)
+            rows.append((p, s, abs(rungs[-1][-1] - p)))
+        if not rows:
+            return np.empty(0), np.empty((0, 5))
+        p, s, dk = (np.array(v) for v in zip(*rows))
+        w1, w2 = self._w_root(np.concatenate([p + s * dk, p + 2.0 * s * dk])) \
+            .reshape(2, -1)
+        ok = (w1 > 0.0) & (w2 > 0.0)
+        with np.errstate(all="ignore"):
+            gam = np.where(ok, 1.0 + np.log2(w2 / w1), 1.0)
+        return np.concatenate(rungs), np.column_stack(
+            [p, s, np.where(ok, w1, 0.0), gam, dk])
+
     def _build_table(self):
         root = self._root
         lo, hi = root.support.lo, root.support.hi
@@ -228,10 +253,8 @@ class _UpLayer:
         self._sign_chi = self.sigma
 
         parts = [xs, root.quantile_many((np.arange(129) + 0.5) / 129.0)]
-        self.mass_lo = 0.0
-        self.mass_hi = 0.0
-        div_lo = self._tail_diverges("lo")
-        div_hi = self._tail_diverges("hi")
+        div_lo = _condensation_diverges(root, "lo", self._logw)
+        div_hi = _condensation_diverges(root, "hi", self._logw)
         if not math.isfinite(hi):
             parts.append(self._stretch(lo if math.isfinite(lo) else 0.0,
                                        float(xs[-1]), 1.0, div_hi))
@@ -239,17 +262,27 @@ class _UpLayer:
             parts.append(self._stretch(hi if math.isfinite(hi) else 0.0,
                                        float(xs[0]), -1.0, div_lo))
         ts = np.unique(np.concatenate([p for p in parts if len(p)]))
-        if math.isfinite(lo):
-            ts = ts[ts >= lo]
-        if math.isfinite(hi):
-            ts = ts[ts <= hi]
-        if self.zc is not None:
-            j = np.searchsorted(ts, self.zc)
-            nb = [ts[k] for k in (j - 1, j) if 0 <= k < len(ts)]
-            g = 0.5 * min(abs(v - self.zc) for v in nb if v != self.zc)
-            cl = self.zc + g * np.concatenate([-(0.5 ** np.arange(47.0)),
-                                               [0.0], 0.5 ** np.arange(47.0)])
-            ts = np.unique(np.concatenate([ts, cl]))
+        ts = ts[(ts >= lo) & (ts <= hi)]
+        rungs, stubs = self._ladders(ts)
+        p, s, w1, gam, dk = stubs.T
+        ts = np.unique(np.concatenate(
+            [ts, rungs] + ([[self.zc]] if self.zc is not None else [])))
+        # nodes closer to a point than its innermost rung fall in the stub
+        x = (ts[:, None] - p) * s
+        ts = ts[~np.any((x > 0.0) & (x < dk), axis=1)]
+
+        # a finite edge whose weight mass diverges stays off the table; the
+        # stub beyond its innermost rung has the closure's unbounded mass
+        self.mass_lo = self.mass_hi = 0.0
+        if math.isfinite(lo) and (div_lo or np.any(gam[p == lo] <= 0.0)):
+            ts, self.mass_lo = ts[1:], INF
+        if math.isfinite(hi) and (div_hi or np.any(gam[p == hi] <= 0.0)):
+            ts, self.mass_hi = ts[:-1], INF
+        self.ts = ts
+        # table panel holding each stub; -1 and len(ts) - 1 stand for the
+        # stretches below and above the table (divergent edges)
+        panel = np.searchsorted(ts, p + 0.5 * s * dk, side="right") - 1
+        conv = (panel >= 0) & (panel < len(ts) - 1)
 
         a, b = ts[:-1], ts[1:]
         with np.errstate(all="ignore"):
@@ -260,61 +293,24 @@ class _UpLayer:
         if cutset:
             refine |= np.array([av in cutset or bv in cutset
                                 for av, bv in zip(a, b)])
-        refine[0] = refine[-1] = True
-        zi = None
-        if self.zc is not None:
-            zi = int(np.searchsorted(ts, self.zc))
-            ra = (self.zc - ts[zi - 1]) ** self.q
-            rb = (ts[zi + 1] - self.zc) ** self.q
-            v, _ = _gk(lambda r_: self._w_rho(r_, -1.0),
-                       np.array([0.0]), np.array([ra]))
-            masses[zi - 1] = v[0]
-            v, _ = _gk(lambda r_: self._w_rho(r_, 1.0),
-                       np.array([0.0]), np.array([rb]))
-            masses[zi] = v[0]
-            refine[zi - 1] = refine[zi] = False
+        masses[panel[conv]] = (w1 * dk / gam)[conv]
+        refine[panel[conv]] = False
+        # an unconverged refinement is kept: next to a divergent edge the
+        # ladder panels are far too heavy for the absolute tolerance
         for i in np.nonzero(refine)[0]:
-            sub = Interval(a[i], b[i],
-                           singular_lo=bool((i == 0 and math.isfinite(lo))
-                                            or a[i] in cutset),
-                           singular_hi=bool((i == len(a) - 1 and math.isfinite(hi))
-                                            or b[i] in cutset))
-            r = integrate(self._w_root, sub, tol=1e-13)
-            ok = r.converged and math.isfinite(r.value)
-            masses[i] = r.value if ok or i not in (0, len(a) - 1) else INF
+            sub = Interval(a[i], b[i], singular_lo=a[i] in cutset,
+                           singular_hi=b[i] in cutset)
+            masses[i] = integrate(self._w_root, sub, tol=1e-13).value
+
+        def tail(iv):
+            r = integrate(self._w_root, iv, tol=1e-13)
+            return r.value if r.converged and math.isfinite(r.value) else INF
 
         if not math.isfinite(hi):
-            if div_hi:
-                self.mass_hi = INF
-            else:
-                r = integrate(self._w_root, Interval(float(ts[-1]), INF), tol=1e-13)
-                self.mass_hi = r.value \
-                    if r.converged and math.isfinite(r.value) else INF
+            self.mass_hi = INF if div_hi else tail(Interval(float(ts[-1]), INF))
         if not math.isfinite(lo):
-            if div_lo:
-                self.mass_lo = INF
-            else:
-                r = integrate(self._w_root, Interval(-INF, float(ts[0])), tol=1e-13)
-                self.mass_lo = r.value \
-                    if r.converged and math.isfinite(r.value) else INF
+            self.mass_lo = INF if div_lo else tail(Interval(-INF, float(ts[0])))
 
-        # a finite edge whose weight mass diverges is kept out of the running
-        # table; the strip between it and the first retained node is handled
-        # by the local power-law ladder instead
-        self._elo = lo if math.isfinite(lo) else None
-        self._ehi = hi if math.isfinite(hi) else None
-        self._elo_div = self._ehi_div = False
-        if not math.isfinite(masses[0]) or (self._elo is not None and div_lo):
-            self._elo_div = True
-            self.mass_lo = INF
-            ts, masses = ts[1:], masses[1:]
-            if zi is not None:
-                zi -= 1
-        if not math.isfinite(masses[-1]) or (self._ehi is not None and div_hi):
-            self._ehi_div = True
-            self.mass_hi = INF
-            ts, masses = ts[:-1], masses[:-1]
-        self.ts = ts
         # partial sums pivoted at the node nearest the bulk: with a divergent
         # edge in play the one-sided running total grows enormous, and image
         # coordinates near the anchor would then be differences of giants,
@@ -323,7 +319,11 @@ class _UpLayer:
                          0, len(masses)))
         left = (-np.cumsum(masses[:ip][::-1])[::-1]) if ip else np.empty(0)
         self.cums = np.concatenate([left, [0.0], np.cumsum(masses[ip:])])
-        self._zi = zi
+        # per stub: point, direction, w1 dK, gam, dK and C at the rung
+        self._stubs = np.column_stack(
+            [p, s, w1 * dk, gam, dk, self.cums[panel + (s > 0)]])
+        self._stub_at = np.full(len(ts) + 1, -1)
+        self._stub_at[panel + 1] = np.arange(len(p))
 
     def _set_anchor(self):
         c_lo = float(self.cums[0]) - self.mass_lo
@@ -341,114 +341,31 @@ class _UpLayer:
 
     # -- evaluation -----------------------------------------------------------
 
-    def _edge_cum(self, tv, side):
-        """Mass between a finite support edge and points in its end segment.
-
-        Ratio-2 rungs toward the edge keep the panels accurate against any
-        integrable power blowup; the strip under the innermost rung is closed
-        with the local power law fitted from two weight samples.
-        """
-        edge = self._elo if side == "lo" else self._ehi
-        sgn = 1.0 if side == "lo" else -1.0
-        tv = np.asarray(tv, dtype=float)
-        out = np.empty(tv.shape)
-        for i, ti in enumerate(tv):
-            d = abs(ti - edge)
-            if d == 0.0:
-                out[i] = 0.0
-                continue
-            ds = d * 0.5 ** np.arange(26.0, -1.0, -1.0)
-            pts = edge + sgn * ds
-            vals, _ = _gk(self._w_root, np.minimum(pts[:-1], pts[1:]),
-                          np.maximum(pts[:-1], pts[1:]))
-            s = float(np.sum(vals))
-            dm = ds[0]
-            w1 = float(self._w_root(np.array([edge + sgn * dm]))[0])
-            w2 = float(self._w_root(np.array([edge + sgn * 2.0 * dm]))[0])
-            if w1 > 0.0 and w2 > 0.0:
-                gam = 1.0 + math.log2(w2 / w1)  # W ~ A d**(gam-1) at the edge
-                s = s + w1 * dm / gam if gam > 1e-9 else INF
-            out[i] = s
-        return out
-
-    def _sliver(self, tv, side):
-        """Mass between the retained table end and points in a chopped strip."""
-        edge = self._elo if side == "lo" else self._ehi
-        inner = float(self.ts[0]) if side == "lo" else float(self.ts[-1])
-        sgn = 1.0 if side == "lo" else -1.0
-        span = abs(inner - edge)
-        tv = np.asarray(tv, dtype=float)
-        out = np.empty(tv.shape)
-        for i, ti in enumerate(tv):
-            d0 = abs(ti - edge)
-            if d0 >= span:
-                out[i] = 0.0
-                continue
-            dcap = max(d0, span * 2.0 ** -80)
-            n = max(int(math.ceil(math.log2(span / dcap))), 1)
-            ds = np.minimum(dcap * 2.0 ** np.arange(0.0, n + 1.0), span)
-            pts = edge + sgn * ds
-            vals, _ = _gk(self._w_root, np.minimum(pts[:-1], pts[1:]),
-                          np.maximum(pts[:-1], pts[1:]))
-            s = float(np.sum(vals))
-            if d0 < dcap:
-                w1 = float(self._w_root(np.array([edge + sgn * dcap]))[0])
-                w2 = float(self._w_root(np.array([edge + sgn * 2.0 * dcap]))[0])
-                if w1 > 0.0 and w2 > 0.0:
-                    gam = 1.0 + math.log2(w2 / w1)
-                    if abs(gam) > 1e-9:
-                        # gam < 0 grows without bound as d0 -> 0, matching
-                        # the genuine divergence of the edge mass
-                        s += w1 * dcap * (1.0 - (d0 / dcap) ** gam) / gam
-                    else:
-                        s += w1 * dcap * math.log(dcap / max(d0, 5e-324))
-            out[i] = s
-        return out
-
     def _cum_at(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         ts, cums = self.ts, self.cums
-        tc = np.clip(t, ts[0], ts[-1])
-        idx = np.clip(np.searchsorted(ts, tc, side="right") - 1, 0, len(ts) - 2)
-        out = cums[idx].copy()
-        pending = tc > ts[idx]
-        if self._zi is not None:
-            zi = self._zi
-            m = pending & (idx == zi - 1)
-            if m.any():
-                ra = np.full(int(m.sum()), (self.zc - ts[zi - 1]) ** self.q)
-                rt = np.maximum(self.zc - tc[m], 0.0) ** self.q
-                vals, _ = _gk(lambda r_: self._w_rho(r_, -1.0), rt, ra)
-                out[m] += vals
-                pending &= idx != zi - 1
-            m = pending & (idx == zi)
-            if m.any():
-                rt = np.maximum(tc[m] - self.zc, 0.0) ** self.q
-                vals, _ = _gk(lambda r_: self._w_rho(r_, 1.0),
-                              np.zeros(rt.shape), rt)
-                out[m] += vals
-                pending &= idx != zi
-        if self._elo is not None and not self._elo_div:
-            m = pending & (idx == 0)
-            if m.any():
-                out[m] = cums[0] + self._edge_cum(tc[m], "lo")
-                pending &= idx != 0
-        if self._ehi is not None and not self._ehi_div:
-            m = pending & (idx == len(ts) - 2)
-            if m.any():
-                out[m] = cums[-1] - self._edge_cum(tc[m], "hi")
-                pending &= idx != len(ts) - 2
+        i = np.searchsorted(ts, t, side="right") - 1
+        out = cums[np.clip(i, 0, len(ts) - 1)]
+        out[t < ts[0]] = cums[0] - self.mass_lo
+        out[t > ts[-1]] = cums[-1] + self.mass_hi
+        k = self._stub_at[i + 1]
+        stub = k >= 0
+        if stub.any():
+            p, s, w1dk, gam, dk, c_rung = self._stubs[k[stub]].T
+            with np.errstate(all="ignore"):
+                lx = np.log(s * (t[stub] - p) / dk)
+                # mass between the point at d and the rung at dK
+                part = np.where(gam == 0.0, -lx, -np.expm1(gam * lx)
+                                / np.where(gam == 0.0, 1.0, gam)) * w1dk
+            # at or beyond the point itself the values above stand
+            ok = lx > -INF
+            stub[stub] = ok
+            out[stub] = (c_rung - s * part)[ok]
+        ic = np.clip(i, 0, len(ts) - 2)
+        pending = (i == ic) & (t > ts[ic]) & ~stub
         if pending.any():
-            vals, _ = _gk(self._w_root, ts[idx[pending]], tc[pending])
+            vals, _ = _gk(self._w_root, ts[i[pending]], t[pending])
             out[pending] += vals
-        below = t < ts[0]
-        if below.any():
-            out[below] = cums[0] - self._sliver(t[below], "lo") \
-                if self._elo_div else cums[0] - self.mass_lo
-        above = t > ts[-1]
-        if above.any():
-            out[above] = cums[-1] + self._sliver(t[above], "hi") \
-                if self._ehi_div else cums[-1] + self.mass_hi
         return out
 
     def u_eval(self, t):
@@ -527,13 +444,16 @@ class TransformedDensity(Density):
         for ly in self._layers:
             o = min(o - 1, 2) if ly.kind == "down" else min(o + 1, 2)
         self._img_order = max(o, 0)
+        self._finish(f"{kind}({base.label},{alpha:g})")
 
+    def _finish(self, label):
+        """Brackets, image support and Density fields for the layer stack."""
         self._build_brackets()
-        sup = self._image_support(layer)
-        super().__init__(self._pdf_img, sup,
-                         d1=self._d1_img if self._img_order >= 1 else None,
-                         d2=self._d2_img if self._img_order >= 2 else None,
-                         label=f"{kind}({base.label},{alpha:g})",
+        img = [functools.partial(self._img, order=k) for k in range(3)]
+        super().__init__(img[0], self._image_support(self._layers[-1]),
+                         d1=img[1] if self._img_order >= 1 else None,
+                         d2=img[2] if self._img_order >= 2 else None,
+                         label=label,
                          interior_points=self._image_cuts(),
                          cdf=self._cdf_img,
                          normalization_tol=None)
@@ -593,22 +513,11 @@ class TransformedDensity(Density):
 
     # -- pdf callables --------------------------------------------------------
 
-    def _pdf_img(self, y):
+    def _img(self, y, order):
+        """Image pdf (order 0) or its derivative of the given order."""
         t, oob = self._invert(y)
-        _, st = _forward(self.root, self._layers, t, 0)
-        h = np.asarray(st[0], dtype=float)
-        return np.where(oob | ~np.isfinite(h), 0.0, h)
-
-    def _d1_img(self, y):
-        t, oob = self._invert(y)
-        _, st = _forward(self.root, self._layers, t, 1)
-        v = np.asarray(st[1], dtype=float)
-        return np.where(oob | ~np.isfinite(v), 0.0, v)
-
-    def _d2_img(self, y):
-        t, oob = self._invert(y)
-        _, st = _forward(self.root, self._layers, t, 2)
-        v = np.asarray(st[2], dtype=float)
+        _, st = _forward(self.root, self._layers, t, order)
+        v = np.asarray(st[order], dtype=float)
         return np.where(oob | ~np.isfinite(v), 0.0, v)
 
     def _cdf_img(self, y):
@@ -672,7 +581,7 @@ class TransformedDensity(Density):
         got = self.pdf(yq[keep])
         rel = np.abs(got - want[keep]) / np.abs(want[keep])
         if not np.all(rel < 1e-6):
-            raise RuntimeError(
+            raise AccuracyError(
                 f"{self.label}: forward and inverted evaluations disagree")
 
     # -- overrides: work in root coordinates -----------------------------------
@@ -743,17 +652,7 @@ class TransformedDensity(Density):
         out._layers = self._layers[:-1] + (top,)
         out.chain = self.chain
         out._img_order = self._img_order
-        out._build_brackets()
-        sup = out._image_support(top)
-        Density.__init__(
-            out, out._pdf_img, sup,
-            d1=out._d1_img if out._img_order >= 1 else None,
-            d2=out._d2_img if out._img_order >= 2 else None,
-            label=f"reseat({self.label})",
-            interior_points=out._image_cuts(),
-            cdf=out._cdf_img,
-            normalization_tol=None)
-        out._probe()
+        out._finish(f"reseat({self.label})")
         return out
 
 

@@ -21,10 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals
-from .errors import (CapabilityError, DomainError, PreconditionError,
-                     TransformChainError, UnsupportedCaseError)
+from .densities import _condensation_diverges
+from .errors import (AccuracyError, CapabilityError, DomainError,
+                     PreconditionError, TransformChainError,
+                     UnsupportedCaseError)
 from .numerics import Interval, integrate
-from .transforms import chain, down, down_applicable, up
+from .transforms import _log_weight, chain, down, down_applicable, up
 
 __all__ = [
     "AlphaVector", "UpperMomentResult", "MomentCheckResult", "prefactor",
@@ -32,8 +34,6 @@ __all__ = [
     "upper_moment_n", "upper_moment_n2_literal", "signed_upper_moment",
     "moment_sequence_check",
 ]
-
-LN2 = math.log(2.0)
 
 
 class AlphaVector(tuple):
@@ -120,23 +120,9 @@ def _weighted_pdf(f, c, raw=False):
 
 
 def _tail_mass_diverges(f, alpha):
-    # condensation series toward the upper edge: a_j = 2^-j w(F^-1(1-2^-j)),
-    # flat or growing log-terms mean the weighted mass diverges there
-    c = alpha - 2.0
-    js = np.arange(6.0, 42.0)
-    t = f.quantile_many(1.0 - 2.0 ** -js)
-    keep = np.concatenate([[True], np.diff(t) != 0.0])
-    js, t = js[keep], t[keep]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lw = t if c == 0.0 else (math.log(abs(c)) + np.log(np.abs(t))) / c
-    la = -js * LN2 + lw
-    if np.any(np.isposinf(la)) or np.any(np.isnan(la)):
-        return True
-    la = np.where(np.isneginf(la), -1e6, la)
-    if la.size < 4:
-        return True
-    slope = float(np.median(np.diff(la[-12:])))
-    return bool(slope > -0.05 * LN2)
+    # flat or growing condensation terms toward the upper edge mean the
+    # weighted mass diverges there
+    return _condensation_diverges(f, "hi", lambda t: _log_weight(t, alpha - 2.0))
 
 
 def _check_interior_zero(f, alpha):
@@ -205,7 +191,7 @@ def verify_path_agreement(f, p, alpha, *, rel_tol=1e-5, tol=1e-10):
     b = upper_moment_via_up(f, p, alpha, tol=tol)
     rel = abs(a.M - b.M) / max(abs(a.M), abs(b.M), 1e-300)
     if rel > rel_tol:
-        raise RuntimeError(
+        raise AccuracyError(
             f"upper-moment paths disagree: direct {a.M!r} vs via-up {b.M!r}")
     return rel
 
@@ -225,7 +211,7 @@ def upper_moment_n(f, p, alphas, *, tol=1e-10, cross_check=False):
         lit = upper_moment_n2_literal(f, p, vec, tol=max(tol, 1e-9))
         rel = abs(out.M - lit.M) / max(abs(out.M), abs(lit.M), 1e-300)
         if rel > 1e-5:
-            raise RuntimeError(
+            raise AccuracyError(
                 f"second-order upper-moment paths disagree: via-up {out.M!r} "
                 f"vs nested {lit.M!r}")
     return out
@@ -277,16 +263,7 @@ def upper_moment_n2_literal(f, p, alphas, *, tol=1e-9):
         return math.log(abs(v)) / c0
 
     # condensation toward the lower edge decides the middle anchor
-    js = np.arange(6.0, 42.0)
-    t = f.quantile_many(2.0 ** -js)
-    keep = np.concatenate([[True], np.diff(t) != 0.0])
-    js, t = js[keep], t[keep]
-    la = -js * LN2 + np.array([wlog0(ti) for ti in t])
-    if np.any(np.isposinf(la)) or np.any(np.isnan(la)) or la.size < 4:
-        med0 = True
-    else:
-        la = np.where(np.isneginf(la), -1e6, la)
-        med0 = bool(float(np.median(np.diff(la[-12:]))) > -0.05 * LN2)
+    med0 = _condensation_diverges(f, "lo", lambda t: [wlog0(ti) for ti in t])
     B = f.median() if med0 else sup.lo
 
     def wmid(x):

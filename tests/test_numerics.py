@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from updown.errors import DomainError, IntegrandError, PreconditionError
-from updown.numerics import (
-    Interval,
-    QuadResult,
-    gamma,
-    integrate,
-    solve_monotone,
-    solve_monotone_vec,
-)
+from updown.errors import DomainError, IntegrandError
+from updown.numerics import Interval, QuadResult, integrate
 
 
 class TestInterval:
@@ -145,61 +137,6 @@ def test_polynomial_exactness(c0, c1, c2):
     want = 2.0 * c0 + 2.0 * c1 + (8.0 / 3.0) * c2
     assert got.converged
     assert got.value == pytest.approx(want, abs=1e-9, rel=1e-12)
-
-
-@given(st.floats(min_value=0.05, max_value=60.0))
-@settings(max_examples=60, deadline=None)
-def test_gamma_matches_reference(x):
-    assert gamma(x) == pytest.approx(float(scipy.special.gamma(x)), rel=1e-11)
-
-
-@given(st.floats(min_value=0.1, max_value=100.0))
-@settings(max_examples=40, deadline=None)
-def test_gamma_recurrence(x):
-    assert gamma(x + 1.0) == pytest.approx(x * gamma(x), rel=1e-11)
-
-
-def test_gamma_large_argument():
-    assert gamma(170.5) == pytest.approx(float(scipy.special.gamma(170.5)), rel=1e-10)
-
-
-def test_gamma_domain():
-    with pytest.raises(DomainError):
-        gamma(0.0)
-    with pytest.raises(DomainError):
-        gamma(-1.5)
-
-
-class TestSolveMonotone:
-    def test_simple_root(self):
-        assert solve_monotone(lambda x: x * x, 4.0, 0.0, 10.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_decreasing(self):
-        assert solve_monotone(lambda x: -x, -3.0, 0.0, 10.0) == pytest.approx(3.0, abs=1e-12)
-
-    def test_endpoint_root(self):
-        assert solve_monotone(lambda x: x, 0.0, 0.0, 1.0) == 0.0
-
-    def test_non_straddling_bracket(self):
-        with pytest.raises(DomainError):
-            solve_monotone(lambda x: x, 5.0, 0.0, 1.0)
-
-    def test_steep_root(self):
-        got = solve_monotone(lambda x: math.expm1(20.0 * (x - 0.3)), 0.0, 0.0, 1.0)
-        assert got == pytest.approx(0.3, abs=1e-12)
-
-    @given(st.floats(min_value=-10.0, max_value=10.0))
-    @settings(max_examples=50, deadline=None)
-    def test_cubic_inverse(self, t):
-        got = solve_monotone(lambda x: x**3 + x, t**3 + t, -11.0, 11.0)
-        assert got == pytest.approx(t, abs=1e-9)
-
-
-def test_solve_monotone_vec_both_directions():
-    up = solve_monotone_vec(lambda x: x**3, np.array([8.0, 27.0]), np.zeros(2), np.full(2, 4.0))
-    assert np.allclose(up, [2.0, 3.0], atol=1e-12)
-    down = solve_monotone_vec(lambda x: -(x**3), np.array([-8.0, -27.0]), np.zeros(2), np.full(2, 4.0))
-    assert np.allclose(down, [2.0, 3.0], atol=1e-12)
 
 
 def test_quadresult_fields_are_plain_types():

@@ -178,6 +178,16 @@ def test_up_inverse_map():
     assert np.isnan(g.inverse_map(np.array([1.5]))[0])
 
 
+def test_up_deep_divergent_edge():
+    # weight 4/v**2 diverges at the lower edge: u = 4/t - 4 with pdf t**2/4,
+    # read far below the first node of the root's table
+    g = up(u01, 1.5)
+    t = np.array([1e-12, 1e-20, 1e-30])
+    u = 4.0 / t - 4.0
+    np.testing.assert_allclose(g.pdf(u), t ** 2 / 4.0, rtol=1e-12)
+    np.testing.assert_allclose(g.inverse_map(u), t, rtol=1e-12)
+
+
 def test_up_interior_spike():
     # |x| weight across the symmetric bump: an integrable inverse-sqrt
     # spike sits at the image of the origin
@@ -185,6 +195,18 @@ def test_up_interior_spike():
     (cut,) = g.interior_points
     assert cut == pytest.approx(0.5 / math.sqrt(math.pi), rel=1e-10)
     assert mass_of(g) == pytest.approx(1.0, abs=5e-10)
+
+
+def test_up_interior_zero_weight_mass():
+    # the weight |c v|**(1/c) against exp(-v**2)/sqrt(pi) spans an image of
+    # length |c|**(1/c) Gamma((1 + 1/c)/2)/sqrt(pi); at alpha = 0.9 the
+    # spike at the zero is barely integrable
+    for al in (0.5, 0.9, 3.0):
+        c = al - 2.0
+        want = abs(c) ** (1.0 / c) * math.gamma((1.0 + 1.0 / c) / 2.0) \
+            / math.sqrt(math.pi)
+        sup = up(g21, al).support
+        assert sup.hi - sup.lo == pytest.approx(want, rel=1e-10)
 
 
 def test_up_non_integrable_interior_zero():

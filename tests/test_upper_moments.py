@@ -22,7 +22,7 @@ import pytest
 from updown import upper_moments as UM
 from updown.densities import (exponential, power_tail, rescale,
                               stretched_gaussian, uniform)
-from updown.errors import (DomainError, PreconditionError,
+from updown.errors import (AccuracyError, DomainError, PreconditionError,
                            TransformChainError, UnsupportedCaseError)
 
 u01 = uniform(0.0, 1.0)
@@ -59,6 +59,12 @@ def test_via_up_matches_direct():
     assert abs(v13.M - d13.M) <= 1e-9
     rel = UM.verify_path_agreement(u01, 2.0, 3.0)
     assert rel < 1e-8
+
+
+def test_path_disagreement_is_an_accuracy_error():
+    # a negative tolerance makes any gap, even an exact zero, a disagreement
+    with pytest.raises(AccuracyError):
+        UM.verify_path_agreement(u01, 2.0, 3.0, rel_tol=-1.0)
 
 
 def test_exponential_alpha2_keeps_m_undefined():
