@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, Interval, _gk, integrate
+from .numerics import INF, Interval, _gk, _refine_panels, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -215,14 +215,15 @@ class Density:
             nodes.append(seg)
         xs = np.unique(np.concatenate(nodes))
         xs = xs[(xs >= lo) & (xs <= hi)]
-        masses = np.empty(len(xs) - 1)
-        for i in range(len(xs) - 1):
-            a, b = xs[i], xs[i + 1]
-            sub = Interval(a, b,
-                           singular_lo=self.support.singular_lo and a == lo
-                           or a in self.interior_points,
-                           singular_hi=self.support.singular_hi and b == hi
-                           or b in self.interior_points)
+        a, b = xs[:-1], xs[1:]
+        sing_lo = (self.support.singular_lo & (a == lo)) | np.isin(a, self.interior_points)
+        sing_hi = (self.support.singular_hi & (b == hi)) | np.isin(b, self.interior_points)
+        # singular panels keep integrate's peel; masses <= 1 keep the bound 1e-13
+        peel = sing_lo | sing_hi
+        masses = np.empty(len(a))
+        masses[~peel] = _refine_panels(self.pdf, a[~peel], b[~peel], 1e-13, 1e-13)
+        for i in np.nonzero(peel)[0]:
+            sub = Interval(a[i], b[i], bool(sing_lo[i]), bool(sing_hi[i]))
             masses[i] = integrate(self.pdf, sub, tol=1e-13).value
         cums = np.concatenate([[0.0], np.cumsum(masses)])
         self._table = (xs, cums)

@@ -277,6 +277,48 @@ def _adaptive(g, seeds, tol, budget):
     return total_val + frozen_val, total_err + frozen_err, used
 
 
+_ROUND_LEAVES = 64  # leaves bisected per round of _refine_panels
+
+
+def _refine_panels(f, a, b, tol, rtol, first=None):
+    """Masses of independent finite panels, refined together (after quad_vec).
+
+    Each round bisects the _ROUND_LEAVES worst leaves, by error against their
+    panel's bound max(tol, rtol |mass|), in one _gk call. A panel closes on
+    that bound, on a non-finite value or at integrate's budget of 4096 panels
+    (keeping its value). first holds _gk values and errors of the panels.
+    """
+    n = len(a)
+    val, err = _gk(f, a, b) if first is None else first
+    mass, used, live = np.array(val, dtype=float), np.ones(n, int), np.ones(n, bool)
+    leaf, own = np.array([a, b, val, err], dtype=float), np.arange(n)  # ends, value, error
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(own):
+            leaf, own = leaf[:, live[own]], own[live[own]]
+            # as in _adaptive, leaves too narrow to split drop out of the error
+            wide = leaf[1] - leaf[0] >= 256.0 * _EPS * np.maximum(abs(leaf[:2]).max(0), 1.0)
+            mass[live] = np.bincount(own, leaf[2], n)[live]
+            bound = np.maximum(tol, rtol * np.abs(mass))
+            live &= (np.isfinite(mass) & (used < 4096)
+                     & (np.bincount(own, leaf[3] * wide, n) > bound))
+            # leaves under an eighth of the bound per leaf of their panel
+            # together carry under an eighth of it; they wait
+            pick = np.nonzero(live[own] & wide & (
+                8.0 * np.bincount(own, wide, n)[own] * leaf[3] >= bound[own]))[0]
+            if not pick.size:
+                break
+            r = leaf[3, pick] / bound[own[pick]]
+            pick = pick[np.argsort(-r, kind="stable")[:_ROUND_LEAVES]]
+            o = own[pick]  # earlier picks of a panel count against its budget
+            pick = pick[np.tril(o[:, None] == o, -1).sum(1) < 4096 - used[o]]
+            np.add.at(used, own[pick], 1)
+            lo, hi = leaf[0, pick], leaf[1, pick]
+            kids = [np.r_[lo, 0.5 * (lo + hi)], np.r_[0.5 * (lo + hi), hi]]
+            leaf = np.hstack([np.delete(leaf, pick, 1), [*kids, *_gk(f, *kids)]])
+            own = np.r_[np.delete(own, pick), own[pick], own[pick]]
+    return mass
+
+
 def _integrate_piece(piece, tol, budget):
     g, a, b = piece.g, piece.a, piece.b
     if piece.sing_lo and piece.sing_hi:

@@ -21,7 +21,7 @@ import numpy as np
 from .densities import Density, _condensation_diverges, rescale
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
-from .numerics import INF, Interval, _gk, integrate
+from .numerics import INF, Interval, _gk, _refine_panels, integrate
 
 
 def _forward(root, layers, x, needs):
@@ -288,19 +288,17 @@ class _UpLayer:
         with np.errstate(all="ignore"):
             masses, errs = _gk(self._w_root, a, b)
         refine = errs > 1e-15 + 1e-11 * np.abs(masses)
-        refine |= ~np.isfinite(masses)
-        cutset = set(root.interior_points)
-        if cutset:
-            refine |= np.array([av in cutset or bv in cutset
-                                for av, bv in zip(a, b)])
+        cut_lo, cut_hi = (np.isin(e, root.interior_points) for e in (a, b))
+        refine |= cut_lo | cut_hi
         masses[panel[conv]] = (w1 * dk / gam)[conv]
         refine[panel[conv]] = False
-        # an unconverged refinement is kept: next to a divergent edge the
-        # ladder panels are far too heavy for the absolute tolerance
-        for i in np.nonzero(refine)[0]:
-            sub = Interval(a[i], b[i], singular_lo=a[i] in cutset,
-                           singular_hi=b[i] in cutset)
+        # panels at a cut point keep integrate's peel; the rest refine to a
+        # bound relative to their mass, which reaches 1e160 at divergent edges
+        for i in np.nonzero(refine & (cut_lo | cut_hi))[0]:
+            sub = Interval(a[i], b[i], bool(cut_lo[i]), bool(cut_hi[i]))
             masses[i] = integrate(self._w_root, sub, tol=1e-13).value
+        j = refine & ~(cut_lo | cut_hi)
+        masses[j] = _refine_panels(self._w_root, a[j], b[j], 1e-13, 1e-13, (masses[j], errs[j]))
 
         def tail(iv):
             r = integrate(self._w_root, iv, tol=1e-13)

@@ -6,7 +6,8 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from updown.errors import DomainError, IntegrandError
-from updown.numerics import Interval, QuadResult, integrate
+from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _gk,
+                             _refine_panels, integrate)
 
 
 class TestInterval:
@@ -144,3 +145,69 @@ def test_quadresult_fields_are_plain_types():
     assert isinstance(r, QuadResult)
     assert type(r.value) is float
     assert type(r.converged) is bool
+
+
+# ------------------------------------------------- batched panel refinement
+
+def _recorded(f):
+    """f plus the list of the point batches it was called with."""
+    seen = []
+
+    def g(x):
+        seen.append(np.array(x))
+        return f(x)
+
+    return g, seen
+
+
+def test_refine_panels_matches_integrate_on_smooth_panels():
+    f = lambda x: np.exp(x) * np.sin(40.0 * x)
+    a = np.array([-1.0, -0.9, 0.0, 1.0])
+    b = np.array([-0.9, 0.0, 1.0, 4.0])
+    got = _refine_panels(f, a, b, 1e-13, 1e-13)
+    want = [integrate(f, (lo, hi), tol=1e-13).value for lo, hi in zip(a, b)]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_refine_panels_stops_on_the_relative_bound():
+    # an absolute 1e-13 is out of reach at this scale: integrate spends its
+    # whole budget of 4096 panels here
+    f, seen = _recorded(lambda x: 1e10 * np.exp(x) * np.cos(5.0 * x))
+    got = _refine_panels(f, [-1.0], [2.0], 1e-13, 1e-13)[0]
+    F = lambda x: 1e10 * np.exp(x) * (np.cos(5.0 * x) + 5.0 * np.sin(5.0 * x)) / 26.0
+    assert got == pytest.approx(F(2.0) - F(-1.0), rel=1e-13)
+    splits = (sum(x.size for x in seen) // 15 - 1) // 2
+    assert splits < 0.05 * 4096
+
+
+def test_refine_panels_keeps_a_budget_stopped_value():
+    # at a bound of 1e-300 the panel holding the jump cannot converge
+    f, seen = _recorded(lambda x: np.where(x < 0.3, 1.0, 2.0))
+    got = _refine_panels(f, [0.0], [1.0], 1e-300, 1e-300)[0]
+    assert sum(x.size for x in seen) == 15 * (1 + 2 * 4095)
+    assert math.isfinite(got)
+    assert got == pytest.approx(1.7, abs=1e-12)
+
+
+def test_refine_panels_never_refines_an_infinite_panel():
+    f, seen = _recorded(lambda x: np.where(x == 1.5, math.inf, np.sin(20.0 * x)))
+    got = _refine_panels(f, [0.0, 1.0], [1.0, 2.0], 1e-13, 1e-13)
+    assert got[1] == math.inf
+    assert got[0] == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-13)
+    assert len(seen) > 1
+    assert all(np.all(x < 1.0) for x in seen[1:])
+
+
+def test_refine_panels_bounds_every_batch():
+    # five periods per panel: hundreds of splits in all, taken in rounds
+    # whose one _gk call stays under 2 * _ROUND_LEAVES * 15 points
+    f = lambda x: np.exp(-x) * np.sin(300.0 * x)
+    edges = np.linspace(0.0, 10.0, 101)
+    g, seen = _recorded(f)
+    got = _refine_panels(g, edges[:-1], edges[1:], 1e-13, 1e-13,
+                         first=_gk(f, edges[:-1], edges[1:]))
+    sizes = [x.size for x in seen]
+    assert max(sizes) <= 2 * _ROUND_LEAVES * 15
+    assert len(sizes) > 5
+    F = lambda x: -np.exp(-x) * (np.sin(300.0 * x) + 300.0 * np.cos(300.0 * x)) / 90001.0
+    assert got.sum() == pytest.approx(F(10.0) - F(0.0), abs=1e-12)
