@@ -344,6 +344,11 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=(), max_panels=4096):
     the interval is cut there. Divergent integrals come back with converged
     False (value may be +-inf); NaN from the integrand raises IntegrandError
     naming the abscissa; infinite endpoints are mapped to (0, 1).
+
+    Refinement always runs to the absolute tol (or the panel budget); rtol
+    only widens the converged verdict afterwards, to max(tol, rtol*|value|).
+    A kink not listed in interior can fool the GK15 error estimate:
+    |sin(37x)| on (3.4, 3.5) comes back 2.4e-8 off with converged True.
     """
     iv = _as_interval(iv)
     pieces = _pieces(f, iv, interior)

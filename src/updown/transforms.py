@@ -187,22 +187,20 @@ class _UpLayer:
     def _stretch(self, anchor_pt, start, direction, deep):
         # geometric ladder away from the bulk; when the far tail carries
         # divergent weight mass, walk until the root pdf underflows so the
-        # u coordinate stays computable wherever any mass remains
+        # u coordinate stays computable wherever any mass remains. The walk
+        # stops at the first subnormal pdf: its relative rounding error
+        # (1e-11 near 3e-313) keeps panels there from ever meeting the
+        # table's relative bound
         w = max(abs(start - anchor_pt), 1.0)
         top = 400 if deep else 10
         out = []
-        zeros = 0
         for k in range(1, top + 1):
             v = anchor_pt + direction * w * 4.0 ** k
             if abs(v) > 1e290:
                 break
             out.append(v)
-            if self._root.pdf(np.array([v]))[0] == 0.0:
-                zeros += 1
-                if zeros >= 2:
-                    break
-            else:
-                zeros = 0
+            if self._root.pdf(np.array([v]))[0] < np.finfo(float).tiny:
+                break
         return np.asarray(out, dtype=float)
 
     def _ladders(self, ts):
@@ -735,35 +733,36 @@ def chain(f, ops):
     return g
 
 
-def _aligned_deviation(f, g, n):
-    # candidate translations and reflections matching finite support edges
-    # (medians when there are none); the best one measures the round trip
-    xq = f.quantiles(n)
-    fv = f.pdf(xq)
-    fs, gs = f.support, g.support
-    devs = []
-    shifts = [gs.lo - fs.lo] if math.isfinite(fs.lo) and math.isfinite(gs.lo) else []
-    if math.isfinite(fs.hi) and math.isfinite(gs.hi):
-        shifts.append(gs.hi - fs.hi)
-    if not shifts:
-        shifts.append(g.median() - f.median())
-    for sh in shifts:
-        devs.append(float(np.max(np.abs(g.pdf_at(xq + sh) - fv))))
-    flips = [gs.hi + fs.lo] if math.isfinite(fs.lo) and math.isfinite(gs.hi) else []
-    if math.isfinite(fs.hi) and math.isfinite(gs.lo):
-        flips.append(gs.lo + fs.hi)
-    if not flips:
-        flips.append(g.median() + f.median())
-    for cc in flips:
-        devs.append(float(np.max(np.abs(g.pdf_at(cc - xq) - fv))))
-    return min(devs)
+def _rigid_fit(raw, target, y):
+    """Best rigid placement of raw onto target, judged at target abscissae y.
+
+    The candidates are both orientations, each with the shifts that match
+    a finite support edge and the one that matches medians. Returns
+    (deviation, scale, shift): raw.reseat(scale, shift) is the placed copy
+    and deviation its largest absolute pdf gap from target at y.
+    """
+    ts, rs = target.support, raw.support
+    med = target.median(), raw.median()
+    cands = []
+    for scale in (1.0, -1.0):
+        # raw edges in the order they land on target after the orientation
+        lo, hi = (rs.lo, rs.hi) if scale > 0 else (-rs.hi, -rs.lo)
+        cands += [(scale, t - r) for t, r in ((ts.lo, lo), (ts.hi, hi))
+                  if math.isfinite(t) and math.isfinite(r)]
+        cands.append((scale, med[0] - scale * med[1]))
+    # one pdf call for all candidates: each image query pays a full
+    # bracket inversion
+    pts = np.concatenate([(y - b) / scale for scale, b in cands])
+    gaps = np.max(np.abs(raw.pdf_at(pts).reshape(len(cands), -1)
+                         - target.pdf_at(y)), axis=1)
+    i = int(np.argmin(gaps))
+    return float(gaps[i]), *cands[i]
 
 
 def verify_inversion(f, alpha, n_points=16):
     """Max pdf deviation of up(down(f, alpha), alpha) from f at quantiles,
     after aligning supports by translation or reflection."""
-    g = up(down(f, alpha), alpha)
-    return _aligned_deviation(f, g, n_points)
+    return _rigid_fit(up(down(f, alpha), alpha), f, f.quantiles(n_points))[0]
 
 
 def _rel_dev(a, b):

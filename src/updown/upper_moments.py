@@ -2,17 +2,22 @@
 
 The (p, alpha)-upper-moment weighs each point of a density by the p-th
 power of the cumulative |(alpha-2)v|^(1/(alpha-2)) f(v) mass above it
-(e^v at alpha = 2). Two evaluation routes exist: direct nested quadrature
-of the definition, and the p-th absolute moment of the up-transformed
-density. They must agree; tests and the cross-check keyword hold them to
-1e-5 relative. Higher orders iterate the up transform, innermost exponent
-last in the vector.
+(e^v at alpha = 2). Higher orders iterate that step, innermost exponent
+last in the vector: each level weighs f by the same kernel of the
+coordinate from the level below. Two evaluation routes exist. The via-up
+route takes the p-th absolute moment of the iterated up image. The direct
+route is one nested-quadrature oracle, _nested, that evaluates the
+definition literally for any order and shares no up-layer table with the
+chain; upper_moment (order one) and upper_moment_n2_literal (order two)
+wrap it. The routes must agree; tests and the cross-check keyword hold
+them to 1e-5 relative.
 
-Anchoring follows the up transform exactly: the inner cumulative runs to
-the upper support edge when the weighted mass converges there and to the
-median otherwise. The decision is made by a dyadic condensation series on
-quantiles so that float underflow of the pdf cannot mask a divergent
-tail.
+Anchoring follows the up transform: each level's cumulative runs toward
+the end where the coordinate below is largest (the upper edge, then the
+lower edge, alternating) when the weighted mass converges there, and to
+the median otherwise. The decision is made by a dyadic condensation
+series on quantiles so that float underflow of the pdf cannot mask a
+divergent tail.
 """
 
 import math
@@ -26,7 +31,8 @@ from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError,
                      UnsupportedCaseError)
 from .numerics import Interval, integrate
-from .transforms import _log_weight, chain, down, down_applicable, up
+from .transforms import (_log_weight, _rigid_fit, chain, down,
+                         down_applicable, up)
 
 __all__ = [
     "AlphaVector", "UpperMomentResult", "MomentCheckResult", "prefactor",
@@ -82,10 +88,11 @@ class MomentCheckResult(NamedTuple):
 
 
 def prefactor(p, alphas):
-    """K(p, vec-alpha): the constant split off the raw nested form.
+    """K(p, vec-alpha): the share of M carried by the |c|^(1/c) constants.
 
-    Accumulated in log space; an alpha = 2 entry stops the product, since
-    nothing can be pulled out through an exponential kernel.
+    M is K times the nested form with raw weights |U|^(1/c). Accumulated in
+    log space; an alpha = 2 entry stops the product, since nothing can be
+    pulled out through an exponential kernel.
     """
     vec = AlphaVector(alphas)
     logk = 0.0
@@ -96,41 +103,6 @@ def prefactor(p, alphas):
         acc /= a - 2.0
         logk += acc * math.log(abs(a - 2.0))
     return math.exp(float(p) * logk)
-
-
-def _weighted_pdf(f, c, raw=False):
-    """Integrand w(v) f(v) with w = |(c) v|^(1/c), e^v at c = 0.
-
-    raw=True drops the |c|^(1/c) constant (it lives in the prefactor).
-    Formed in log space; points where the pdf is exactly zero are dropped,
-    as are overflow artifacts (divergence detection is the condensation
-    test's job, not the integrand's).
-    """
-    lc = 0.0 if (c == 0.0 or raw) else math.log(abs(c)) / c
-
-    def wf(v):
-        v = np.asarray(v, dtype=float)
-        fr = f.pdf(v)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lw = v if c == 0.0 else np.log(np.abs(v)) / c + lc
-            y = np.exp(lw + np.log(fr))
-        return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
-
-    return wf
-
-
-def _tail_mass_diverges(f, alpha):
-    # flat or growing condensation terms toward the upper edge mean the
-    # weighted mass diverges there
-    return _condensation_diverges(f, "hi", lambda t: _log_weight(t, alpha - 2.0))
-
-
-def _check_interior_zero(f, alpha):
-    c = alpha - 2.0
-    if -1.0 <= c < 0.0 and f.support.lo < 0.0 < f.support.hi:
-        raise PreconditionError(
-            f"{f.label}: weight |{c:g} v|^(1/{c:g}) is not integrable across "
-            "the interior zero of the support")
 
 
 def _package(M, p, vec, path, converged, err):
@@ -144,38 +116,78 @@ def _package(M, p, vec, path, converged, err):
                              bool(converged), float(err))
 
 
-def upper_moment(f, p, alpha, *, tol=1e-10):
-    """(p, alpha)-upper-moment of f by direct nested quadrature."""
-    p, alpha = float(p), float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
-    c = alpha - 2.0
-    _check_interior_zero(f, alpha)
-    median_anchored = _tail_mass_diverges(f, alpha)
-    anchor = f.median() if median_anchored else f.support.hi
-    wf = _weighted_pdf(f, c)
-    inner_tol = min(tol * 1e-2, 1e-12)
+def _nested(f, p, vec, tol):
+    """Upper-moment of any order by literal nested quadrature.
+
+    Level k = 1..n weighs f by |c U|^(1/c) (e^U at c = 0), c = vec[-k] - 2,
+    of the coordinate U of the level below (U = x at the bottom), and
+    integrates from x toward the end where U is largest: the upper edge at
+    odd levels, the lower edge at even ones, or the median when the
+    condensation test finds the weighted mass divergent there. Each level
+    is cut at U's interior zero (x = 0 on a support that straddles 0 at
+    the bottom, a median anchor above), and a weight with -1 <= c < 0 is
+    not integrable across it. The top level runs at min(tol/100,
+    10**(n-13)), each level below ten times tighter.
+    """
     bad = []
 
-    def u_of(xi):
-        a, b = (xi, anchor) if xi <= anchor else (anchor, xi)
-        cuts = (0.0,) if (c != 0.0 and a < 0.0 < b) else ()
-        r = integrate(wf, Interval(a, b), tol=inner_tol, interior=cuts)
-        if not r.converged:
-            bad.append(xi)
-        return r.value if xi <= anchor else -r.value
+    def level(k, level_tol):
+        """Coordinate of level k and its interior zero (None if none)."""
+        if k == 0:
+            zero = 0.0 if f.support.lo < 0.0 < f.support.hi else None
+            return (lambda x: np.asarray(x, dtype=float)), zero
+        U, zero = level(k - 1, level_tol / 10.0)
+        c = vec[-k] - 2.0
+        if zero is not None and -1.0 <= c < 0.0:
+            raise PreconditionError(
+                f"{f.label}: weight |{c:g} U|^(1/{c:g}) of level {k} is not "
+                f"integrable across the interior zero of U at {zero:.6g}")
+        logw = lambda x: _log_weight(U(x), c)
+
+        def wf(x):
+            fr = f.pdf(x)
+            # weight and pdf can over/underflow separately; sum logs.
+            # Divergence is the condensation test's call, not the integrand's
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                y = np.exp(logw(x) + np.log(fr))
+            return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
+
+        hi = k % 2 == 1
+        median = _condensation_diverges(f, "hi" if hi else "lo", logw)
+        anchor = f.median() if median else (f.support.hi if hi else f.support.lo)
+        d = 1.0 if hi else -1.0
+
+        def U_next(x):
+            out = []
+            for xi in np.asarray(x, dtype=float):
+                a, b = min(xi, anchor), max(xi, anchor)
+                cuts = (zero,) if zero is not None and a < zero < b else ()
+                r = integrate(wf, Interval(a, b), tol=level_tol, interior=cuts)
+                if not r.converged:
+                    bad.append(xi)
+                out.append(d * r.value if xi < anchor else -d * r.value)
+            return np.array(out)
+
+        return U_next, (anchor if median else None)
+
+    n = vec.order
+    U, zero = level(n, min(tol / 100.0, 10.0 ** (n - 13)))
 
     def outer(x, f0):
-        u = np.array([u_of(xi) for xi in np.asarray(x, dtype=float)])
         with np.errstate(divide="ignore"):
-            y = np.abs(u) ** p * f0
+            y = np.abs(U(x)) ** p * f0
         return np.where(f0 > 0.0, y, 0.0)
 
-    extra = (anchor,) if (median_anchored and p < 0.0) else ()
+    extra = (zero,) if (zero is not None and p < 0.0) else ()
     q = f.integral(outer, needs=0, tol=tol, extra_interior=extra,
                    force_singular_edges=p < 0.0)
-    return _package(q.value, p, (alpha,), "direct",
+    return _package(q.value, p, vec, "direct",
                     q.converged and not bad, q.abs_error_estimate)
+
+
+def upper_moment(f, p, alpha, *, tol=1e-10):
+    """(p, alpha)-upper-moment of f by direct nested quadrature."""
+    return _nested(f, float(p), AlphaVector(float(alpha)), tol)
 
 
 def upper_moment_via_up(f, p, alpha, *, tol=1e-10):
@@ -220,82 +232,13 @@ def upper_moment_n(f, p, alphas, *, tol=1e-10, cross_check=False):
 def upper_moment_n2_literal(f, p, alphas, *, tol=1e-9):
     """Order-two upper-moment by explicit double-nested quadrature.
 
-    Kept as an independent oracle for the chain route. The middle integral
-    anchors at the pullback of the outer canonical anchor: the inner
-    cumulative runs against the coordinate, so the outer sup-side anchor
-    lands on the lower support edge (median fallback as usual).
+    Kept as an independent oracle for the chain route: it shares no up
+    layer table with it.
     """
     vec = AlphaVector(alphas)
     if vec.order != 2:
         raise DomainError("the literal nested form is written for order two")
-    p = float(p)
-    a0, a1 = vec
-    c0, c1 = a0 - 2.0, a1 - 2.0
-    sup = f.support
-    _check_interior_zero(f, a1)
-
-    med1 = _tail_mass_diverges(f, a1)
-    A1 = f.median() if med1 else sup.hi
-    # alpha0 = 2 keeps the inner constant inside the exponential kernel
-    wf1 = _weighted_pdf(f, c1, raw=c0 != 0.0)
-    inner_tol = min(tol * 1e-3, 1e-12)
-    bad = []
-
-    def inner(xi):
-        a, b = (xi, A1) if xi <= A1 else (A1, xi)
-        cuts = (0.0,) if (c1 != 0.0 and a < 0.0 < b) else ()
-        r = integrate(wf1, Interval(a, b), tol=inner_tol, interior=cuts)
-        if not r.converged:
-            bad.append(xi)
-        return r.value if xi <= A1 else -r.value
-
-    if med1 and -1.0 <= c0 < 0.0:
-        raise PreconditionError(
-            f"{f.label}: outer weight is not integrable across the interior "
-            "zero left by the median-anchored inner cumulative")
-
-    def wlog0(x):
-        v = inner(x)
-        if c0 == 0.0:
-            return v
-        if v == 0.0:
-            return math.inf if c0 < 0.0 else -math.inf
-        return math.log(abs(v)) / c0
-
-    # condensation toward the lower edge decides the middle anchor
-    med0 = _condensation_diverges(f, "lo", lambda t: [wlog0(ti) for ti in t])
-    B = f.median() if med0 else sup.lo
-
-    def wmid(x):
-        x = np.asarray(x, dtype=float)
-        fr = f.pdf(x)
-        lw = np.array([wlog0(xi) for xi in x])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            y = np.exp(lw + np.log(fr))
-        return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
-
-    mid_tol = min(tol * 1e-1, 1e-11)
-
-    def V(x0):
-        a, b = (B, x0) if B <= x0 else (x0, B)
-        cuts = (A1,) if (med1 and a < A1 < b) else ()
-        r = integrate(wmid, Interval(a, b), tol=mid_tol, interior=cuts)
-        if not r.converged:
-            bad.append(x0)
-        return r.value if B <= x0 else -r.value
-
-    def outer(x, f0):
-        v = np.array([V(xi) for xi in np.asarray(x, dtype=float)])
-        with np.errstate(divide="ignore"):
-            y = np.abs(v) ** p * f0
-        return np.where(f0 > 0.0, y, 0.0)
-
-    extra = (B,) if (med0 and p < 0.0) else ()
-    q = f.integral(outer, needs=0, tol=tol, extra_interior=extra,
-                   force_singular_edges=p < 0.0)
-    K = prefactor(p, vec)
-    return _package(K * q.value, p, vec, "direct",
-                    q.converged and not bad, K * q.abs_error_estimate)
+    return _nested(f, float(p), vec, tol)
 
 
 def signed_upper_moment(f, p, alphas, *, tol=1e-10):
@@ -308,43 +251,6 @@ def signed_upper_moment(f, p, alphas, *, tol=1e-10):
     g = chain(f, [("up", a) for a in reversed(vec)])
     q = g.integral(lambda u, h0: u ** k * h0, needs=0, tol=tol)
     return functionals.Quantity(q.value, q.converged, q.abs_error_estimate)
-
-
-def _aligned_to(raw, target):
-    """Rigid copy of raw (translation, optional reflection) matched to target.
-
-    Down transforms forget location and orientation; the reconstruction is
-    re-seated by whichever edge/median candidate minimizes the pointwise
-    pdf deviation at target quantiles.
-    """
-    ts, rs = target.support, raw.support
-    cands = []
-    for scale in (1.0, -1.0):
-        shifts = []
-        if scale > 0:
-            if math.isfinite(ts.lo) and math.isfinite(rs.lo):
-                shifts.append(ts.lo - rs.lo)
-            if math.isfinite(ts.hi) and math.isfinite(rs.hi):
-                shifts.append(ts.hi - rs.hi)
-        else:
-            if math.isfinite(ts.lo) and math.isfinite(rs.hi):
-                shifts.append(ts.lo + rs.hi)
-            if math.isfinite(ts.hi) and math.isfinite(rs.lo):
-                shifts.append(ts.hi + rs.lo)
-        shifts.append(target.median() - scale * raw.median())
-        cands.extend((scale, b) for b in shifts)
-    yq = target.quantile_many(np.linspace(0.06, 0.94, 23))
-    tv = target.pdf_at(yq)
-    best = None
-    for scale, b in cands:
-        rv = raw.pdf_at((yq - b) / scale)
-        dev = float(np.max(np.abs(rv - tv) / np.maximum(np.abs(tv), 1e-12)))
-        if best is None or dev < best[0]:
-            best = (dev, scale, b)
-    _, scale, b = best
-    # reseat keeps the result on the transform fast path; an affine wrapper
-    # would push every later pdf query through bracket inversion
-    return raw.reseat(scale, b)
 
 
 def moment_sequence_check(f, alphas, n_moments, *, tol=1e-10):
@@ -382,7 +288,12 @@ def moment_sequence_check(f, alphas, n_moments, *, tol=1e-10):
             lifted = up(recon, vec[k])
         except (DomainError, PreconditionError, CapabilityError) as e:
             raise TransformChainError(k, str(e)) from e
-        recon = _aligned_to(lifted, tower[k])
+        # down forgets location and orientation; reseat keeps the result on
+        # the transform fast path, where an affine wrapper would push every
+        # later pdf query through bracket inversion
+        _, scale, shift = _rigid_fit(
+            lifted, tower[k], tower[k].quantile_many(np.linspace(0.06, 0.94, 23)))
+        recon = lifted.reseat(scale, shift)
 
     rows = []
     skipped = []

@@ -20,7 +20,7 @@ from updown.densities import (Density, affine_image, exponential,
 from updown.errors import (CapabilityError, DomainError, PreconditionError,
                            TransformChainError)
 from updown.numerics import integrate
-from updown.transforms import (chain, down, down_applicable, up,
+from updown.transforms import (_rigid_fit, chain, down, down_applicable, up,
                                verify_inversion, verify_scaling)
 
 EULER = 0.5772156649015329
@@ -223,11 +223,8 @@ def test_up_rejects_non_finite_alpha():
         up(e1, math.nan)
 
 
-def test_up_build_work_count():
-    # the table refines its flagged panels together, to a bound relative to
-    # their mass; one integrate call each, to an absolute 1e-13, spent 4.7M
-    # root-pdf points on this build
-    f = uniform(0.0, 1.0)
+def _build_points(f, alpha):
+    """Root-pdf points spent building up(f, alpha)."""
     pdf, n = f.pdf, [0]
 
     def counted(x):
@@ -235,8 +232,23 @@ def test_up_build_work_count():
         return pdf(x)
 
     f.pdf = counted
-    up(f, 1.5)
-    assert n[0] <= 200_000
+    up(f, alpha)
+    return n[0]
+
+
+def test_up_build_work_count():
+    # the table refines its flagged panels together, to a bound relative to
+    # their mass; one integrate call each, to an absolute 1e-13, spent 4.7M
+    # root-pdf points on this build
+    assert _build_points(uniform(0.0, 1.0), 1.5) <= 200_000
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0])
+def test_up_subnormal_tail_work_count(alpha):
+    # the divergent upper tail reaches pdf values near 3e-313, whose ~1e-11
+    # relative rounding no panel refinement can bring under the table's
+    # 1e-13 relative bound; the walk must stop before spending on them
+    assert _build_points(power_tail(2.0, 1.0), alpha) <= 200_000
 
 
 @pytest.mark.parametrize("make, alpha", [
@@ -275,6 +287,16 @@ def test_up_after_down_recovers():
     for f in (e21, pt31, half_restriction(g21)):
         for al in (-1.0, 0.5, 3.0, 4.0):
             assert verify_inversion(f, al) < 1e-8
+
+
+def test_rigid_fit_recovers_a_reseat():
+    g = up(e1, 3.0)
+    target = g.reseat(-1.0, 0.3)
+    dev, scale, shift = _rigid_fit(
+        g, target, target.quantile_many(np.linspace(0.06, 0.94, 23)))
+    assert scale == -1.0
+    assert shift == pytest.approx(0.3, abs=1e-12)
+    assert dev < 1e-10
 
 
 def test_down_after_up_recovers():

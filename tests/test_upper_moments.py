@@ -160,10 +160,14 @@ def test_alpha_vector_rules():
 
 
 def test_interior_zero_rejected():
-    # alpha in [1,2): the weight is not integrable across a zero inside
-    # the support
+    # alpha in [1,2): the weight is not integrable across a zero of the
+    # coordinate it weighs
     with pytest.raises(PreconditionError):
         UM.upper_moment(g21, 1.0, 1.5)
+    # level 1 anchors power_tail(2,1) at its median, so the coordinate that
+    # level 2 weighs by |-0.5 U|^(-2) has a zero inside the support
+    with pytest.raises(PreconditionError):
+        UM.upper_moment_n2_literal(pt21, 1.0, (1.5, 3.0))
 
 
 # ---------------------------------------------------------------- ordering
