@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, Interval, _gk, _refine_panels, integrate
+from .numerics import INF, Interval, _bisect, _gk, _refine_panels, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -258,13 +258,7 @@ class Density:
         # numeric table still supplies the starting brackets
         targets = levels if self._cdf is not None else levels * cums[-1]
         idx = np.clip(np.searchsorted(cums, levels * cums[-1]), 1, len(xs) - 1)
-        lo = xs[idx - 1].astype(float)
-        hi = xs[idx].astype(float)
-        for _ in range(60):  # bracketed bisection on the cdf
-            mid = 0.5 * (lo + hi)
-            below = self.cdf_at(mid) < targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+        lo, hi = _bisect(self.cdf_at, targets, xs[idx - 1], xs[idx])
         return 0.5 * (lo + hi)
 
     def quantiles(self, n):

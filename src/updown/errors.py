@@ -26,7 +26,8 @@ class IntegrandError(RuntimeError):
 
 
 class AccuracyError(RuntimeError):
-    """Two evaluations of one quantity disagree beyond their tolerance."""
+    """Two evaluations of one quantity disagree beyond their tolerance, or a
+    value cannot be represented in double precision."""
 
 
 class UnsupportedCaseError(NotImplementedError):

@@ -227,7 +227,8 @@ def _peel(g, edge, other, tol):
     c0, c1, c2 = vals[cut], vals[cut - 1], vals[cut - 2]
     stub_val = 0.0
     stub_err = 8.0 * abs(c0)
-    if abs(c1) > 1e-300 and abs(c2) > 1e-300:
+    # an infinite panel leaves no ratio to fit
+    if np.isfinite([c0, c1, c2]).all() and abs(c1) > 1e-300 and abs(c2) > 1e-300:
         r1 = c0 / c1
         r2 = c1 / c2
         drift = abs(r1 - r2)
@@ -278,6 +279,7 @@ def _adaptive(g, seeds, tol, budget):
 
 
 _ROUND_LEAVES = 64  # leaves bisected per round of _refine_panels
+_BUDGET = 4096  # panels per integral
 
 
 def _refine_panels(f, a, b, tol, rtol, first=None):
@@ -285,8 +287,8 @@ def _refine_panels(f, a, b, tol, rtol, first=None):
 
     Each round bisects the _ROUND_LEAVES worst leaves, by error against their
     panel's bound max(tol, rtol |mass|), in one _gk call. A panel closes on
-    that bound, on a non-finite value or at integrate's budget of 4096 panels
-    (keeping its value). first holds _gk values and errors of the panels.
+    that bound, on a non-finite value or at integrate's budget of _BUDGET
+    panels (keeping its value). first holds _gk values and errors of the panels.
     """
     n = len(a)
     val, err = _gk(f, a, b) if first is None else first
@@ -299,7 +301,7 @@ def _refine_panels(f, a, b, tol, rtol, first=None):
             wide = leaf[1] - leaf[0] >= 256.0 * _EPS * np.maximum(abs(leaf[:2]).max(0), 1.0)
             mass[live] = np.bincount(own, leaf[2], n)[live]
             bound = np.maximum(tol, rtol * np.abs(mass))
-            live &= (np.isfinite(mass) & (used < 4096)
+            live &= (np.isfinite(mass) & (used < _BUDGET)
                      & (np.bincount(own, leaf[3] * wide, n) > bound))
             # leaves under an eighth of the bound per leaf of their panel
             # together carry under an eighth of it; they wait
@@ -310,13 +312,40 @@ def _refine_panels(f, a, b, tol, rtol, first=None):
             r = leaf[3, pick] / bound[own[pick]]
             pick = pick[np.argsort(-r, kind="stable")[:_ROUND_LEAVES]]
             o = own[pick]  # earlier picks of a panel count against its budget
-            pick = pick[np.tril(o[:, None] == o, -1).sum(1) < 4096 - used[o]]
+            pick = pick[np.tril(o[:, None] == o, -1).sum(1) < _BUDGET - used[o]]
             np.add.at(used, own[pick], 1)
             lo, hi = leaf[0, pick], leaf[1, pick]
             kids = [np.r_[lo, 0.5 * (lo + hi)], np.r_[0.5 * (lo + hi), hi]]
             leaf = np.hstack([np.delete(leaf, pick, 1), [*kids, *_gk(f, *kids)]])
             own = np.r_[np.delete(own, pick), own[pick], own[pick]]
     return mass
+
+
+def _bisect(g, target, lo, hi):
+    """Bisect brackets [lo, hi] of a vectorized g down to adjacent doubles.
+
+    Each round moves lo to the midpoint where g(mid) < target, hi elsewhere.
+    Midpoints split the ordered bit patterns of doubles, not the values, so
+    a bracket that straddles 0 or reaches into the subnormals closes as
+    fast as any: in the bit length of the widest gap, at most 64 rounds.
+    """
+    def key(x):  # ordered as the doubles are; -0.0 and 0.0 share key 0
+        i = np.asarray(x, dtype=float).view(np.int64)
+        return np.where(i < 0, -(i & 0x7FFFFFFFFFFFFFFF), i)
+
+    def double(k):
+        return np.copysign(np.abs(k).view(np.float64), k)
+
+    klo = key(lo)
+    gap = key(hi).view(np.uint64) - klo.view(np.uint64)  # keys span < 2**64
+    # closed brackets and an empty batch take no round
+    for _ in range((int(gap.max(initial=1)) - 1).bit_length()):
+        half = gap >> 1
+        mid = klo + half.astype(np.int64)
+        below = g(double(mid)) < target
+        klo = np.where(below, mid, klo)
+        gap = np.where(below, gap - half, half)
+    return double(klo), double(klo + gap.astype(np.int64))
 
 
 def _integrate_piece(piece, tol, budget):
@@ -337,7 +366,7 @@ def _integrate_piece(piece, tol, budget):
     return val + stub_val, err + stub_err
 
 
-def integrate(f, iv, tol=1e-10, *, rtol=None, interior=(), max_panels=4096):
+def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     """Integrate a vectorized callable over an extended-real interval.
 
     interior lists abscissae where the integrand may be singular or kinked;
@@ -353,7 +382,7 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=(), max_panels=4096):
     iv = _as_interval(iv)
     pieces = _pieces(f, iv, interior)
     per_tol = tol / len(pieces)
-    per_budget = max(64, max_panels // len(pieces))
+    per_budget = max(64, _BUDGET // len(pieces))
     value = 0.0
     err = 0.0
     diverged = False
@@ -363,6 +392,6 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=(), max_panels=4096):
         err += e
         if not (np.isfinite(v) and np.isfinite(e)):
             diverged = True
-    bound = max(tol, (rtol or 0.0) * abs(value))
-    converged = bool((not diverged) and err <= bound)
+    # a diverged value may be infinite, where rtol * |value| is undefined
+    converged = bool(not diverged and err <= max(tol, (rtol or 0.0) * abs(value)))
     return QuadResult(float(value), float(err), converged)

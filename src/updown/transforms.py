@@ -21,7 +21,7 @@ import numpy as np
 from .densities import Density, _condensation_diverges, rescale
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
-from .numerics import INF, Interval, _gk, _refine_panels, integrate
+from .numerics import INF, Interval, _bisect, _gk, _refine_panels, integrate
 
 
 def _forward(root, layers, x, needs):
@@ -80,17 +80,6 @@ class _DownLayer:
                            * ((2.0 * al - 2.0) * f1 * brak + f0 * brakp
                               - f0 * brak * q21) / f1 ** 2)
         return s, tuple(out)
-
-
-def _float_key(x):
-    """Integer key of a double; keys are ordered as the doubles are."""
-    i = int(np.float64(x).view(np.int64))
-    return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
-
-
-def _key_float(k):
-    v = float(np.int64(abs(k)).view(np.float64))
-    return v if k >= 0 else -v
 
 
 def _log_weight(v, c):
@@ -168,17 +157,11 @@ class _UpLayer:
         flip = np.nonzero(sg[:-1] * sg[1:] < 0.0)[0]
         if flip.size:
             i = int(flip[0])
-            # bisect over the doubles' ordered bit patterns to adjacent
-            # floats: the ladders toward zc resolve the weight that finely,
-            # and a zero at 0 would take a thousand plain halvings
-            ka, kb, ref = _float_key(grid[i]), _float_key(grid[i + 1]), sg[i]
-            while kb - ka > 1:
-                km = (ka + kb) // 2
-                if np.sign(self._chi(np.array([_key_float(km)]))[0]) == ref:
-                    ka = km
-                else:
-                    kb = km
-            self.zc = _key_float(kb)
+            # bisect to adjacent floats: the ladders toward zc resolve the
+            # weight that finely
+            _, zc = _bisect(lambda t: -sg[i] * self._chi(t), 0.0,
+                            grid[i:i + 1], grid[i + 1:i + 2])
+            self.zc = float(zc[0])
             if -1.0 <= self.c < 0.0:
                 raise PreconditionError(
                     f"up(alpha={self.alpha:g}): the coordinate weight is not "
@@ -297,6 +280,10 @@ class _UpLayer:
             masses[i] = integrate(self._w_root, sub, tol=1e-13).value
         j = refine & ~(cut_lo | cut_hi)
         masses[j] = _refine_panels(self._w_root, a[j], b[j], 1e-13, 1e-13, (masses[j], errs[j]))
+        if not masses.any():
+            raise AccuracyError(
+                f"up(alpha={self.alpha!r}): the weight underflows to 0 on "
+                f"every table panel of {root.label}")
 
         def tail(iv):
             r = integrate(self._w_root, iv, tol=1e-13)
@@ -490,15 +477,9 @@ class TransformedDensity(Density):
         idx = np.searchsorted(bz, z)
         oob = (idx <= 0) | (idx >= len(bz)) | ~np.isfinite(z)
         idc = np.clip(idx, 1, len(bz) - 1)
-        lo_t = bt[idc - 1].astype(float)
-        hi_t = bt[idc].astype(float)
-        for _ in range(80):
-            mid = 0.5 * (lo_t + hi_t)
-            zm = self._sigma_total * self._chi(mid)
-            right = zm < z
-            lo_t = np.where(right, mid, lo_t)
-            hi_t = np.where(right, hi_t, mid)
-        return 0.5 * (lo_t + hi_t), oob
+        lo, hi = _bisect(lambda t: self._sigma_total * self._chi(t), z,
+                         bt[idc - 1], bt[idc])
+        return 0.5 * (lo + hi), oob
 
     def inverse_map(self, y):
         """Base-coordinate abscissae whose image coordinate equals y."""

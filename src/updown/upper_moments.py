@@ -211,21 +211,21 @@ def verify_path_agreement(f, p, alpha, *, rel_tol=1e-5, tol=1e-10):
 def upper_moment_n(f, p, alphas, *, tol=1e-10, cross_check=False):
     """Order-n upper-moment via the iterated up chain, innermost alpha last.
 
-    cross_check=True (order two only) also runs the literal nested
-    quadrature and raises if the routes drift beyond 1e-5 relative.
+    cross_check=True also runs the literal nested quadrature and raises if
+    the routes drift beyond 1e-5 relative.
     """
     vec = AlphaVector(alphas)
     p = float(p)
     g = chain(f, [("up", a) for a in reversed(vec)])
     q = functionals.mu(g, p, tol=tol)
     out = _package(q.value, p, vec, "via-up", q.converged, q.err)
-    if cross_check and vec.order == 2:
-        lit = upper_moment_n2_literal(f, p, vec, tol=max(tol, 1e-9))
+    if cross_check:
+        lit = _nested(f, p, vec, max(tol, 1e-9))
         rel = abs(out.M - lit.M) / max(abs(out.M), abs(lit.M), 1e-300)
         if rel > 1e-5:
             raise AccuracyError(
-                f"second-order upper-moment paths disagree: via-up {out.M!r} "
-                f"vs nested {lit.M!r}")
+                f"order-{vec.order} upper-moment paths disagree: via-up "
+                f"{out.M!r} vs nested {lit.M!r}")
     return out
 
 

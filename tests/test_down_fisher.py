@@ -71,6 +71,14 @@ def test_divergent_measure_reported_not_truncated():
     assert math.isinf(r.value)
 
 
+def test_infinite_measure_is_quiet():
+    # at lam = 1 the ratio p lam/(p - q) equals f f''/f'**2, so the
+    # integrand is infinite everywhere; no warning may escape on the way
+    r = down_fisher(e1, -1.0, 0.0, 1.0)
+    assert not r.converged
+    assert math.isinf(r.value)
+
+
 # ---------------------------------------------- down-image Fisher identity
 
 def test_relation_cells():

@@ -6,8 +6,8 @@ import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
 from updown.errors import DomainError, IntegrandError
-from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _gk,
-                             _refine_panels, integrate)
+from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _bisect,
+                             _gk, _refine_panels, integrate)
 
 
 class TestInterval:
@@ -95,6 +95,7 @@ def test_interior_kink():
     (lambda x: 1.0 / x, (1.0, math.inf)),
     (lambda x: 1.0 / x, Interval(0.0, 1.0, singular_lo=True)),
     (lambda x: x / (1.0 + x), (0.0, math.inf)),
+    (lambda x: np.full_like(x, math.inf), (0.0, math.inf)),
 ])
 def test_divergent_integrals_are_flagged_not_raised(f, iv):
     got = integrate(f, iv)
@@ -211,3 +212,25 @@ def test_refine_panels_bounds_every_batch():
     assert len(sizes) > 5
     F = lambda x: -np.exp(-x) * (np.sin(300.0 * x) + 300.0 * np.cos(300.0 * x)) / 90001.0
     assert got.sum() == pytest.approx(F(10.0) - F(0.0), abs=1e-12)
+
+
+def test_bisect_closes_every_bracket_to_adjacent_doubles():
+    # one bracket straddles 0 across nearly all doubles (a key gap just
+    # under 2**64), one is negative, one subnormal
+    lo = np.array([-1e300, -1e10, 0.0])
+    hi = np.array([1e300, -1e-300, 1e-310])
+    target = np.array([0.3, -2.5, 3e-320])
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x
+
+    a, b = _bisect(g, target, lo, hi)
+    assert len(calls) <= 64
+    np.testing.assert_array_equal(b, np.nextafter(a, math.inf))
+    assert np.all((a < target) & (target <= b))
+    # an empty batch, as from a pdf query at no points, takes no round
+    calls.clear()
+    assert _bisect(g, 0.0, np.empty(0), np.empty(0))[0].size == 0
+    assert not calls

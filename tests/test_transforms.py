@@ -17,8 +17,8 @@ from updown import functionals as F
 from updown.densities import (Density, affine_image, exponential,
                               half_restriction, power_tail,
                               stretched_gaussian, uniform)
-from updown.errors import (CapabilityError, DomainError, PreconditionError,
-                           TransformChainError)
+from updown.errors import (AccuracyError, CapabilityError, DomainError,
+                           PreconditionError, TransformChainError)
 from updown.numerics import integrate
 from updown.transforms import (_rigid_fit, chain, down, down_applicable, up,
                                verify_inversion, verify_scaling)
@@ -223,6 +223,15 @@ def test_up_rejects_non_finite_alpha():
         up(e1, math.nan)
 
 
+def test_up_weight_underflow_is_an_accuracy_error():
+    # at alpha = 2 + 1e-6 the weight (1e-6 v)**1e6 underflows wherever the
+    # root pdf does not, so the image mass cannot be represented; the
+    # message keeps alpha apart from 2
+    for f in (e1, u01):
+        with pytest.raises(AccuracyError, match=r"alpha=2\.000001"):
+            up(f, 2.0 + 1e-6)
+
+
 def _build_points(f, alpha):
     """Root-pdf points spent building up(f, alpha)."""
     pdf, n = f.pdf, [0]
@@ -249,6 +258,22 @@ def test_up_subnormal_tail_work_count(alpha):
     # relative rounding no panel refinement can bring under the table's
     # 1e-13 relative bound; the walk must stop before spending on them
     assert _build_points(power_tail(2.0, 1.0), alpha) <= 200_000
+
+
+def test_image_pdf_inversion_work_count():
+    # bisection over the bit patterns of doubles closes every bracket in
+    # the bit length of the widest; 80 fixed halvings took 80 _chi calls
+    g = up(up(e1, 3.0), 3.0)
+    y = g.quantile_many((np.arange(64) + 0.5) / 64.0)
+    chi, n = g._chi, [0]
+
+    def counted(t):
+        n[0] += 1
+        return chi(t)
+
+    g._chi = counted
+    g.pdf(y)
+    assert n[0] <= 64
 
 
 @pytest.mark.parametrize("make, alpha", [

@@ -11,7 +11,9 @@ log 2 - 1.
 Second order on uniform(0,1): vec (3,3) gives the middle cumulative
 V(x) = x/2 - x**3/6 and M_1 = 5/24; vec (3,2) gives V(x) = e x - e**x + 1
 and M_1 = 2 - e/2. The (2,3) value has no elementary form and is pinned
-by the chain and nested routes agreeing to 1e-14.
+by the chain and nested routes agreeing to 1e-14. Third order, vec
+(3,3,3), has the outer cumulative W(x) = 5/24 - x**2/4 + x**4/24 and
+M_1 = 2/15.
 """
 
 import math
@@ -106,6 +108,19 @@ def test_second_order_alpha2_positions():
     s = UM.upper_moment_n(u01, 1.0, (2.0, 3.0), cross_check=True)
     # pinned by the two independent routes agreeing to 1e-14
     assert s.M == pytest.approx(0.7619648639423217, abs=1e-8)
+
+
+def test_third_order_cross_check():
+    r = UM.upper_moment_n(u01, 1.0, (3.0, 3.0, 3.0), cross_check=True)
+    assert r.M == pytest.approx(2.0 / 15.0, abs=1e-8)
+
+
+def test_third_order_cross_check_catches_a_gap(monkeypatch):
+    # a nested route that reads 1.0 must not pass for 2/15
+    monkeypatch.setattr(UM, "_nested", lambda f, p, vec, tol: UM._package(
+        1.0, p, vec, "direct", True, 0.0))
+    with pytest.raises(AccuracyError):
+        UM.upper_moment_n(u01, 1.0, (3.0, 3.0, 3.0), cross_check=True)
 
 
 def test_order_one_collapse():
