@@ -1,11 +1,11 @@
 """Probability densities with derivative hooks and quantile machinery.
 
 A Density wraps a vectorized pdf on an open extended-real interval, together
-with optional derivative callables d1..d3, an optional closed-form cdf, a
-tri-state monotone_decreasing claim, and a list of interior abscissae where
-the pdf or a derivative is kinked or singular. Construction verifies unit
-mass and any monotonicity claim. Expectations are computed by adaptive
-quadrature over the support with cuts at the interior points.
+with optional derivative callables d1..d3, an optional closed-form cdf and
+quantile, a tri-state monotone_decreasing claim, and a list of interior
+abscissae where the pdf or a derivative is kinked or singular. Construction
+verifies unit mass and any monotonicity claim. Expectations are computed by
+adaptive quadrature over the support with cuts at the interior points.
 """
 
 import math
@@ -40,7 +40,7 @@ class Density:
 
     def __init__(self, pdf, support, *, d1=None, d2=None, d3=None,
                  monotone_decreasing=None, label="density", interior_points=(),
-                 cdf=None, normalization_tol=1e-7):
+                 cdf=None, quantile=None, normalization_tol=1e-7):
         self.support = support if isinstance(support, Interval) else Interval(*support)
         self.pdf = _as_callable_on_array(pdf)
         self.d1 = _as_callable_on_array(d1) if d1 is not None else None
@@ -49,6 +49,7 @@ class Density:
         self.monotone_decreasing = monotone_decreasing
         self.label = label
         self._cdf = cdf
+        self._quantile = quantile
         lo, hi = self.support.lo, self.support.hi
         self.interior_points = tuple(sorted(
             {float(p) for p in interior_points if lo < float(p) < hi}))
@@ -249,10 +250,16 @@ class Density:
         return float(out[0]) if scalar else out
 
     def quantile_many(self, levels):
-        """Abscissae where the cdf reaches the given mass levels."""
+        """Abscissae where the cdf reaches the given mass levels.
+
+        A closed-form quantile hook answers directly; otherwise _bisect
+        inverts the cdf inside the node table.
+        """
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         if np.any((levels <= 0.0) | (levels >= 1.0)):
             raise DomainError("quantile levels must be inside (0, 1)")
+        if self._quantile is not None:
+            return np.asarray(self._quantile(levels), dtype=float)
         xs, cums = self._node_table()
         # with an exact cdf hook the targets are the levels themselves; the
         # numeric table still supplies the starting brackets
@@ -324,12 +331,17 @@ def affine_image(f, scale, shift=0.0, label=None):
             return None
         return lambda y: aj * scale ** k * d(scale * np.asarray(y, dtype=float) + shift)
 
-    cdf = None
+    cdf = quantile = None
     if f._cdf is not None:
         if scale > 0:
             cdf = lambda y: f._cdf(scale * np.asarray(y, dtype=float) + shift)
         else:
             cdf = lambda y: 1.0 - f._cdf(scale * np.asarray(y, dtype=float) + shift)
+    if f._quantile is not None:
+        if scale > 0:
+            quantile = lambda v: (f._quantile(v) - shift) / scale
+        else:
+            quantile = lambda v: (f._quantile(1.0 - v) - shift) / scale
     return Density(
         lambda y: aj * f.pdf(scale * np.asarray(y, dtype=float) + shift),
         sup,
@@ -337,7 +349,7 @@ def affine_image(f, scale, shift=0.0, label=None):
         monotone_decreasing=mono,
         label=label or f"affine({f.label},{scale:g},{shift:g})",
         interior_points=tuple((p - shift) / scale for p in f.interior_points),
-        cdf=cdf)
+        cdf=cdf, quantile=quantile)
 
 
 def rescale(f, kappa):
@@ -386,7 +398,8 @@ def uniform(a, b):
         d1=zero, d2=zero, d3=zero,
         monotone_decreasing=None,
         label=f"uniform({a:g},{b:g})",
-        cdf=lambda x: np.clip((np.asarray(x, dtype=float) - a) * h, 0.0, 1.0))
+        cdf=lambda x: np.clip((np.asarray(x, dtype=float) - a) * h, 0.0, 1.0),
+        quantile=lambda v: a + (b - a) * v)
 
 
 def exponential(rate, shift=0.0):
@@ -404,7 +417,8 @@ def exponential(rate, shift=0.0):
         d3=lambda x: -rate**3 * pdf(x),
         monotone_decreasing=True,
         label=f"exponential({rate:g},{shift:g})",
-        cdf=lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=float) - shift, 0.0)))
+        cdf=lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=float) - shift, 0.0)),
+        quantile=lambda v: shift - np.log1p(-v) / rate)
 
 
 def power_tail(eta, x0):
@@ -417,6 +431,21 @@ def power_tail(eta, x0):
     def pdf(x):
         return c * np.asarray(x, dtype=float) ** -eta
 
+    # x0 (1-v)**e with e = -1/(eta-1): rounding e alone costs |e log(1-v)|
+    # ulp (20 at eta = 1.73), rounding 1-v costs |e|/2 (10 at eta = 1.05);
+    # carrying the low parts of both keeps every level within 2 ulp. With
+    # eta = n/d, e = d/(d-n); integer division rounds correctly
+    n, d = eta.as_integer_ratio()
+    e_hi = d / (d - n)
+    p, q = e_hi.as_integer_ratio()
+    e_lo = (d * q - p * (d - n)) / (q * (d - n))
+
+    def quantile(v):
+        s = 1.0 - v
+        ds = (1.0 - s) - v  # 1-v == s + ds exactly
+        with np.errstate(over="ignore"):  # past the largest double: inf
+            return x0 * s ** e_hi * (1.0 + (e_lo * np.log1p(-v) + e_hi * ds / s))
+
     return Density(
         pdf, Interval(x0, INF),
         d1=lambda x: -eta * pdf(x) / np.asarray(x, dtype=float),
@@ -426,7 +455,8 @@ def power_tail(eta, x0):
         monotone_decreasing=True,
         label=f"power_tail({eta:g},{x0:g})",
         cdf=lambda x: 1.0
-        - (x0 / np.maximum(np.asarray(x, dtype=float), x0)) ** (eta - 1.0))
+        - (x0 / np.maximum(np.asarray(x, dtype=float), x0)) ** (eta - 1.0),
+        quantile=quantile)
 
 
 def _conjugate(p):

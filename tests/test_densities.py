@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -59,6 +60,10 @@ QUANTILE_ORACLES = [
     (power_tail(2.0, 1.0), lambda l: (1.0 - l) ** -1.0),
     (uniform(0.0, 1.0), lambda l: l),
     (stretched_gaussian(2.0, 1.0), lambda l: scipy.special.erfinv(2.0 * l - 1.0)),
+    (uniform(-1.0, 2.0), lambda l: 3.0 * l - 1.0),
+    (power_tail(3.0, 2.0), lambda l: 2.0 * (1.0 - l) ** -0.5),
+    (affine_image(exponential(1.3, 0.0), -2.0, 0.5), lambda l: 0.25 + np.log(l) / 2.6),
+    (affine_image(power_tail(2.0, 1.0), 3.0, 1.0), lambda l: ((1.0 - l) ** -1.0 - 1.0) / 3.0),
 ]
 
 
@@ -66,6 +71,33 @@ QUANTILE_ORACLES = [
 def test_quantiles_match_closed_forms(f, qf):
     levels = np.array([0.01, 0.2, 0.5, 0.8, 0.99])
     assert np.max(np.abs(f.quantile_many(levels) - qf(levels))) < 1e-9
+
+
+# exact parameters as mpmath numbers, so the oracle is the true quantile of
+# the density the double parameters define
+MP_QUANTILES = [
+    (uniform(-1.0, 2.0), lambda l: -1 + 3 * l),
+    (uniform(0.3, 0.7), lambda l: mpmath.mpf(0.3) + (mpmath.mpf(0.7) - mpmath.mpf(0.3)) * l),
+    (exponential(1.3, -0.4), lambda l: mpmath.mpf(-0.4) - mpmath.log1p(-l) / mpmath.mpf(1.3)),
+    (power_tail(2.0, 1.0), lambda l: 1 / (1 - l)),
+    (power_tail(1.73, 1.3), lambda l: mpmath.mpf(1.3) * (1 - l) ** (-1 / (mpmath.mpf(1.73) - 1))),
+    (power_tail(1.05, 1.0), lambda l: (1 - l) ** (-1 / (mpmath.mpf(1.05) - 1))),
+]
+
+
+@pytest.mark.parametrize("f,qf", MP_QUANTILES, ids=lambda v: getattr(v, "label", "oracle"))
+def test_closed_form_quantiles_match_mpmath(f, qf):
+    # within 4 ulp of max(|q|, 1) at every level, tails included. Bisection
+    # on the cdf is 8-49 ulp off at level 0.99 and over 2e4 ulp from
+    # 1 - 1e-6 on, where the cdf's doubles run flat. Rounding 1/(eta-1)
+    # alone would cost 20 ulp at eta = 1.73, rounding 1 - level 10 ulp at
+    # eta = 1.05
+    levels = np.array([1e-12, 1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-6, 1 - 2.0 ** -41])
+    got = f.quantile_many(levels)
+    with mpmath.workdps(30):
+        err = [float(abs(mpmath.mpf(float(g)) - qf(mpmath.mpf(float(v)))))
+               for g, v in zip(got, levels)]
+    assert np.all(np.array(err) <= 4.0 * np.spacing(np.maximum(np.abs(got), 1.0)))
 
 
 @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.label)

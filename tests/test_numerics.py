@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from updown.errors import DomainError, IntegrandError
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _bisect,
-                             _gk, _refine_panels, integrate)
+                             _chandrupatla, _gk, _refine_panels, integrate)
 
 
 class TestInterval:
@@ -234,3 +234,83 @@ def test_bisect_closes_every_bracket_to_adjacent_doubles():
     calls.clear()
     assert _bisect(g, 0.0, np.empty(0), np.empty(0))[0].size == 0
     assert not calls
+
+
+def _counted(g):
+    calls = []
+
+    def h(x):
+        calls.append(x.size)
+        return g(x)
+
+    return h, calls
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (np.expm1, -3.0, 2.0),
+    (lambda x: x ** 3, -2.0, 1.5),
+    (lambda x: -np.expm1(-1.3 * np.maximum(x, 0.0)), 0.0, 30.0),
+], ids=["expm1", "cube", "exp-cdf"])
+def test_chandrupatla_lands_where_bisect_does(g, lo, hi):
+    # on monotone g the pair is _bisect's, bit for bit, unless the solver
+    # hit g(t) == target exactly: common where g compresses the doubles,
+    # as the cdf does near 1; x**3 also hits at 0. Brackets come from a
+    # node table, as in image inversion
+    rng = np.random.default_rng(3)
+    target = np.concatenate([rng.uniform(g(lo), g(hi), 198), [0.0, g(hi) * (1 - 1e-15)]])
+    nodes = np.linspace(lo, hi, 33)
+    i = np.clip(np.searchsorted(g(nodes), target), 1, 32)
+    h, bisect_calls = _counted(g)
+    want = _bisect(h, target, nodes[i - 1], nodes[i])
+    h, calls = _counted(g)
+    a, b = _chandrupatla(h, target, nodes[i - 1], nodes[i])
+    same = (a == want[0]) & (b == want[1])
+    hit = (a == b) & (g(a) == target)
+    assert np.all(same | hit)
+    assert np.count_nonzero(same & (b == np.nextafter(a, math.inf))) >= 10
+    # brackets across 0 bisect their keys down to one binade first
+    assert sum(calls) < 0.3 * sum(bisect_calls)
+
+
+def test_chandrupatla_closes_brackets_that_miss_on_the_nearest_end():
+    # out-of-range, NaN and infinite targets, as on the out-of-range path of
+    # image inversion, whose cdf relies on landing on the nearest edge
+    target = np.array([-5.0, 100.0, np.nan, np.inf, -np.inf])
+    lo, hi = np.full(5, -1.0), np.full(5, 2.0)
+    a, b = _chandrupatla(np.expm1, target, lo, hi)
+    want = _bisect(np.expm1, target, lo, hi)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a, [-1.0, 2.0, -1.0, 2.0, -1.0])
+    np.testing.assert_array_equal(want[0][[0, 2, 4]], -1.0)
+    np.testing.assert_array_equal(want[1][[1, 3]], 2.0)
+
+
+def test_chandrupatla_closes_on_exact_hits_and_staircases():
+    # a query at a bracket end, as when a probe point is a bracket-table
+    # node, stops on that end; a staircase and a jump defeat interpolation
+    # and still close, within two rounds per halving of the key gap (the
+    # jump took 43,462 rounds without the halving rule)
+    ident, calls = _counted(lambda x: x)
+    a, b = _chandrupatla(ident, np.array([0.5, 0.25, 0.3]),
+                         np.array([0.25, 0.25, 0.25]), np.array([0.5, 0.5, 0.5]))
+    np.testing.assert_array_equal(a, [0.5, 0.25, 0.3])
+    np.testing.assert_array_equal(b, a)
+    assert len(calls) <= 2 * 64
+    stairs, calls = _counted(lambda x: np.floor(8.0 * x) / 8.0)
+    a, b = _chandrupatla(stairs, np.array([0.3, 0.3, 0.25]), np.array([0.0, -1e300, 0.0]),
+                         np.array([1.0, 1e300, 1.0]))
+    assert len(calls) <= 2 * 64
+    np.testing.assert_array_equal(b[:2], [0.375, 0.375])
+    np.testing.assert_array_equal(a[:2], np.nextafter(0.375, 0.0))
+    # 0.25 is a step value: any point of its flat run is a hit
+    assert a[2] == b[2] and stairs(a[2:]) == 0.25
+    jump, calls = _counted(lambda x: x + 1e6 * (x > 0.7))
+    a, b = _chandrupatla(jump, np.array([100.0]), np.array([0.5]), np.array([1.0]))
+    assert len(calls) <= 2 * 64
+    assert a[0] == 0.7 and b[0] == np.nextafter(0.7, 1.0)
+
+
+def test_chandrupatla_empty_batch_makes_no_call():
+    g, calls = _counted(lambda x: x)
+    a, b = _chandrupatla(g, 0.0, np.empty(0), np.empty(0))
+    assert a.size == b.size == 0 and not calls

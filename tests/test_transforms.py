@@ -20,8 +20,8 @@ from updown.densities import (Density, affine_image, exponential,
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
                            PreconditionError, TransformChainError)
 from updown.numerics import integrate
-from updown.transforms import (_rigid_fit, chain, down, down_applicable, up,
-                               verify_inversion, verify_scaling)
+from updown.transforms import (_rigid_fit, _UpLayer, chain, down, down_applicable,
+                               up, verify_inversion, verify_scaling)
 
 EULER = 0.5772156649015329
 
@@ -274,6 +274,48 @@ def test_image_pdf_inversion_work_count():
     g._chi = counted
     g.pdf(y)
     assert n[0] <= 64
+
+
+def test_image_pdf_interpolated_inversion_work_count():
+    # two calls at the bracket-table ends, then Chandrupatla's steps inside
+    # each bracket, on the still-open brackets only; bisection took 51
+    g = up(up(e1, 3.0), 3.0)
+    y = g.quantile_many((np.arange(64) + 0.5) / 64.0)
+    chi, n = g._chi, [0]
+
+    def counted(t):
+        n[0] += 1
+        return chi(t)
+
+    g._chi = counted
+    g.pdf(y)
+    assert n[0] <= 24
+
+
+class _ZeroCounted(_UpLayer):
+    """An up layer that counts the _chi calls of its _locate_zero."""
+
+    def _locate_zero(self):
+        chi, self.zero_calls = self._chi, 0
+
+        def counted(t):
+            self.zero_calls += 1
+            return chi(t)
+
+        self._chi = counted
+        super()._locate_zero()
+        del self._chi
+
+
+@pytest.mark.parametrize("make", [lambda: (g21, ()), lambda: (pt21, up(pt21, 3.0)._layers)],
+                         ids=["sg21", "up-pt21"])
+def test_locate_zero_work_count(make):
+    # bisection to adjacent doubles took 52-64 calls after the grid's one;
+    # the zero is exact, or the upper of two adjacent doubles around it
+    layer = _ZeroCounted(*make(), 3.0)
+    assert layer.zero_calls <= 16
+    below, at = layer._chi(np.array([np.nextafter(layer.zc, -np.inf), layer.zc]))
+    assert at == 0.0 or below * at < 0.0
 
 
 @pytest.mark.parametrize("make, alpha", [
