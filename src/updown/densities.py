@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, Interval, _bisect, _gk, _refine_panels, integrate
+from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
+from .numerics import INF, Interval, _chandrupatla, _gk, _refine_panels, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -58,6 +58,12 @@ class Density:
             total = integrate(self.pdf, self.support, tol=1e-9,
                               interior=self.interior_points)
             if not math.isfinite(total.value) or abs(total.value - 1.0) > normalization_tol:
+                # an unconverged mass, as on a heavy tail near eta = 1, says
+                # nothing about the pdf
+                if not total.converged:
+                    raise AccuracyError(
+                        f"{label}: pdf mass {total.value!r} did not converge "
+                        f"(error estimate {total.abs_error_estimate:.3g})")
                 raise DomainError(
                     f"{label}: pdf mass is {total.value!r}, not 1 within {normalization_tol}")
         if monotone_decreasing is True:
@@ -252,8 +258,9 @@ class Density:
     def quantile_many(self, levels):
         """Abscissae where the cdf reaches the given mass levels.
 
-        A closed-form quantile hook answers directly; otherwise _bisect
-        inverts the cdf inside the node table.
+        A closed-form quantile hook answers directly; otherwise
+        _chandrupatla inverts the cdf inside the node table, where a round
+        costs a partial GK15 panel per point (about 130 us on 64 points).
         """
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         if np.any((levels <= 0.0) | (levels >= 1.0)):
@@ -265,7 +272,7 @@ class Density:
         # numeric table still supplies the starting brackets
         targets = levels if self._cdf is not None else levels * cums[-1]
         idx = np.clip(np.searchsorted(cums, levels * cums[-1]), 1, len(xs) - 1)
-        lo, hi = _bisect(self.cdf_at, targets, xs[idx - 1], xs[idx])
+        lo, hi = _chandrupatla(self.cdf_at, targets, xs[idx - 1], xs[idx])
         return 0.5 * (lo + hi)
 
     def quantiles(self, n):

@@ -340,12 +340,9 @@ def _bisect(g, target, lo, hi):
     a bracket that straddles 0 or reaches into the subnormals closes as
     fast as any: in the bit length of the widest gap, at most 64 rounds.
 
-    This serves Density.quantile_many. On 64 points a cdf round costs 4 us
-    (closed form) to 70 us (node table), and this loop's bookkeeping about
-    7 us, so _chandrupatla's fewer but heavier rounds (about 90 us of
-    bookkeeping each) would not pay. The image coordinate, at 140-730 us a
-    round through one or two layers, goes to _chandrupatla instead.
-    (Timings on one core of a 2-vCPU Xeon.)
+    No library code calls this; every inverse runs on _chandrupatla. It is
+    kept as the reference that _chandrupatla's contract is tested against:
+    the same adjacent pair, bit for bit, unless g hits the target exactly.
     """
     klo = _key(lo)
     gap = _key(hi).view(np.uint64) - klo.view(np.uint64)  # keys span < 2**64
@@ -363,7 +360,7 @@ _NARROW = 1 << 52  # a key gap under one binade's worth of doubles
 
 
 def _chandrupatla(g, target, lo, hi):
-    """_bisect's contract for an expensive monotone g, in fewer g calls.
+    """_bisect's contract for a monotone g, in fewer g calls.
 
     Two calls evaluate g at both ends of every open bracket. An end that
     hits the target, or past which the target lies (NaN counts as past lo),
@@ -392,51 +389,69 @@ def _chandrupatla(g, target, lo, hi):
     stop = ~np.isnan(end)
     out_lo[idx[stop]] = out_hi[idx[stop]] = end[stop]
     keep = ~stop
-    idx, kl, gap, xl, xh, y = idx[keep], kl[keep], gap[keep], xl[keep], xh[keep], y[keep]
+    idx = idx[keep]
+    if not idx.size:
+        return out_lo, out_hi
+    # Open-bracket state, stacked so that closing brackets costs three
+    # compactions, not one per quantity. s: (x, g - y) of the end moved last
+    # (a), of the other end (b) and of the end a replaced (c), then y.
+    # k: key of lo, key gap. flags: a is the lo end, the last round halved
+    # the gap. done collects (key of lo, key gap) per bracket as it closes
     with np.errstate(all="ignore"):
-        fl, fh = gl[keep] - y, gh[keep] - y
-    xc = fc = np.full(idx.size, np.nan)  # the end replaced last round
-    newest_lo = np.ones(idx.size, dtype=bool)
-    stalled = np.zeros(idx.size, dtype=bool)  # last round did not halve the gap
-    while idx.size:
-        step = gap >> 1
-        fit = (gap < _NARROW) & ~stalled
-        if fit.any():
-            xa, fa = np.where(newest_lo, xl, xh), np.where(newest_lo, fl, fh)
-            xb, fb = np.where(newest_lo, xh, xl), np.where(newest_lo, fh, fl)
-            with np.errstate(all="ignore"):
-                xi = (xa - xb) / (xc - xb)
-                phi = (fa - fb) / (fc - fb)
-                iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-                t = np.where(iqi, fa / (fb - fa) * fc / (fb - fc)
-                             + (xc - xa) / (xb - xa) * fa / (fc - fa) * fb / (fc - fb),
-                             fa / (fa - fb))
-                x = xa + np.clip(t, 0.0, 1.0) * (xb - xa)
-            fit &= np.isfinite(x)
-            off = np.clip(_key(np.where(fit, x, xl)) - kl, 1, gap.astype(np.int64) - 1)
-            step = np.where(fit, off.astype(np.uint64), step)
-        kx = kl + step.astype(np.int64)
-        x = _double(kx)
-        gx = np.asarray(g(x), dtype=float)
-        below = gx < y
+        s = np.vstack([xl, gl - y, xh, gh - y, np.full((2, y.size), np.nan), y])[:, keep]
+    k = np.vstack([kl.view(np.uint64), gap])[:, keep]
+    flags = np.ones((2, idx.size), dtype=bool)
+    pos, done = np.arange(idx.size), np.empty((2, idx.size), dtype=np.uint64)
+    gx = None
+    while True:
+        # one errstate per round, never around g: its own warnings stand
         with np.errstate(all="ignore"):
-            fx = gx - y
-        xc, fc = np.where(below, xl, xh), np.where(below, fl, fh)
-        xl, fl = np.where(below, x, xl), np.where(below, fx, fl)
-        xh, fh = np.where(below, xh, x), np.where(below, fh, fx)
-        kl = np.where(below, kx, kl)
-        left = np.where(below, gap - step, step)
-        stalled = left > gap - (gap >> 1)
-        gap = left
-        newest_lo = below
-        hit = gx == y
-        stop = hit | (gap <= 1)
-        out_lo[idx[stop]] = np.where(hit, x, _double(kl))[stop]
-        out_hi[idx[stop]] = np.where(hit, x, _double(kl + gap.astype(np.int64)))[stop]
-        keep = ~stop
-        idx, kl, gap, y = idx[keep], kl[keep], gap[keep], y[keep]
-        xl, xh, xc, fl, fh, fc = xl[keep], xh[keep], xc[keep], fl[keep], fh[keep], fc[keep]
-        newest_lo, stalled = newest_lo[keep], stalled[keep]
+            if gx is not None:
+                below = gx < y
+                # x replaces the end on its side: a's (c takes a, b stays) or
+                # b's (c takes b, b takes a); x is the new a
+                abc[1:] = np.where(below == flags[0], abc[1::-1], abc[:2])
+                abc[0] = x, gx - y
+                hit = gx == y
+                left = np.where(below, gap - step, step)
+                flags[0], flags[1] = below, left <= gap - half
+                left[hit] = 0
+                k[0], k[1] = np.where(below | hit, kx, kl), left
+                stop = k[1] <= 1
+                if np.count_nonzero(stop):
+                    done[:, pos[stop]] = k[:, stop]
+                    keep = ~stop
+                    if not np.count_nonzero(keep):
+                        break
+                    pos, s, k, flags = pos[keep], s[:, keep], k[:, keep], flags[:, keep]
+            kl, gap = k
+            half = gap >> 1
+            abc, y = s[:6].reshape(3, 2, -1), s[6]
+            (xa, fa), (xb, fb), (xc, fc) = abc
+            step = half
+            fit = (gap < _NARROW) & flags[1]
+            if np.count_nonzero(fit):
+                xi = (xa - xb) / (xc - xb)
+                dab, dcb, dx = fa - fb, fc - fb, xb - xa
+                phi = dab / dcb
+                iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+                # fa/(fb-fa) * fc/(fb-fc) is secant * fc/dcb exactly, as
+                # negation is exact; it differs only at fa == fb or fc == fb,
+                # where iqi is False
+                secant = fa / dab
+                t = np.where(iqi, secant * fc / dcb + (xc - xa) / dx * fa / (fc - fa) * fb / dcb,
+                             secant)
+                x = xa + np.minimum(np.maximum(t, 0.0), 1.0) * dx
+                fit &= np.isfinite(x)
+                # off is garbage where fit is False, and unused there
+                off = np.minimum(np.maximum(_key(x) - kl.view(np.int64), 1),
+                                 gap.view(np.int64) - 1)
+                step = np.where(fit, off.view(np.uint64), half)
+            kx = kl + step
+            x = _double(kx.view(np.int64))
+        gx = np.asarray(g(x), dtype=float)
+    out_lo[idx] = _double(done[0].view(np.int64))
+    out_hi[idx] = _double((done[0] + done[1]).view(np.int64))
     return out_lo, out_hi
 
 

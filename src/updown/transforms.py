@@ -9,9 +9,9 @@ coordinate; it restores one order. Both maps preserve mass exactly, so a
 transformed density evaluates every expectation by pulling the integrand
 back to the root density's coordinates, where the quadrature cuts are
 already understood. Image-space pdf queries go through an eagerly built
-monotone bracket table and numerics._chandrupatla, an interpolating
-bracketed solver: each of its rounds pushes a batch through the layer
-stack, so it pays to spend a little bookkeeping on fewer rounds.
+monotone bracket table and numerics._chandrupatla, the interpolating
+bracketed solver behind every inverse in the library: each of its rounds
+pushes a batch through the layer stack, so fewer rounds pay.
 """
 
 import copy
@@ -476,11 +476,10 @@ class TransformedDensity(Density):
     def _invert(self, y):
         """Root abscissae whose image coordinate is y, and an out-of-range mask.
 
-        Solved by _chandrupatla inside the bracket table, not _bisect: a
-        round of the coordinate map costs 140-730 us on 64 points through
-        one or two layers, against about 90 us of that solver's bookkeeping,
-        and it takes about a quarter of the rounds. An out-of-range y lands
-        on the nearest bracket-table end.
+        Solved by _chandrupatla inside the bracket table: a round of the
+        coordinate map costs 140-730 us on 64 points through one or two
+        layers, and the solver takes about a quarter of bisection's rounds.
+        An out-of-range y lands on the nearest bracket-table end.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         z = self._sigma_total * y

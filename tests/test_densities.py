@@ -19,13 +19,22 @@ from updown.densities import (
     texp,
     uniform,
 )
-from updown.errors import CapabilityError, DomainError, UnsupportedCaseError
+from updown.errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
 from updown.numerics import Interval
 
 
 def test_normalization_gate():
     with pytest.raises(DomainError, match="mass"):
         Density(lambda x: np.full_like(x, 2.0), Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("eta", [1.01, 1.03])
+def test_unconverged_normalization_is_an_accuracy_error(eta):
+    # valid under eta > 1, but the tail holds mass out past where the
+    # quadrature can reach: the mass comes back short, unconverged
+    with pytest.raises(AccuracyError, match=r"mass 0\.[37]\d+ did not converge "
+                                            r"\(error estimate \d"):
+        power_tail(eta, 1.0)
 
 
 def test_monotone_claim_checked():
@@ -98,6 +107,26 @@ def test_closed_form_quantiles_match_mpmath(f, qf):
         err = [float(abs(mpmath.mpf(float(g)) - qf(mpmath.mpf(float(v)))))
                for g, v in zip(got, levels)]
     assert np.all(np.array(err) <= 4.0 * np.spacing(np.maximum(np.abs(got), 1.0)))
+
+
+@pytest.mark.parametrize("f", [
+    stretched_gaussian(2.0, 1.0), gzero(1.5), half_restriction(stretched_gaussian(2.0, 1.0)),
+], ids=lambda f: f.label)
+def test_node_table_quantiles_work_count(f):
+    # without a quantile hook the node-table cdf is inverted, at a partial
+    # GK15 panel per point and call: 14-18 calls here, 52-53 by bisection
+    f._node_table()
+    cdf, calls = f.cdf_at, []
+
+    def counted(x):
+        calls.append(x.size)
+        return cdf(x)
+
+    f.cdf_at = counted
+    levels = (np.arange(64) + 0.5) / 64
+    q = f.quantile_many(levels)
+    assert len(calls) <= 24
+    assert np.max(np.abs(cdf(q) - levels)) < 1e-12
 
 
 @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.label)

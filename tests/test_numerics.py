@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from updown.densities import gzero, half_restriction, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _bisect,
                              _chandrupatla, _gk, _refine_panels, integrate)
@@ -246,16 +247,24 @@ def _counted(g):
     return h, calls
 
 
+_SG = stretched_gaussian(2.0, 1.0)
+
+
 @pytest.mark.parametrize("g, lo, hi", [
     (np.expm1, -3.0, 2.0),
     (lambda x: x ** 3, -2.0, 1.5),
     (lambda x: -np.expm1(-1.3 * np.maximum(x, 0.0)), 0.0, 30.0),
-], ids=["expm1", "cube", "exp-cdf"])
+    (_SG.cdf_at, -6.0, 6.0),
+    (gzero(1.5).cdf_at, -1.0, 0.0),
+    (half_restriction(_SG).cdf_at, 0.0, 6.0),
+], ids=["expm1", "cube", "exp-cdf", "sg21-table-cdf", "gzero-table-cdf", "half-sg21-table-cdf"])
 def test_chandrupatla_lands_where_bisect_does(g, lo, hi):
     # on monotone g the pair is _bisect's, bit for bit, unless the solver
     # hit g(t) == target exactly: common where g compresses the doubles,
     # as the cdf does near 1; x**3 also hits at 0. Brackets come from a
-    # node table, as in image inversion
+    # node table, as in image inversion. The node-table cdfs are the roots
+    # whose quantiles this solver inverts; gzero's right half runs so flat
+    # in doubles that nearly every target is a hit, so its left half is used
     rng = np.random.default_rng(3)
     target = np.concatenate([rng.uniform(g(lo), g(hi), 198), [0.0, g(hi) * (1 - 1e-15)]])
     nodes = np.linspace(lo, hi, 33)
