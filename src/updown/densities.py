@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, Interval, _chandrupatla, _gk, _refine_panels, integrate
+from .numerics import (INF, Interval, _chandrupatla, _CumTable, _ladders, _refine_panels,
+                       integrate)
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -191,69 +192,44 @@ class Density:
     # -- cumulative geometry ------------------------------------------------
 
     def _node_table(self):
-        """Sorted abscissae with cumulative masses, built once on demand."""
+        """The cumulative mass table (a _CumTable), built once on demand.
+
+        Ladders toward the singular edges and the interior points end in
+        closed stubs; every other panel is refined in one batch.
+        """
         if self._table is not None:
             return self._table
         lo, hi = self.support.lo, self.support.hi
         cuts = [lo] + list(self.interior_points) + [hi]
+        h = 0.5 ** np.arange(40.0, 0.0, -1.0)
+        t = np.concatenate([h, np.linspace(1.0, 2.0, 17)[1:], 2.0 ** np.arange(2.0, 42.0)])
         nodes = []
         for a, b in zip(cuts[:-1], cuts[1:]):
-            fin_a, fin_b = math.isfinite(a), math.isfinite(b)
-            if fin_a and fin_b:
-                span = b - a
-                u = np.concatenate([np.linspace(0.0, 1.0, 49),
-                                    0.5 ** np.arange(2, 40, dtype=float),
-                                    1.0 - 0.5 ** np.arange(2, 40, dtype=float)])
-                seg = a + span * np.unique(u)
-            elif fin_a:
-                seg = a + np.concatenate([[0.0], 0.5 ** np.arange(40, 0, -1, dtype=float),
-                                          np.linspace(1.0, 2.0, 17)[1:],
-                                          2.0 ** np.arange(2, 42, dtype=float)])
-            elif fin_b:
-                seg = b - np.concatenate([[0.0], 0.5 ** np.arange(40, 0, -1, dtype=float),
-                                          np.linspace(1.0, 2.0, 17)[1:],
-                                          2.0 ** np.arange(2, 42, dtype=float)])
-                seg = seg[::-1]
+            if math.isfinite(a) and math.isfinite(b):
+                u = np.unique(np.concatenate([np.linspace(0.0, 1.0, 49), h[1:-1], 1.0 - h[1:-1]]))
+                nodes.append(a + (b - a) * u)
+            elif math.isfinite(a) or math.isfinite(b):
+                nodes.append(a + np.r_[0.0, t] if math.isfinite(a) else b - np.r_[0.0, t])
             else:
-                t = np.concatenate([0.5 ** np.arange(40, 0, -1, dtype=float),
-                                    np.linspace(1.0, 2.0, 17)[1:],
-                                    2.0 ** np.arange(2, 42, dtype=float)])
-                seg = np.concatenate([-t[::-1], [0.0], t])
-            nodes.append(seg)
+                nodes.append(np.r_[-t, 0.0, t])
         xs = np.unique(np.concatenate(nodes))
         xs = xs[(xs >= lo) & (xs <= hi)]
-        a, b = xs[:-1], xs[1:]
-        sing_lo = (self.support.singular_lo & (a == lo)) | np.isin(a, self.interior_points)
-        sing_hi = (self.support.singular_hi & (b == hi)) | np.isin(b, self.interior_points)
-        # singular panels keep integrate's peel; masses <= 1 keep the bound 1e-13
-        peel = sing_lo | sing_hi
-        masses = np.empty(len(a))
-        masses[~peel] = _refine_panels(self.pdf, a[~peel], b[~peel], 1e-13, 1e-13)
-        for i in np.nonzero(peel)[0]:
-            sub = Interval(a[i], b[i], bool(sing_lo[i]), bool(sing_hi[i]))
-            masses[i] = integrate(self.pdf, sub, tol=1e-13).value
-        cums = np.concatenate([[0.0], np.cumsum(masses)])
-        self._table = (xs, cums)
+        sup = self.support
+        ends = [(p, s) for p in self.interior_points for s in (-1.0, 1.0)]
+        ends += [(p, s) for p, s, sing in ((lo, 1.0, sup.singular_lo),
+                                           (hi, -1.0, sup.singular_hi)) if sing]
+        xs, stubs = _ladders(self.pdf, xs, ends)
+        # masses <= 1 keep the bound 1e-13
+        self._table = _CumTable(self.pdf, xs, stubs,
+                                lambda a, b: _refine_panels(self.pdf, a, b, 1e-13, 1e-13))
         return self._table
 
     def cdf_at(self, x):
         """Cumulative mass below x (vectorized)."""
         x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        if self._cdf is not None:
-            out = np.asarray(self._cdf(x), dtype=float)
-            return float(out[0]) if scalar else out
-        xs, cums = self._node_table()
-        xc = np.clip(x, xs[0], xs[-1])
-        idx = np.clip(np.searchsorted(xs, xc, side="right") - 1, 0, len(xs) - 2)
-        left = xs[idx]
-        out = cums[idx].copy()
-        wide = xc > left
-        if wide.any():
-            vals, _ = _gk(self.pdf, left[wide], xc[wide])
-            out[wide] += vals
-        return float(out[0]) if scalar else out
+        cdf = self._cdf if self._cdf is not None else self._node_table()
+        out = np.asarray(cdf(np.atleast_1d(x)), dtype=float)
+        return float(out[0]) if x.ndim == 0 else out
 
     def quantile_many(self, levels):
         """Abscissae where the cdf reaches the given mass levels.
@@ -267,7 +243,8 @@ class Density:
             raise DomainError("quantile levels must be inside (0, 1)")
         if self._quantile is not None:
             return np.asarray(self._quantile(levels), dtype=float)
-        xs, cums = self._node_table()
+        tab = self._node_table()
+        xs, cums = tab.ts, tab.cums
         # with an exact cdf hook the targets are the levels themselves; the
         # numeric table still supplies the starting brackets
         targets = levels if self._cdf is not None else levels * cums[-1]
@@ -306,6 +283,24 @@ def _condensation_diverges(f, side, logw):
     la = np.where(np.isneginf(la), -1e6, la)
     slope = float(np.median(np.diff(la[-12:])))
     return bool(slope > -0.05 * math.log(2.0))
+
+
+def _weighted_pdf(f, logw):
+    """The callable x -> w(x) f.pdf(x), where logw maps x to log w.
+
+    Summed in logs, as the weight and the pdf can over- and underflow
+    separately; 0 where the pdf is 0 or the product is not finite.
+    Divergence is the condensation test's call, not the integrand's.
+    """
+
+    def wf(x):
+        x = np.asarray(x, dtype=float)
+        fr = f.pdf(x)
+        with np.errstate(all="ignore"):
+            y = np.exp(logw(x) + np.log(fr))
+        return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
+
+    return wf
 
 
 # -- affine images ----------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals
-from .densities import uniform
+from .densities import _condensation_diverges, uniform
 from .errors import CapabilityError, PreconditionError
 from .functionals import Quantity, _nonneg, _pow, _zero_slope
 from .transforms import chain, down
@@ -48,46 +48,6 @@ class EntropyCheckResult(NamedTuple):
     vacuous: bool
 
 
-def _tail_mass_stalls(f, e0, q, p, ratio):
-    """Estimated integrand mass past deep tail quantiles, per edge.
-
-    The mass past the quantile at level t is roughly t times the
-    integrand-to-pdf ratio there; if that estimate does not shrink between
-    two levels, the integral cannot converge. Checking this up front
-    matters for two reasons: on an unbounded support a nearly-cancelling
-    pair of weight exponents lets the integrand ride level until the pdf
-    underflows and drops off the quadrature grid, so the divergence is
-    invisible to quadrature; and at a finite edge the estimate spares the
-    subdivision ladder from grinding against a non-integrable blowup.
-    """
-    for edge_hi in (False, True):
-        est = []
-        for lev in (1e-5, 1e-9):
-            t = 1.0 - lev if edge_hi else lev
-            x = np.asarray(f.quantile_many(np.array([t])), dtype=float)
-            f0 = float(f.pdf(x)[0])
-            f1 = float(f.d1(x)[0])
-            f2 = float(f.d2(x)[0])
-            if not (f0 > 0.0 and f1 != 0.0 and math.isfinite(f0)
-                    and math.isfinite(f1) and math.isfinite(f2)):
-                est = []
-                break
-            r = (f0 / f1) * (f2 / f1)
-            big = math.log(lev) + (e0 - 1.0) * math.log(f0)
-            if q != 0.0:
-                big += q * math.log(abs(f1))
-            if p != 0.0:
-                gap = abs(ratio - r)
-                big += p * math.log(gap) if gap > 0.0 else (
-                    -math.inf if p > 0.0 else math.inf)
-            est.append(big)
-        # a drop under 0.35 nats across four decades of tail level means
-        # the mass beyond the horizon is not going away
-        if len(est) == 2 and est[1] > est[0] - 0.35:
-            return True
-    return False
-
-
 def down_fisher(f, p, q, lam, *, tol=1e-10):
     """The (p, q, lam) curvature-weighted Fisher measure of f.
 
@@ -106,7 +66,18 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
             "curvature ratio is undefined")
     ratio = p * lam / (p - q)
     e0 = 1.0 + p * (lam - 2.0)
-    if _tail_mass_stalls(f, e0, q, p, ratio):
+
+    def logw(x):
+        # log of integrand over pdf; a zero exponent drops its factor
+        f0, f1, f2 = f._state(x, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = (f0 / f1) * (f2 / f1)
+            logs = (np.log(f0), np.log(np.abs(f1)), np.log(np.abs(ratio - r)))
+            return sum(c * v for c, v in zip((e0 - 1.0, q, p), logs) if c != 0.0)
+
+    # checked up front: a divergence carried past the pdf's underflow is
+    # invisible to quadrature, and a non-integrable edge grinds refinement
+    if any(_condensation_diverges(f, side, logw) for side in ("lo", "hi")):
         return Quantity(math.inf, False, math.inf)
 
     def fn(x, f0, f1, f2):

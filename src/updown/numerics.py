@@ -1,9 +1,13 @@
 """Self-contained numerical kernels.
 
-Adaptive Gauss-Kronrod 15(7) quadrature over extended-real intervals with
-geometric peeling toward singular endpoints. Everything is deterministic:
-fixed node tables, fixed budgets, no RNG, so repeated runs produce identical
-bytes.
+Adaptive Gauss-Kronrod 15(7) quadrature over extended-real intervals, and
+one mechanism for singular points: a ladder of ratio-2 rungs toward the
+point, with the stub under the innermost rung closed by the power law
+through the two innermost rungs. integrate peels singular endpoints that
+way; cumulative tables (_ladders, _CumTable) lay the same ladders toward
+every singular point and read the same closure back. Everything is
+deterministic: fixed node tables, fixed budgets, no RNG, so repeated runs
+produce identical bytes.
 """
 
 import heapq
@@ -86,14 +90,16 @@ def _as_interval(iv):
     return Interval(lo, hi)
 
 
-def _gk(f, a, b):
-    """Kronrod values and QUADPACK-style errors for a batch of panels."""
+def _gk(f, a, b, at=None):
+    """Kronrod values and QUADPACK-style errors for a batch of panels;
+    given abscissae at, f there as well, from the same call of f."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    y = np.asarray(f(x.ravel() if at is None else np.r_[x.ravel(), at]), dtype=float)
+    y, f_at = y[:x.size].reshape(x.shape), y[x.size:]
     if np.isnan(y).any():
         i, j = np.argwhere(np.isnan(y))[0]
         raise IntegrandError(f"integrand returned NaN at x={x[i, j]!r}")
@@ -108,7 +114,7 @@ def _gk(f, a, b):
             resasc * np.minimum(1.0, (200.0 * diff / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
             diff,
         )
-    return ik, err
+    return (ik, err) if at is None else (ik, err, f_at)
 
 
 class _Piece:
@@ -193,51 +199,76 @@ def _pieces(f, iv, interior):
     return pieces
 
 
+# A stub exponent under _SLOW counts as unbounded: the ladder cannot tell
+# it from a divergent one (1/(d log(1/d)) measures 1/log(1/d), 0.023 at
+# d = 2**-64). The tail of power_tail(1.03, 1) measures 0.03 and stays
+# unconverged; that of power_tail(1.05, 1) measures 0.05 and closes
+_SLOW = 0.04
+
+
+def _rungs(d0, n, dmin):
+    """Rung distances d0, d0/2, ...: at most n halvings, none under dmin
+    (d0 itself is always kept)."""
+    ds = d0 * 0.5 ** np.arange(n + 1.0)
+    return ds[:max(1, np.count_nonzero(ds >= dmin))]
+
+
+def _closure(w1, w2, dk):
+    """Power law w ~ w1 (d/dK)**(gam-1) through w1 and w2, the weight at
+    distances dK and 2 dK from a point (the two innermost rungs).
+
+    gam = 1 + log2(w2/w1); the stub under the rung holds w1 dK/gam,
+    unbounded when gam <= 0, and w1 dK (d/dK)**gam/gam of it lies within
+    d of the point (_CumTable reads it back). Returns (w1 dK, gam); where
+    w1 and w2 are not finite and of one sign there is no power law, and
+    w1 dK is 0 with gam 1.
+    """
+    with np.errstate(all="ignore"):
+        r = w2 / w1
+        ok = np.isfinite(r) & (r > 0.0)
+        return np.where(ok, w1 * dk, 0.0), np.where(ok, 1.0 + np.log2(r), 1.0)
+
+
 def _peel(g, edge, other, tol):
     """Geometric panels (ratio 1/2) from `other` toward a singular `edge`.
 
-    Returns seed panels for adaptive refinement plus an extrapolated value
-    and error charge for the unreachable stub next to the edge. Panel
-    contributions of an integrable power singularity decay geometrically, so
-    the stub is summed by its measured ratio; a ratio near 1 signals a
-    non-integrable edge and is reported as a large error charge instead.
+    Returns seed panels for adaptive refinement plus the value and error
+    charge of the unreachable stub next to the edge, closed by _closure at
+    the innermost kept panel. The charge is the gap to the stub that
+    panel's own mass implies under the same exponent. A stub no faster
+    than _SLOW adds nothing and charges the mass it would hold at _SLOW,
+    so a non-integrable edge comes back unconverged.
     """
     span = other - edge
     # Width floor balances abscissa quantization against extrapolation model
     # error: nodes near a nonzero edge are snapped to the ulp(edge) grid, so
     # stopping around width ~ 3e-8 * |edge| keeps both effects near 1e-10.
     # An edge at exactly 0 peels to full depth (floats are dense there).
-    floor = max(3e-8 * abs(edge), 1e-300)
-    kmax = 0
-    while kmax < 64 and abs(span) * 0.5 ** (kmax + 1) >= floor:
-        kmax += 1
+    ds = _rungs(abs(span), 64, max(3e-8 * abs(edge), 1e-300))
+    kmax = len(ds) - 1
     if kmax < 2:
         val, err = _gk(g, [min(edge, other)], [max(edge, other)])
         return [(min(edge, other), max(edge, other), val[0], err[0])], 0.0, float(err[0])
-    xs = edge + span * 0.5 ** np.arange(kmax + 1)
+    s = math.copysign(1.0, span)
+    xs = edge + s * ds
     a = np.minimum(xs[1:], xs[:-1])
     b = np.maximum(xs[1:], xs[:-1])
-    vals, errs = _gk(g, a, b)
+    # rungs for the closure in the same call, but not xs[0], the piece end
+    vals, errs, w = _gk(g, a, b, xs[1:])
     cut = kmax - 1
     for k in range(4, kmax):
         if abs(vals[k]) < tol / 8.0:
             cut = k
             break
     panels = [(a[k], b[k], vals[k], errs[k]) for k in range(cut + 1)]
-    c0, c1, c2 = vals[cut], vals[cut - 1], vals[cut - 2]
-    stub_val = 0.0
-    stub_err = 8.0 * abs(c0)
-    # an infinite panel leaves no ratio to fit
-    if np.isfinite([c0, c1, c2]).all() and abs(c1) > 1e-300 and abs(c2) > 1e-300:
-        r1 = c0 / c1
-        r2 = c1 / c2
-        drift = abs(r1 - r2)
-        if abs(r1) <= 0.97 and drift <= 0.1:
-            stub_val = c0 * r1 / (1.0 - r1)
-            stub_err = abs(stub_val) * max(4.0 * drift, 1e-12)
-        elif abs(r1) > 0.97:
-            stub_err = 1000.0 * abs(c0)  # non-integrable edge: flag divergence
-    return panels, stub_val, stub_err
+    w1dk, gam = _closure(w[cut], w[cut - 1], ds[cut + 1])
+    gam = max(float(gam), _SLOW)
+    with np.errstate(over="ignore"):
+        implied = float(vals[cut] / np.expm1(gam * np.log(2.0)))
+    if gam == _SLOW:
+        return panels, 0.0, abs(implied)
+    stub = float(w1dk) / gam
+    return panels, stub, abs(stub - implied)
 
 
 def _adaptive(g, seeds, tol, budget):
@@ -319,6 +350,105 @@ def _refine_panels(f, a, b, tol, rtol, first=None):
             leaf = np.hstack([np.delete(leaf, pick, 1), [*kids, *_gk(f, *kids)]])
             own = np.r_[np.delete(own, pick), own[pick], own[pick]]
     return mass
+
+
+def _ladders(w, ts, ends):
+    """Sorted nodes with a ladder toward each singular point of w.
+
+    ends lists (p, s): a point p and the side s (+1 above, -1 below) on
+    which the table continues. Each ladder starts at the nearest node
+    beyond which ts is already graded (next node within ratio 2), so that
+    no coarse panel is left between the ladder and the bulk, and lays up
+    to 80 rungs, stopping 64 ulp short of p. Returns the nodes, with the
+    points and rungs added and any node inside a stub dropped, and one row
+    (p, s, w1 dK, gam, dK) per stub from _closure at its innermost rung.
+    """
+    ends = list(dict.fromkeys(ends))
+    rungs, rows = [ts, [p for p, _ in ends]], []
+    for p, s in ends:
+        d = np.sort(s * (ts - p))
+        d = d[d > 0.0]
+        graded = np.nonzero(d[1:] <= 2.0 * d[:-1])[0]
+        x = p + s * _rungs(d[graded[0]] if graded.size else d[-1], 80,
+                           64.0 * np.spacing(abs(p)))
+        rungs.append(x)
+        rows.append((p, s, abs(x[-1] - p)))
+    ts = np.unique(np.concatenate(rungs))
+    if not rows:
+        return ts, np.empty((0, 5))
+    p, s, dk = (np.array(v) for v in zip(*rows))
+    w1, w2 = np.asarray(w(np.r_[p + s * dk, p + 2.0 * s * dk]), dtype=float).reshape(2, -1)
+    x = (ts[:, None] - p) * s
+    return ts[~np.any((x > 0.0) & (x < dk), axis=1)], \
+        np.column_stack([p, s, *_closure(w1, w2, dk), dk])
+
+
+class _CumTable:
+    """Running integral C of a weight w, tabulated on sorted nodes ts.
+
+    C is 0 at ts[pivot]. Each stub from _ladders fills the table panel
+    next to its point with its closure mass; masses(a, b) gives every
+    other panel. mass_lo and mass_hi are the masses beyond the table ends,
+    infinite past a divergent edge left off the table; that edge's stub
+    lies beyond the table end. Calling the table reads C at any abscissae:
+    one searchsorted, the closure's closed form inside a stub, and one
+    batched partial GK15 panel elsewhere between nodes.
+    """
+
+    def __init__(self, w, ts, stubs, masses, pivot=0, mass_lo=0.0, mass_hi=0.0):
+        self.w = w
+        p, s, w1dk, gam, dk = stubs.T
+        # table panel holding each stub; -1 and len(ts) - 1 stand for the
+        # stretches below and above the table
+        panel = np.searchsorted(ts, p + 0.5 * s * dk, side="right") - 1
+        on = (panel >= 0) & (panel < len(ts) - 1)
+        rest = np.setdiff1d(np.arange(len(ts) - 1), panel[on])
+        m = np.zeros(len(ts) - 1)
+        m[rest] = masses(ts[rest], ts[rest + 1])
+        m[panel[on]] = w1dk[on] / gam[on]
+        # partial sums pivoted at one node: with a divergent edge in play a
+        # one-sided running total grows enormous, and differences of C near
+        # the pivot would be rounded to its ulp
+        cums = np.concatenate([-np.cumsum(m[:pivot][::-1])[::-1], [0.0], np.cumsum(m[pivot:])])
+        # searched against the nodes and the double after the last one, a
+        # point's panel runs from -1 below the table to len(ts) above it;
+        # ts and cums are views
+        self._edges = np.r_[ts, np.nextafter(ts[-1], INF)]
+        self._c = np.r_[cums[0] - mass_lo, cums, cums[-1] + mass_hi]
+        self.ts, self.cums, self.below, self.above = \
+            self._edges[:-1], self._c[1:-1], self._c[0], self._c[-1]
+        # per stub: point, side, w1 dK, gam, dK, whether it is on the table,
+        # and C where its closed form is anchored: at the point, or for a
+        # stub beyond a table end at its innermost rung
+        self._stubs = np.column_stack([stubs, on, self.cums[panel + ((s > 0) != on)]])
+        self._stub_at = np.full(len(ts) + 2, -1)
+        self._stub_at[panel + 1] = np.arange(len(p))
+
+    def __call__(self, t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        ts = self.ts
+        i = np.searchsorted(self._edges, t, side="right")
+        out, k = self._c[i], self._stub_at[i]
+        i -= 1
+        stub = k >= 0
+        if stub.any():
+            p, s, w1dk, gam, dk, on, c = self._stubs[k[stub]].T
+            with np.errstate(all="ignore"):
+                lx = np.log(s * (t[stub] - p) / dk)
+                # closure mass out to t from the point, or from the rung
+                a = np.where(on > 0.0, np.exp(gam * lx),
+                             np.where(gam == 0.0, lx, np.expm1(gam * lx)))
+                v = c + s * w1dk * a / np.where(gam == 0.0, 1.0, gam)
+            # at or beyond the point itself the values above stand
+            ok = lx > -INF
+            stub[stub] = ok
+            out[stub] = v[ok]
+        j = np.minimum(i, len(ts) - 2)
+        pending = (i == np.maximum(j, 0)) & (t > ts[j]) & ~stub
+        if pending.any():
+            vals, _ = _gk(self.w, ts[i[pending]], t[pending])
+            out[pending] += vals
+        return out
 
 
 def _key(x):
@@ -480,6 +610,12 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     the interval is cut there. Divergent integrals come back with converged
     False (value may be +-inf); NaN from the integrand raises IntegrandError
     naming the abscissa; infinite endpoints are mapped to (0, 1).
+
+    Singular ends, cut points and mapped infinities are peeled (_peel): a
+    ratio-2 ladder of panels, with the stub under it closed by the power
+    law through its two innermost rungs. A stub exponent under 0.04 is
+    not told apart from a divergent edge: its mass is left out and charged
+    to the error estimate.
 
     Refinement always runs to the absolute tol (or the panel budget); rtol
     only widens the converged verdict afterwards, to max(tol, rtol*|value|).

@@ -20,10 +20,11 @@ import math
 
 import numpy as np
 
-from .densities import Density, _condensation_diverges, rescale
+from .densities import Density, _condensation_diverges, _weighted_pdf, rescale
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
-from .numerics import INF, Interval, _chandrupatla, _gk, _refine_panels, integrate
+from .numerics import (INF, Interval, _chandrupatla, _CumTable, _gk, _ladders,
+                       _refine_panels, integrate)
 
 
 def _forward(root, layers, x, needs):
@@ -97,17 +98,12 @@ class _UpLayer:
     W(t) = weight(chi(t)) * f_root(t), where chi is the coordinate map of
     the preceding layers and sigma its orientation.
 
-    W can be singular only at a finite support edge and at the interior
-    zero zc of chi. Toward each such point, on each side where the support
-    continues, the table carries a ratio-2 ladder of nodes: up to 80 rungs,
-    stopping 64 ulp short of the point. The stub under the innermost rung
-    (distance dK from the point) is closed with the power law
-    W ~ w1 (d/dK)**(gam-1) through the two innermost rungs, so it holds
-    mass w1 dK/gam, divergent when gam <= 0. A convergent point is a table
-    node and its stub panel carries that mass. A divergent edge (by the
-    closure exponent or the condensation test) stays off the table with
-    infinite mass beyond the ladder. Either way, C at a point inside a stub
-    is the closed form of the same power law.
+    W can be singular only at a finite support edge, at an interior point
+    of the root and at the interior zero zc of chi. The table carries a
+    ladder toward each such point, on each side where the support
+    continues, closed by the power law of numerics._ladders. A divergent
+    edge (by the closure exponent or the condensation test) stays off the
+    table with infinite mass beyond its ladder.
     """
 
     kind = "up"
@@ -117,6 +113,7 @@ class _UpLayer:
         self.c = self.alpha - 2.0
         self._root = root
         self._prefix = tuple(prefix)
+        self._w_root = _weighted_pdf(root, self._logw)
         self._locate_zero()
         self._build_table()
         self._set_anchor()
@@ -130,14 +127,6 @@ class _UpLayer:
     def _logw(self, t):
         return _log_weight(self._chi(t), self.c)
 
-    def _w_root(self, t):
-        t = np.asarray(t, dtype=float)
-        fr = self._root.pdf(t)
-        with np.errstate(all="ignore"):
-            # the weight and the pdf can over/underflow separately; sum logs
-            y = np.exp(self._logw(t) + np.log(fr))
-        return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
-
     # -- construction ---------------------------------------------------------
 
     def _locate_zero(self):
@@ -145,7 +134,7 @@ class _UpLayer:
         if self.c == 0.0:
             return
         root = self._root
-        grid = root._node_table()[0]
+        grid = root._node_table().ts
         cg = self._chi(grid)
         good = np.isfinite(cg)
         grid, cg = grid[good], cg[good]
@@ -189,47 +178,10 @@ class _UpLayer:
                 break
         return np.asarray(out, dtype=float)
 
-    def _ladders(self, ts):
-        """Rungs toward each singular point and the closure of each stub.
-
-        Returns the rung abscissae and one row (point, direction, w1, gam,
-        dK) per stub, direction pointing from the point into the support.
-        """
-        lo, hi = self._root.support.lo, self._root.support.hi
-        ends = [(lo, 1.0)] if math.isfinite(lo) else []
-        if math.isfinite(hi):
-            ends.append((hi, -1.0))
-        if self.zc is not None:
-            ends += [(self.zc, -1.0), (self.zc, 1.0)]
-        rungs, rows = [], []
-        for p, s in ends:
-            # start at the nearest node beyond which the table is already
-            # graded (next node within ratio 2), so that no coarse panel is
-            # left between the ladder and the bulk
-            d = np.sort(s * (ts - p))
-            d = d[d > 0.0]
-            graded = np.nonzero(d[1:] <= 2.0 * d[:-1])[0]
-            d0 = d[graded[0]] if graded.size else d[-1]
-            # rung 0 is that node itself and is always kept
-            ds = d0 * 0.5 ** np.arange(81.0)
-            ds = ds[:max(1, np.count_nonzero(ds >= 64.0 * np.spacing(abs(p))))]
-            rungs.append(p + s * ds)
-            rows.append((p, s, abs(rungs[-1][-1] - p)))
-        if not rows:
-            return np.empty(0), np.empty((0, 5))
-        p, s, dk = (np.array(v) for v in zip(*rows))
-        w1, w2 = self._w_root(np.concatenate([p + s * dk, p + 2.0 * s * dk])) \
-            .reshape(2, -1)
-        ok = (w1 > 0.0) & (w2 > 0.0)
-        with np.errstate(all="ignore"):
-            gam = np.where(ok, 1.0 + np.log2(w2 / w1), 1.0)
-        return np.concatenate(rungs), np.column_stack(
-            [p, s, np.where(ok, w1, 0.0), gam, dk])
-
     def _build_table(self):
         root = self._root
         lo, hi = root.support.lo, root.support.hi
-        xs = root._node_table()[0]
+        xs = root._node_table().ts
         ch = self._chi(root.quantile_many(np.array([0.3, 0.7])))
         self.sigma = 1.0 if ch[1] > ch[0] else -1.0
         # reseating flips sigma away from the chi orientation; push needs the
@@ -247,115 +199,63 @@ class _UpLayer:
                                        float(xs[0]), -1.0, div_lo))
         ts = np.unique(np.concatenate([p for p in parts if len(p)]))
         ts = ts[(ts >= lo) & (ts <= hi)]
-        rungs, stubs = self._ladders(ts)
-        p, s, w1, gam, dk = stubs.T
-        ts = np.unique(np.concatenate(
-            [ts, rungs] + ([[self.zc]] if self.zc is not None else [])))
-        # nodes closer to a point than its innermost rung fall in the stub
-        x = (ts[:, None] - p) * s
-        ts = ts[~np.any((x > 0.0) & (x < dk), axis=1)]
+        cuts = root.interior_points + ((self.zc,) if self.zc is not None else ())
+        ends = [(p, s) for p in cuts for s in (-1.0, 1.0)]
+        ends += [(p, s) for p, s in ((lo, 1.0), (hi, -1.0)) if math.isfinite(p)]
+        ts, stubs = _ladders(self._w_root, ts, ends)
+        p, gam = stubs[:, 0], stubs[:, 3]
 
         # a finite edge whose weight mass diverges stays off the table; the
         # stub beyond its innermost rung has the closure's unbounded mass
-        self.mass_lo = self.mass_hi = 0.0
+        mass_lo = mass_hi = 0.0
         if math.isfinite(lo) and (div_lo or np.any(gam[p == lo] <= 0.0)):
-            ts, self.mass_lo = ts[1:], INF
+            ts, mass_lo = ts[1:], INF
         if math.isfinite(hi) and (div_hi or np.any(gam[p == hi] <= 0.0)):
-            ts, self.mass_hi = ts[:-1], INF
-        self.ts = ts
-        # table panel holding each stub; -1 and len(ts) - 1 stand for the
-        # stretches below and above the table (divergent edges)
-        panel = np.searchsorted(ts, p + 0.5 * s * dk, side="right") - 1
-        conv = (panel >= 0) & (panel < len(ts) - 1)
-
-        a, b = ts[:-1], ts[1:]
-        with np.errstate(all="ignore"):
-            masses, errs = _gk(self._w_root, a, b)
-        refine = errs > 1e-15 + 1e-11 * np.abs(masses)
-        cut_lo, cut_hi = (np.isin(e, root.interior_points) for e in (a, b))
-        refine |= cut_lo | cut_hi
-        masses[panel[conv]] = (w1 * dk / gam)[conv]
-        refine[panel[conv]] = False
-        # panels at a cut point keep integrate's peel; the rest refine to a
-        # bound relative to their mass, which reaches 1e160 at divergent edges
-        for i in np.nonzero(refine & (cut_lo | cut_hi))[0]:
-            sub = Interval(a[i], b[i], bool(cut_lo[i]), bool(cut_hi[i]))
-            masses[i] = integrate(self._w_root, sub, tol=1e-13).value
-        j = refine & ~(cut_lo | cut_hi)
-        masses[j] = _refine_panels(self._w_root, a[j], b[j], 1e-13, 1e-13, (masses[j], errs[j]))
-        if not masses.any():
-            raise AccuracyError(
-                f"up(alpha={self.alpha!r}): the weight underflows to 0 on "
-                f"every table panel of {root.label}")
+            ts, mass_hi = ts[:-1], INF
 
         def tail(iv):
             r = integrate(self._w_root, iv, tol=1e-13)
             return r.value if r.converged and math.isfinite(r.value) else INF
 
         if not math.isfinite(hi):
-            self.mass_hi = INF if div_hi else tail(Interval(float(ts[-1]), INF))
+            mass_hi = INF if div_hi else tail(Interval(float(ts[-1]), INF))
         if not math.isfinite(lo):
-            self.mass_lo = INF if div_lo else tail(Interval(-INF, float(ts[0])))
+            mass_lo = INF if div_lo else tail(Interval(-INF, float(ts[0])))
 
-        # partial sums pivoted at the node nearest the bulk: with a divergent
-        # edge in play the one-sided running total grows enormous, and image
-        # coordinates near the anchor would then be differences of giants,
-        # rounded to the giants' ulp
-        ip = int(np.clip(np.searchsorted(ts, float(root.median())),
-                         0, len(masses)))
-        left = (-np.cumsum(masses[:ip][::-1])[::-1]) if ip else np.empty(0)
-        self.cums = np.concatenate([left, [0.0], np.cumsum(masses[ip:])])
-        # per stub: point, direction, w1 dK, gam, dK and C at the rung
-        self._stubs = np.column_stack(
-            [p, s, w1 * dk, gam, dk, self.cums[panel + (s > 0)]])
-        self._stub_at = np.full(len(ts) + 1, -1)
-        self._stub_at[panel + 1] = np.arange(len(p))
+        def masses(a, b):
+            # panels refine to a bound relative to their mass, which reaches
+            # 1e160 at divergent edges
+            with np.errstate(all="ignore"):
+                m, e = _gk(self._w_root, a, b)
+            j = e > 1e-15 + 1e-11 * np.abs(m)
+            m[j] = _refine_panels(self._w_root, a[j], b[j], 1e-13, 1e-13, (m[j], e[j]))
+            return m
+
+        # C pivots at the node nearest the bulk
+        pivot = int(np.clip(np.searchsorted(ts, float(root.median())), 0, len(ts) - 1))
+        self.table = _CumTable(self._w_root, ts, stubs, masses, pivot, mass_lo, mass_hi)
+        if not self.table.cums.any():
+            raise AccuracyError(
+                f"up(alpha={self.alpha!r}): the weight underflows to 0 on "
+                f"every table panel of {root.label}")
 
     def _set_anchor(self):
-        c_lo = float(self.cums[0]) - self.mass_lo
-        c_hi = float(self.cums[-1]) + self.mass_hi
+        c_lo, c_hi = float(self.table.below), float(self.table.above)
         want = c_hi if self.sigma > 0 else c_lo
         if math.isfinite(want):
             self.anchor_mode = "canonical"
             self.c_anchor = want
         else:
             self.anchor_mode = "median"
-            self.c_anchor = float(self._cum_at(self._root.median())[0])
+            self.c_anchor = float(self.table(self._root.median())[0])
         u_lo = self.sigma * (self.c_anchor - (c_hi if self.sigma > 0 else c_lo))
         u_hi = self.sigma * (self.c_anchor - (c_lo if self.sigma > 0 else c_hi))
         self.u_support = (float(u_lo), float(u_hi))
 
     # -- evaluation -----------------------------------------------------------
 
-    def _cum_at(self, t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        ts, cums = self.ts, self.cums
-        i = np.searchsorted(ts, t, side="right") - 1
-        out = cums[np.clip(i, 0, len(ts) - 1)]
-        out[t < ts[0]] = cums[0] - self.mass_lo
-        out[t > ts[-1]] = cums[-1] + self.mass_hi
-        k = self._stub_at[i + 1]
-        stub = k >= 0
-        if stub.any():
-            p, s, w1dk, gam, dk, c_rung = self._stubs[k[stub]].T
-            with np.errstate(all="ignore"):
-                lx = np.log(s * (t[stub] - p) / dk)
-                # mass between the point at d and the rung at dK
-                part = np.where(gam == 0.0, -lx, -np.expm1(gam * lx)
-                                / np.where(gam == 0.0, 1.0, gam)) * w1dk
-            # at or beyond the point itself the values above stand
-            ok = lx > -INF
-            stub[stub] = ok
-            out[stub] = (c_rung - s * part)[ok]
-        ic = np.clip(i, 0, len(ts) - 2)
-        pending = (i == ic) & (t > ts[ic]) & ~stub
-        if pending.any():
-            vals, _ = _gk(self._w_root, ts[i[pending]], t[pending])
-            out[pending] += vals
-        return out
-
     def u_eval(self, t):
-        return self.sigma * (self.c_anchor - self._cum_at(t))
+        return self.sigma * (self.c_anchor - self.table(t))
 
     def push(self, rx, coord, state, order):
         u = self.u_eval(rx)
@@ -454,11 +354,11 @@ class TransformedDensity(Density):
     def _build_brackets(self):
         root = self.root
         lo, hi = root.support.lo, root.support.hi
-        parts = [root._node_table()[0],
+        parts = [root._node_table().ts,
                  root.quantile_many((np.arange(257) + 0.5) / 257.0)]
         for ly in self._layers:
             if ly.kind == "up":
-                parts.append(ly.ts)
+                parts.append(ly.table.ts)
         bt = np.unique(np.concatenate(parts))
         bt = bt[(bt >= lo) & (bt <= hi)]
         ys = self._chi(bt)

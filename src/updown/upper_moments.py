@@ -26,11 +26,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals
-from .densities import _condensation_diverges
+from .densities import _condensation_diverges, _weighted_pdf
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError,
                      UnsupportedCaseError)
-from .numerics import Interval, integrate
+from .numerics import Interval, QuadResult, integrate
 from .transforms import (_log_weight, _rigid_fit, chain, down,
                          down_applicable, up)
 
@@ -143,14 +143,7 @@ def _nested(f, p, vec, tol):
                 f"{f.label}: weight |{c:g} U|^(1/{c:g}) of level {k} is not "
                 f"integrable across the interior zero of U at {zero:.6g}")
         logw = lambda x: _log_weight(U(x), c)
-
-        def wf(x):
-            fr = f.pdf(x)
-            # weight and pdf can over/underflow separately; sum logs.
-            # Divergence is the condensation test's call, not the integrand's
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                y = np.exp(logw(x) + np.log(fr))
-            return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
+        wf = _weighted_pdf(f, logw)
 
         hi = k % 2 == 1
         median = _condensation_diverges(f, "hi" if hi else "lo", logw)
@@ -162,7 +155,9 @@ def _nested(f, p, vec, tol):
             for xi in np.asarray(x, dtype=float):
                 a, b = min(xi, anchor), max(xi, anchor)
                 cuts = (zero,) if zero is not None and a < zero < b else ()
-                r = integrate(wf, Interval(a, b), tol=level_tol, interior=cuts)
+                # no mass between a point and itself, as at the anchor
+                r = integrate(wf, Interval(a, b), tol=level_tol, interior=cuts) \
+                    if a < b else QuadResult(0.0, 0.0, True)
                 if not r.converged:
                     bad.append(xi)
                 out.append(d * r.value if xi < anchor else -d * r.value)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -127,6 +128,51 @@ def test_node_table_quantiles_work_count(f):
     q = f.quantile_many(levels)
     assert len(calls) <= 24
     assert np.max(np.abs(cdf(q) - levels)) < 1e-12
+
+
+def test_cdf_next_to_a_singular_node():
+    # a partial GK15 panel from the node 0 to a subnormal x collapses its
+    # nodes onto the log singularity there (a NaN warning at 5e-324, inf at
+    # 1.5e-323); the stub under the innermost rung answers in closed form
+    f = gzero(1.5)
+    x = np.array([-5e-324, 0.0, 5e-324, 1.5e-323, 1e-300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = f.cdf_at(x)
+        assert np.array_equal([f.cdf_at(v) for v in x], got)
+    assert np.all(np.isfinite(got) & (got >= 0.0) & (got <= 1.0))
+    assert np.all(np.diff(got) >= 0.0)
+
+
+def _gzero15_cdf(x):
+    # a0 = 1/4 and the antiderivative t (L**2 + 2 L + 2), L = -log t, of
+    # (-log t)**2 on (0, 1)
+    t = abs(mpmath.mpf(x))
+    m = 0 if t == 0 else t * ((mpmath.log(t)) ** 2 - 2 * mpmath.log(t) + 2) / 4
+    return mpmath.mpf(0.5) + (m if x > 0 else -m)
+
+
+def _sg215_cdf(x):
+    # a (1 - t**2/2)**2 on |t| < sqrt(2), a = 15/(16 sqrt(2))
+    x = mpmath.mpf(x)
+    return mpmath.mpf(0.5) + 15 / (16 * mpmath.sqrt(2)) * (x - x ** 3 / 3 + x ** 5 / 20)
+
+
+@pytest.mark.parametrize("f, cdf, x", [
+    (gzero(1.5), _gzero15_cdf, [-1.0 + 2.0 ** -45, -1.0 + 1e-13, -1e-13, -1e-30, -1e-300, 0.0,
+                                1e-300, 1e-40, 1e-13, 2.0 ** -41, 1.0 - 1e-13]),
+    (stretched_gaussian(2.0, 1.5), _sg215_cdf,
+     [-math.sqrt(2.0) * (1.0 - 2.0 ** -k) for k in (30, 45)] + [-2.0 ** -20, -2.0 ** -150, 0.0,
+                                                               2.0 ** -40, 2.0 ** -20]
+     + [math.sqrt(2.0) * (1.0 - 2.0 ** -30)]),
+], ids=["gzero(1.5)", "stretched_gaussian(2,1.5)"])
+def test_node_table_cdf_at_singular_points_matches_mpmath(f, cdf, x):
+    # inside the panels next to the singular edges and the interior point,
+    # where the ladders and their closed stubs hold the table
+    got = f.cdf_at(np.array(x))
+    with mpmath.workdps(30):
+        err = [float(abs(mpmath.mpf(float(g)) - cdf(v))) for g, v in zip(got, x)]
+    assert max(err) < 1e-12
 
 
 @pytest.mark.parametrize("f", corpus(), ids=lambda f: f.label)

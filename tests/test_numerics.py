@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from updown.densities import gzero, half_restriction, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _bisect,
-                             _chandrupatla, _gk, _refine_panels, integrate)
+                             _chandrupatla, _CumTable, _gk, _ladders, _refine_panels,
+                             integrate)
 
 
 class TestInterval:
@@ -213,6 +214,22 @@ def test_refine_panels_bounds_every_batch():
     assert len(sizes) > 5
     F = lambda x: -np.exp(-x) * (np.sin(300.0 * x) + 300.0 * np.cos(300.0 * x)) / 90001.0
     assert got.sum() == pytest.approx(F(10.0) - F(0.0), abs=1e-12)
+
+
+@given(st.floats(min_value=0.05, max_value=3.0), st.floats(min_value=0.01, max_value=0.99))
+@settings(max_examples=40, deadline=None)
+def test_ladder_closure_reproduces_power_laws(gam, u):
+    # w(d) = d**(gam-1) toward 0 integrates to d**gam/gam: the power-law
+    # closure is exact on it, inside the stub under the innermost rung as
+    # well as between rungs and in the bulk
+    w = lambda x: np.asarray(x, dtype=float) ** (gam - 1.0)
+    ts, stubs = _ladders(w, np.linspace(0.0, 1.0, 9), [(0.0, 1.0)])
+    table = _CumTable(w, ts, stubs, lambda a, b: _refine_panels(w, a, b, 1e-13, 1e-13))
+    # 80 rungs from the graded node 1/8
+    dk = stubs[0, 4]
+    assert dk == 2.0 ** -83
+    t = np.array([dk * u, dk * u ** 12, 2.0 ** (-83.0 + u), 2.0 ** (-30.0 - u), 0.3 + 0.6 * u])
+    np.testing.assert_allclose(table(t), t ** gam / gam, rtol=1e-12, atol=0.0)
 
 
 def test_bisect_closes_every_bracket_to_adjacent_doubles():

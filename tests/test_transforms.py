@@ -13,8 +13,9 @@ import warnings
 import numpy as np
 import pytest
 
+from updown import densities, transforms
 from updown import functionals as F
-from updown.densities import (Density, affine_image, exponential,
+from updown.densities import (Density, affine_image, exponential, gzero,
                               half_restriction, power_tail,
                               stretched_gaussian, uniform)
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
@@ -258,6 +259,34 @@ def test_up_subnormal_tail_work_count(alpha):
     # relative rounding no panel refinement can bring under the table's
     # 1e-13 relative bound; the walk must stop before spending on them
     assert _build_points(power_tail(2.0, 1.0), alpha) <= 200_000
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gzero(1.5), lambda: stretched_gaussian(2.0, 1.5),
+    lambda: half_restriction(stretched_gaussian(2.0, 1.0)), lambda: stretched_gaussian(2.0, 1.0),
+], ids=["gzero", "sg-1.5", "half-sg", "sg"])
+def test_tables_integrate_only_infinite_tails(make, monkeypatch):
+    # ladders with closed stubs hold the panels next to singular points,
+    # so neither table calls integrate per panel; an up table still
+    # integrates the tails beyond its ends on an infinite support
+    f, seen = make(), []
+
+    def spy(module):
+        real = module.integrate
+
+        def counted(fn, iv, *args, **kw):
+            seen.append(iv)
+            return real(fn, iv, *args, **kw)
+
+        monkeypatch.setattr(module, "integrate", counted)
+
+    spy(densities)
+    spy(transforms)
+    f._table = None
+    f._node_table()
+    assert not seen
+    up(f, 3.0)
+    assert all(not iv.bounded for iv in seen)
 
 
 def test_image_pdf_inversion_work_count():
