@@ -6,6 +6,10 @@ quantile, a tri-state monotone_decreasing claim, and a list of interior
 abscissae where the pdf or a derivative is kinked or singular. Construction
 verifies unit mass and any monotonicity claim. Expectations are computed by
 adaptive quadrature over the support with cuts at the interior points.
+
+The cumulative node table and the quantiles at the library's fixed level
+grids (the median, quantiles(n), the tail levels of the condensation test)
+are each computed once per density, on first use, and kept read-only.
 """
 
 import math
@@ -37,7 +41,11 @@ def _as_callable_on_array(fn):
 
 
 class Density:
-    """A one-dimensional probability density on an open interval."""
+    """A one-dimensional probability density on an open interval.
+
+    Like the node table, the quantiles at each fixed level grid are solved
+    once per density (_grid_quantiles); the density is treated as immutable.
+    """
 
     def __init__(self, pdf, support, *, d1=None, d2=None, d3=None,
                  monotone_decreasing=None, label="density", interior_points=(),
@@ -55,6 +63,7 @@ class Density:
         self.interior_points = tuple(sorted(
             {float(p) for p in interior_points if lo < float(p) < hi}))
         self._table = None
+        self._grids = {}
         if normalization_tol is not None:
             total = integrate(self.pdf, self.support, tol=1e-9,
                               interior=self.interior_points)
@@ -237,9 +246,11 @@ class Density:
         A closed-form quantile hook answers directly; otherwise
         _chandrupatla inverts the cdf inside the node table, where a round
         costs a partial GK15 panel per point (about 130 us on 64 points).
+        Uncached: the library's own fixed grids go through _grid_quantiles,
+        so levels chosen by a caller never enter the memo.
         """
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        if np.any((levels <= 0.0) | (levels >= 1.0)):
+        if not np.all((levels > 0.0) & (levels < 1.0)):  # NaN fails too
             raise DomainError("quantile levels must be inside (0, 1)")
         if self._quantile is not None:
             return np.asarray(self._quantile(levels), dtype=float)
@@ -252,12 +263,28 @@ class Density:
         lo, hi = _chandrupatla(self.cdf_at, targets, xs[idx - 1], xs[idx])
         return 0.5 * (lo + hi)
 
+    def _grid_quantiles(self, levels):
+        """quantile_many at a library-fixed level grid, solved once per
+        density; the array returned is shared and read-only."""
+        levels = np.atleast_1d(np.asarray(levels, dtype=float))
+        key = levels.tobytes()
+        q = self._grids.get(key)
+        if q is None:
+            q = self._grids[key] = self.quantile_many(levels)
+            q.flags.writeable = False
+        return q
+
     def quantiles(self, n):
         """n interior quantiles at mass levels (i + 1/2)/n."""
-        return self.quantile_many((np.arange(n) + 0.5) / n)
+        return self._grid_quantiles((np.arange(n) + 0.5) / n).copy()
 
     def median(self):
-        return float(self.quantile_many(0.5)[0])
+        return float(self._grid_quantiles(0.5)[0])
+
+
+# tail mass levels 2**-j of the condensation test; the image edge test reads
+# the first 29, so both share one memo entry per side
+_TAIL_JS = np.arange(6.0, 42.0)
 
 
 def _condensation_diverges(f, side, logw):
@@ -269,9 +296,9 @@ def _condensation_diverges(f, side, logw):
     underflow can make a divergent tail look finite to direct quadrature
     (weight growth cancels pdf decay beyond the float horizon).
     """
-    js = np.arange(6.0, 42.0)
+    js = _TAIL_JS
     lv = 2.0 ** -js
-    t = f.quantile_many(lv if side == "lo" else 1.0 - lv)
+    t = f._grid_quantiles(lv if side == "lo" else 1.0 - lv)
     # quantiles saturate once the levels outrun the node table; those
     # repeats say nothing about the tail
     keep = np.concatenate([[True], np.diff(t) != 0.0])

@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .densities import Density, _condensation_diverges, _weighted_pdf, rescale
+from .densities import (_TAIL_JS, Density, _condensation_diverges, _weighted_pdf,
+                        rescale)
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
 from .numerics import (INF, Interval, _chandrupatla, _CumTable, _gk, _ladders,
@@ -182,13 +183,13 @@ class _UpLayer:
         root = self._root
         lo, hi = root.support.lo, root.support.hi
         xs = root._node_table().ts
-        ch = self._chi(root.quantile_many(np.array([0.3, 0.7])))
+        ch = self._chi(root._grid_quantiles([0.3, 0.7]))
         self.sigma = 1.0 if ch[1] > ch[0] else -1.0
         # reseating flips sigma away from the chi orientation; push needs the
         # original to sign the odd derivative correctly
         self._sign_chi = self.sigma
 
-        parts = [xs, root.quantile_many((np.arange(129) + 0.5) / 129.0)]
+        parts = [xs, root.quantiles(129)]
         div_lo = _condensation_diverges(root, "lo", self._logw)
         div_hi = _condensation_diverges(root, "hi", self._logw)
         if not math.isfinite(hi):
@@ -354,8 +355,7 @@ class TransformedDensity(Density):
     def _build_brackets(self):
         root = self.root
         lo, hi = root.support.lo, root.support.hi
-        parts = [root._node_table().ts,
-                 root.quantile_many((np.arange(257) + 0.5) / 257.0)]
+        parts = [root._node_table().ts, root.quantiles(257)]
         for ly in self._layers:
             if ly.kind == "up":
                 parts.append(ly.table.ts)
@@ -427,9 +427,8 @@ class TransformedDensity(Density):
 
     def _edge_singular(self, side):
         toward_lo = (side == "lo") == (self._sigma_total > 0)
-        lv = 2.0 ** -np.arange(6.0, 35.0)
-        levels = lv if toward_lo else 1.0 - lv
-        t = self.root.quantile_many(levels)
+        lv = 2.0 ** -_TAIL_JS
+        t = self.root._grid_quantiles(lv if toward_lo else 1.0 - lv)[:29]
         _, st = _forward(self.root, self._layers, t, 0)
         h = np.asarray(st[0], dtype=float)
         if np.any(np.isposinf(h)):
@@ -454,7 +453,7 @@ class TransformedDensity(Density):
         # the forward push and the bracket inversion must tell one story;
         # points next to an interior spike are excused, since the coordinate
         # map is locally flat there and pointwise inversion cannot resolve it
-        tq = self.root.quantile_many(np.linspace(0.08, 0.92, 9))
+        tq = self.root._grid_quantiles(np.linspace(0.08, 0.92, 9))
         yq = self._chi(tq)
         _, st = _forward(self.root, self._layers, tq, 0)
         want = np.asarray(st[0], dtype=float)
@@ -501,7 +500,7 @@ class TransformedDensity(Density):
 
     def quantile_many(self, levels):
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        if np.any((levels <= 0.0) | (levels >= 1.0)):
+        if not np.all((levels > 0.0) & (levels < 1.0)):  # NaN fails too
             raise DomainError("quantile levels must be inside (0, 1)")
         rl = levels if self._sigma_total > 0 else 1.0 - levels
         return self._chi(self.root.quantile_many(rl))

@@ -130,6 +130,24 @@ def test_node_table_quantiles_work_count(f):
     assert np.max(np.abs(cdf(q) - levels)) < 1e-12
 
 
+def test_grid_quantiles_memo_is_bounded_and_private():
+    # the library's fixed grids are solved once per density; caller-chosen
+    # levels stay out of the memo, and quantiles(n) hands out a fresh copy
+    f = stretched_gaussian(2.0, 1.0)
+    first = f.quantiles(8)
+    med = f.median()
+    size = len(f._grids)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        f.quantile_many(rng.uniform(0.01, 0.99, size=8))
+    assert len(f._grids) == size
+    first[:] = 7.0
+    again = f.quantiles(8)
+    assert again.flags.writeable and np.all(again != 7.0)
+    assert np.array_equal(again, f.quantile_many((np.arange(8) + 0.5) / 8))
+    assert isinstance(med, float) and med == f.quantile_many(0.5)[0]
+
+
 def test_cdf_next_to_a_singular_node():
     # a partial GK15 panel from the node 0 to a subnormal x collapses its
     # nodes onto the log singularity there (a NaN warning at 5e-324, inf at

@@ -289,6 +289,47 @@ def test_tables_integrate_only_infinite_tails(make, monkeypatch):
     assert all(not iv.bounded for iv in seen)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: stretched_gaussian(2.0, 1.0), lambda: up(exponential(1.0), 3.0),
+    lambda: exponential(1.0),
+], ids=["node-table", "image", "closed-form"])
+def test_nan_quantile_level_is_a_domain_error(make):
+    # NaN fails every comparison, so levels are checked for lying inside
+    # (0, 1); a check for lying outside passed NaN on to the solver
+    with pytest.raises(DomainError, match="inside"):
+        make().quantile_many(np.array([0.5, math.nan]))
+
+
+def test_second_up_build_reuses_root_quantile_grids():
+    # every fixed quantile grid an up build reads (orientation, table
+    # nodes, median pivot and anchor, tail tests, brackets, probe) is
+    # solved once per root: the first build here makes 111 cdf calls, and
+    # re-solving the grids cost the second 159; it now makes none
+    f = stretched_gaussian(2.0, 1.0)
+    up(f, 3.0)
+    cdf, calls = f.cdf_at, []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return cdf(x)
+
+    f.cdf_at = counted
+    up(f, 4.0)
+    assert calls == []
+
+
+def test_up_on_a_warmed_root_is_bit_identical():
+    # the memo changes no value: a build on a root that already served
+    # another alpha matches one on a fresh root bit for bit
+    warm, fresh = stretched_gaussian(2.0, 1.0), stretched_gaussian(2.0, 1.0)
+    up(warm, 2.5)
+    a, b = up(warm, 3.0), up(fresh, 3.0)
+    la, lb = a._layers[-1], b._layers[-1]
+    assert mass_of(a).hex() == mass_of(b).hex()
+    assert (la.c_anchor.hex(), la.zc.hex()) == (lb.c_anchor.hex(), lb.zc.hex())
+    assert la.table.cums.tobytes() == lb.table.cums.tobytes()
+
+
 def test_image_pdf_inversion_work_count():
     # bisection over the bit patterns of doubles closes every bracket in
     # the bit length of the widest; 80 fixed halvings took 80 _chi calls
@@ -487,6 +528,13 @@ def test_reseat_reflection():
     np.testing.assert_allclose(r.d1(y), -((2.0 * y) ** -1.5), rtol=1e-12)
     assert r.median() == pytest.approx(0.125, abs=1e-9)
     assert mass_of(r) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_reseat_keeps_no_quantile_memo_of_the_original():
+    m = u3u01.median()
+    r = u3u01.reseat(-1.0, 0.3)
+    assert r._grids is not u3u01._grids
+    assert r.median() == pytest.approx(0.3 - m, abs=1e-12)
 
 
 def test_reseat_rejects_rescale_and_down_tops():
