@@ -52,8 +52,6 @@ from .upper_moments import (
     signed_upper_moment,
     upper_moment,
     upper_moment_n,
-    upper_moment_n2_literal,
-    upper_moment_via_up,
     verify_path_agreement,
 )
 
@@ -96,8 +94,6 @@ __all__ = [
     "up",
     "upper_moment",
     "upper_moment_n",
-    "upper_moment_n2_literal",
-    "upper_moment_via_up",
     "verify_fisher_relation",
     "verify_inversion",
     "verify_path_agreement",

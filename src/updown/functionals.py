@@ -255,11 +255,11 @@ def mean_log_curvature(f, alpha, *, tol=1e-10):
     return _from_quad(f.expect(fn, needs=2, tol=tol))
 
 
-def curvature_sup(f, n=128):
-    """sup of f f''/f'^2 on an n-point quantile grid."""
-    return float(np.max(curvature_ratio(f, f.quantiles(n))))
+def curvature_sup(f):
+    """sup of f f''/f'^2 on a 128-point quantile grid."""
+    return float(np.max(curvature_ratio(f, f.quantiles(128))))
 
 
-def curvature_inf(f, n=128):
-    """inf of f f''/f'^2 on an n-point quantile grid."""
-    return float(np.min(curvature_ratio(f, f.quantiles(n))))
+def curvature_inf(f):
+    """inf of f f''/f'^2 on a 128-point quantile grid."""
+    return float(np.min(curvature_ratio(f, f.quantiles(128))))

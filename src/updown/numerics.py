@@ -98,11 +98,11 @@ def _gk(f, a, b, at=None):
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     x = mid[:, None] + half[:, None] * _XK[None, :]
-    y = np.asarray(f(x.ravel() if at is None else np.r_[x.ravel(), at]), dtype=float)
-    y, f_at = y[:x.size].reshape(x.shape), y[x.size:]
+    xs = x.ravel() if at is None else np.r_[x.ravel(), at]
+    y = np.asarray(f(xs), dtype=float)
     if np.isnan(y).any():
-        i, j = np.argwhere(np.isnan(y))[0]
-        raise IntegrandError(f"integrand returned NaN at x={x[i, j]!r}")
+        raise IntegrandError(f"integrand returned NaN at x={xs[np.isnan(y)][0]!r}")
+    y, f_at = y[:x.size].reshape(x.shape), y[x.size:]
     ik = half * (y * _WK).sum(axis=1)
     ig = half * (y[:, 1::2] * _WG).sum(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -130,11 +130,18 @@ class _Piece:
         self.sing_hi = sing_hi
 
 
-def _nan_guard(f, xmap):
-    """Wrap f(xmap(t)); non-finite abscissae give 0, NaN values raise."""
+def _wrap_inf(f, edge, side):
+    """f(x) dx/ds on s in (0, 1), for x = edge - side + side/s.
 
-    def g(t):
-        x, jac = xmap(t)
+    side +1 maps s onto (edge, inf), side -1 onto (-inf, edge); infinity
+    sits at s = 0, where float spacing is dense enough for the geometric
+    peel. Non-finite abscissae give 0, NaN values raise.
+    """
+
+    def g(s):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = (edge - side) + side / s
+            jac = 1.0 / s**2
         ok = np.isfinite(x)
         y = np.zeros_like(x)
         if ok.any():
@@ -148,29 +155,6 @@ def _nan_guard(f, xmap):
     return g
 
 
-def _wrap_right_inf(f, a):
-    # x = a - 1 + 1/s maps s in (0,1) -> (a, inf); infinity sits at s = 0,
-    # where float spacing is dense enough for the geometric peel.
-    def xmap(s):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = (a - 1.0) + 1.0 / s
-            jac = 1.0 / s**2
-        return x, jac
-
-    return _nan_guard(f, xmap)
-
-
-def _wrap_left_inf(f, b):
-    # x = b + 1 - 1/s maps s in (0,1) -> (-inf, b)
-    def xmap(s):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = (b + 1.0) - 1.0 / s
-            jac = 1.0 / s**2
-        return x, jac
-
-    return _nan_guard(f, xmap)
-
-
 def _pieces(f, iv, interior):
     """Cut the interval at interior points; map infinite ends onto (0, 1)."""
     pts = sorted({float(p) for p in interior if iv.lo < p < iv.hi})
@@ -182,20 +166,14 @@ def _pieces(f, iv, interior):
         s_lo = iv.singular_lo if i == 0 else True
         s_hi = iv.singular_hi if i == len(edges) - 2 else True
         if a == -INF and b == INF:
-            pieces.append(_Piece(_wrap_left_inf(f, 0.0), 0.0, 1.0, True, False))
-            pieces.append(_Piece(_wrap_right_inf(f, 0.0), 0.0, 1.0, True, False))
+            pieces.append(_Piece(_wrap_inf(f, 0.0, -1.0), 0.0, 1.0, True, False))
+            pieces.append(_Piece(_wrap_inf(f, 0.0, 1.0), 0.0, 1.0, True, False))
         elif b == INF:
-            pieces.append(_Piece(_wrap_right_inf(f, a), 0.0, 1.0, True, s_lo))
+            pieces.append(_Piece(_wrap_inf(f, a, 1.0), 0.0, 1.0, True, s_lo))
         elif a == -INF:
-            pieces.append(_Piece(_wrap_left_inf(f, b), 0.0, 1.0, True, s_hi))
+            pieces.append(_Piece(_wrap_inf(f, b, -1.0), 0.0, 1.0, True, s_hi))
         else:
-            def direct(x, _f=f):
-                y = np.asarray(_f(np.asarray(x, dtype=float)), dtype=float)
-                if np.isnan(y).any():
-                    bad = np.asarray(x, dtype=float)[np.isnan(y)][0]
-                    raise IntegrandError(f"integrand returned NaN at x={bad!r}")
-                return y
-            pieces.append(_Piece(direct, a, b, s_lo, s_hi))
+            pieces.append(_Piece(f, a, b, s_lo, s_hi))
     return pieces
 
 

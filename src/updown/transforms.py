@@ -51,6 +51,12 @@ def _forward(root, layers, x, needs):
     return coord, state
 
 
+def _coord(root, layers, t):
+    """Image coordinate of root abscissae t after the layer stack."""
+    coord, _ = _forward(root, layers, np.asarray(t, dtype=float), -1)
+    return np.asarray(coord, dtype=float)
+
+
 class _DownLayer:
     kind = "down"
 
@@ -122,8 +128,7 @@ class _UpLayer:
     # -- weight in root coordinates -----------------------------------------
 
     def _chi(self, t):
-        coord, _ = _forward(self._root, self._prefix, np.asarray(t, dtype=float), -1)
-        return np.asarray(coord, dtype=float)
+        return _coord(self._root, self._prefix, t)
 
     def _logw(self, t):
         return _log_weight(self._chi(t), self.c)
@@ -349,8 +354,7 @@ class TransformedDensity(Density):
     # -- coordinate map -------------------------------------------------------
 
     def _chi(self, t):
-        coord, _ = _forward(self.root, self._layers, np.asarray(t, dtype=float), -1)
-        return np.asarray(coord, dtype=float)
+        return _coord(self.root, self._layers, t)
 
     def _build_brackets(self):
         root = self.root
@@ -395,8 +399,8 @@ class TransformedDensity(Density):
         """Base-coordinate abscissae whose image coordinate equals y."""
         t, oob = self._invert(y)
         if len(self._layers) > 1:
-            t, _ = _forward(self.root, self._layers[:-1], t, -1)
-        return np.where(oob, np.nan, np.asarray(t, dtype=float))
+            t = _coord(self.root, self._layers[:-1], t)
+        return np.where(oob, np.nan, t)
 
     # -- pdf callables --------------------------------------------------------
 
@@ -490,9 +494,8 @@ class TransformedDensity(Density):
             h0 = np.asarray(st[0], dtype=float)
             with np.errstate(all="ignore"):
                 vals = np.asarray(fn(coord, *st), dtype=float) * (fr / h0)
-            drop = (fr == 0.0) | (h0 == 0.0) | ~np.isfinite(h0) \
-                | (~np.isfinite(vals) & (fr < 1e-160))
-            return np.where(drop, 0.0, vals)
+            # root.integral drops fr == 0 and non-finite values under 1e-160
+            return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
 
         return root.integral(g, needs=0, tol=tol, rtol=rtol,
                              extra_interior=tuple(cuts),
@@ -530,14 +533,10 @@ class TransformedDensity(Density):
         a, b = old.u_support
         top.u_support = (a + shift, b + shift) if scale > 0 else \
             (shift - b, shift - a)
-        out = object.__new__(TransformedDensity)
-        out.base = self.base
-        out.root = self.root
-        out.kind = self.kind
-        out.alpha = self.alpha
+        # _finish rebuilds every derived field; Density.__init__ drops the
+        # node table and quantile memo the copy shares with self
+        out = copy.copy(self)
         out._layers = self._layers[:-1] + (top,)
-        out.chain = self.chain
-        out._img_order = self._img_order
         out._finish(f"reseat({self.label})")
         return out
 
@@ -572,17 +571,17 @@ def up(f, alpha):
     return TransformedDensity(f, "up", alpha)
 
 
-def down_applicable(f, alpha, n_grid=128):
+def down_applicable(f, alpha):
     """Whether alpha clears the curvature-ratio supremum of f.
 
-    Returns (flag, sup) where sup estimates sup f f''/f'^2 on a quantile
-    grid. The flag also requires strict monotonicity, since that is what a
-    further down step needs.
+    Returns (flag, sup) where sup estimates sup f f''/f'^2 on a 128-point
+    quantile grid. The flag also requires strict monotonicity, since that
+    is what a further down step needs.
     """
     alpha = float(alpha)
     if f.order < 2:
         raise CapabilityError(f"down_applicable({f.label}): needs d1 and d2")
-    x = f.quantiles(n_grid)
+    x = f.quantiles(128)
     f0, f1, f2 = (np.asarray(v, dtype=float) for v in f._state(x, 2))
     with np.errstate(all="ignore"):
         r = (f0 / f1) * (f2 / f1)
@@ -649,10 +648,10 @@ def _rigid_fit(raw, target, y):
     return float(gaps[i]), *cands[i]
 
 
-def verify_inversion(f, alpha, n_points=16):
-    """Max pdf deviation of up(down(f, alpha), alpha) from f at quantiles,
+def verify_inversion(f, alpha):
+    """Max pdf deviation of up(down(f, alpha), alpha) from f at 16 quantiles,
     after aligning supports by translation or reflection."""
-    return _rigid_fit(up(down(f, alpha), alpha), f, f.quantiles(n_points))[0]
+    return _rigid_fit(up(down(f, alpha), alpha), f, f.quantiles(16))[0]
 
 
 def _rel_dev(a, b):
@@ -661,8 +660,9 @@ def _rel_dev(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
 
 
-def verify_scaling(f, alpha, kappa, n_points=16):
-    """Max relative deviation from the rescaling transport laws.
+def verify_scaling(f, alpha, kappa):
+    """Max relative deviation from the rescaling transport laws, at 16
+    mid-cell quantile levels.
 
     Checks the down law at each alpha (the additive shift law at alpha = 2)
     and the up law when alpha != 2; f must satisfy the down preconditions.
@@ -670,7 +670,7 @@ def verify_scaling(f, alpha, kappa, n_points=16):
     alpha = float(alpha)
     kappa = float(kappa)
     fk = rescale(f, kappa)
-    lv = (np.arange(n_points) + 0.5) / n_points
+    lv = (np.arange(16) + 0.5) / 16
     devs = []
     a_img = down(fk, alpha)
     b_img = down(f, alpha)

@@ -4,13 +4,12 @@ The (p, alpha)-upper-moment weighs each point of a density by the p-th
 power of the cumulative |(alpha-2)v|^(1/(alpha-2)) f(v) mass above it
 (e^v at alpha = 2). Higher orders iterate that step, innermost exponent
 last in the vector: each level weighs f by the same kernel of the
-coordinate from the level below. Two evaluation routes exist. The via-up
-route takes the p-th absolute moment of the iterated up image. The direct
-route is one nested-quadrature oracle, _nested, that evaluates the
-definition literally for any order and shares no up-layer table with the
-chain; upper_moment (order one) and upper_moment_n2_literal (order two)
-wrap it. The routes must agree; tests and the cross-check keyword hold
-them to 1e-5 relative.
+coordinate from the level below. Two evaluation routes exist, each for
+any order. The chain route, upper_moment_n, takes the p-th absolute
+moment of the iterated up image. The direct route, upper_moment, is the
+nested-quadrature oracle _nested: it evaluates the definition literally
+and shares no up-layer table with the chain. verify_path_agreement holds
+the two routes to 1e-5 relative.
 
 Anchoring follows the up transform: each level's cumulative runs toward
 the end where the coordinate below is largest (the upper edge, then the
@@ -31,14 +30,12 @@ from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError,
                      UnsupportedCaseError)
 from .numerics import Interval, QuadResult, integrate
-from .transforms import (_log_weight, _rigid_fit, chain, down,
-                         down_applicable, up)
+from .transforms import _log_weight, _rigid_fit, chain, up
 
 __all__ = [
     "AlphaVector", "UpperMomentResult", "MomentCheckResult", "prefactor",
-    "upper_moment", "upper_moment_via_up", "verify_path_agreement",
-    "upper_moment_n", "upper_moment_n2_literal", "signed_upper_moment",
-    "moment_sequence_check",
+    "upper_moment", "verify_path_agreement", "upper_moment_n",
+    "signed_upper_moment", "moment_sequence_check",
 ]
 
 
@@ -180,60 +177,37 @@ def _nested(f, p, vec, tol):
                     q.converged and not bad, q.abs_error_estimate)
 
 
-def upper_moment(f, p, alpha, *, tol=1e-10):
-    """(p, alpha)-upper-moment of f by direct nested quadrature."""
-    return _nested(f, float(p), AlphaVector(float(alpha)), tol)
+def upper_moment(f, p, alphas, *, tol=1e-10):
+    """(p, vec-alpha)-upper-moment of f by direct nested quadrature.
 
-
-def upper_moment_via_up(f, p, alpha, *, tol=1e-10):
-    """(p, alpha)-upper-moment as the p-th absolute moment of up(f, alpha)."""
-    p, alpha = float(p), float(alpha)
-    q = functionals.mu(up(f, alpha), p, tol=tol)
-    return _package(q.value, p, (alpha,), "via-up", q.converged, q.err)
-
-
-def verify_path_agreement(f, p, alpha, *, rel_tol=1e-5, tol=1e-10):
-    """Relative gap between the two first-order routes; raises above rel_tol."""
-    a = upper_moment(f, p, alpha, tol=tol)
-    b = upper_moment_via_up(f, p, alpha, tol=tol)
-    rel = abs(a.M - b.M) / max(abs(a.M), abs(b.M), 1e-300)
-    if rel > rel_tol:
-        raise AccuracyError(
-            f"upper-moment paths disagree: direct {a.M!r} vs via-up {b.M!r}")
-    return rel
-
-
-def upper_moment_n(f, p, alphas, *, tol=1e-10, cross_check=False):
-    """Order-n upper-moment via the iterated up chain, innermost alpha last.
-
-    cross_check=True also runs the literal nested quadrature and raises if
-    the routes drift beyond 1e-5 relative.
+    Above order one the outer quadrature runs no tighter than 1e-9: each
+    level under it runs tighter still, one integrate call per point of the
+    level above.
     """
+    vec = AlphaVector(alphas)
+    return _nested(f, float(p), vec, tol if vec.order == 1 else max(tol, 1e-9))
+
+
+def upper_moment_n(f, p, alphas, *, tol=1e-10):
+    """(p, vec-alpha)-upper-moment as the p-th absolute moment of the
+    iterated up chain of f, innermost alpha last."""
     vec = AlphaVector(alphas)
     p = float(p)
-    g = chain(f, [("up", a) for a in reversed(vec)])
-    q = functionals.mu(g, p, tol=tol)
-    out = _package(q.value, p, vec, "via-up", q.converged, q.err)
-    if cross_check:
-        lit = _nested(f, p, vec, max(tol, 1e-9))
-        rel = abs(out.M - lit.M) / max(abs(out.M), abs(lit.M), 1e-300)
-        if rel > 1e-5:
-            raise AccuracyError(
-                f"order-{vec.order} upper-moment paths disagree: via-up "
-                f"{out.M!r} vs nested {lit.M!r}")
-    return out
+    q = functionals.mu(chain(f, [("up", a) for a in reversed(vec)]), p, tol=tol)
+    return _package(q.value, p, vec, "via-up", q.converged, q.err)
 
 
-def upper_moment_n2_literal(f, p, alphas, *, tol=1e-9):
-    """Order-two upper-moment by explicit double-nested quadrature.
-
-    Kept as an independent oracle for the chain route: it shares no up
-    layer table with it.
-    """
+def verify_path_agreement(f, p, alphas, *, tol=1e-10):
+    """Relative gap between the direct and chain routes; raises above 1e-5."""
     vec = AlphaVector(alphas)
-    if vec.order != 2:
-        raise DomainError("the literal nested form is written for order two")
-    return _nested(f, float(p), vec, tol)
+    a = upper_moment(f, p, vec, tol=tol)
+    b = upper_moment_n(f, p, vec, tol=tol)
+    rel = abs(a.M - b.M) / max(abs(a.M), abs(b.M), 1e-300)
+    if rel > 1e-5:
+        raise AccuracyError(
+            f"order-{vec.order} upper-moment paths disagree: "
+            f"direct {a.M!r} vs via-up {b.M!r}")
+    return rel
 
 
 def signed_upper_moment(f, p, alphas, *, tol=1e-10):
@@ -263,19 +237,11 @@ def moment_sequence_check(f, alphas, n_moments, *, tol=1e-10):
     if n_moments < 1:
         raise DomainError("n_moments must be at least one")
 
-    tower = [f]
-    g = f
-    for i, a in enumerate(vec):
-        if i:
-            ok, sup_r = down_applicable(g, a)
-            if not ok:
-                raise TransformChainError(
-                    i, f"alpha={a:g} does not clear the curvature supremum {sup_r:g}")
-        try:
-            g = down(g, a)
-        except (DomainError, PreconditionError, CapabilityError) as e:
-            raise TransformChainError(i, str(e)) from e
-        tower.append(g)
+    # tower[k] is the base of the k-th down; chain consults the curvature
+    # gate between consecutive downs
+    tower = [chain(f, [("down", a) for a in vec])]
+    while tower[0] is not f:
+        tower.insert(0, tower[0].base)
 
     recon = tower[-1]
     for k in range(vec.order - 1, -1, -1):

@@ -1,4 +1,5 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and the package
+re-exports every name a submodule exports."""
 
 import importlib
 import pkgutil
@@ -13,3 +14,4 @@ def test_every_exported_name_resolves():
     for mod in mods:
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{mod.__name__}.{name} does not resolve"
+            assert name in updown.__all__, f"{mod.__name__}.{name} is not re-exported"

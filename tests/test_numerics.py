@@ -114,6 +114,15 @@ def test_nan_integrand_raises_with_abscissa():
     with pytest.raises(IntegrandError, match="NaN"):
         integrate(f, (0.0, 1.0))
 
+    # the only NaN sits on a rung of the singular-edge ladder, which GK15
+    # reads beside its nodes
+    def g(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.5, math.nan, 1.0)
+
+    with pytest.raises(IntegrandError, match=r"x=(np\.float64\()?0\.5\)?$"):
+        integrate(g, Interval(0, 1, singular_lo=True))
+
 
 def test_error_estimate_is_honest():
     # converged implies the claimed error bound actually holds

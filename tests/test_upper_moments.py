@@ -36,9 +36,9 @@ g21 = stretched_gaussian(2.0, 1.0)
 
 # shared across several tests; the nested literal run is the expensive one
 d13 = UM.upper_moment(u01, 1.0, 3.0)
-v13 = UM.upper_moment_via_up(u01, 1.0, 3.0)
+v13 = UM.upper_moment_n(u01, 1.0, 3.0)
 n2_chain = UM.upper_moment_n(u01, 1.0, (3.0, 3.0))
-n2_lit = UM.upper_moment_n2_literal(u01, 1.0, (3.0, 3.0))
+n2_lit = UM.upper_moment(u01, 1.0, (3.0, 3.0))
 
 
 # ------------------------------------------------------------ first order
@@ -63,10 +63,16 @@ def test_via_up_matches_direct():
     assert rel < 1e-8
 
 
-def test_path_disagreement_is_an_accuracy_error():
-    # a negative tolerance makes any gap, even an exact zero, a disagreement
+def _nested_reading_one(monkeypatch):
+    monkeypatch.setattr(UM, "_nested", lambda f, p, vec, tol: UM._package(
+        1.0, p, vec, "direct", True, 0.0))
+
+
+def test_path_disagreement_is_an_accuracy_error(monkeypatch):
+    # a direct route that reads 1.0 must not pass for 2/15
+    _nested_reading_one(monkeypatch)
     with pytest.raises(AccuracyError):
-        UM.verify_path_agreement(u01, 2.0, 3.0, rel_tol=-1.0)
+        UM.verify_path_agreement(u01, 2.0, 3.0)
 
 
 def test_exponential_alpha2_keeps_m_undefined():
@@ -85,7 +91,7 @@ def test_median_anchored_power_tail():
     # weight mass toward the upper edge diverges; both routes must settle
     # on the median anchor to agree
     a = UM.upper_moment(pt21, 1.0, 3.0)
-    b = UM.upper_moment_via_up(pt21, 1.0, 3.0)
+    b = UM.upper_moment_n(pt21, 1.0, 3.0)
     assert a.M == pytest.approx(math.log(2.0), abs=1e-8)
     assert b.M == pytest.approx(math.log(2.0), abs=1e-8)
 
@@ -102,25 +108,27 @@ def test_second_order_routes_agree():
 
 
 def test_second_order_alpha2_positions():
-    r = UM.upper_moment_n(u01, 1.0, (3.0, 2.0), cross_check=True)
+    r = UM.upper_moment_n(u01, 1.0, (3.0, 2.0))
     assert r.M == pytest.approx(2.0 - math.e / 2.0, abs=1e-8)
     assert math.isnan(r.m)
-    s = UM.upper_moment_n(u01, 1.0, (2.0, 3.0), cross_check=True)
+    assert UM.verify_path_agreement(u01, 1.0, (3.0, 2.0)) <= 1e-5
+    s = UM.upper_moment_n(u01, 1.0, (2.0, 3.0))
     # pinned by the two independent routes agreeing to 1e-14
     assert s.M == pytest.approx(0.7619648639423217, abs=1e-8)
+    assert UM.verify_path_agreement(u01, 1.0, (2.0, 3.0)) <= 1e-5
 
 
 def test_third_order_cross_check():
-    r = UM.upper_moment_n(u01, 1.0, (3.0, 3.0, 3.0), cross_check=True)
+    r = UM.upper_moment_n(u01, 1.0, (3.0, 3.0, 3.0))
     assert r.M == pytest.approx(2.0 / 15.0, abs=1e-8)
+    assert UM.verify_path_agreement(u01, 1.0, (3.0, 3.0, 3.0)) <= 1e-5
 
 
 def test_third_order_cross_check_catches_a_gap(monkeypatch):
     # a nested route that reads 1.0 must not pass for 2/15
-    monkeypatch.setattr(UM, "_nested", lambda f, p, vec, tol: UM._package(
-        1.0, p, vec, "direct", True, 0.0))
+    _nested_reading_one(monkeypatch)
     with pytest.raises(AccuracyError):
-        UM.upper_moment_n(u01, 1.0, (3.0, 3.0, 3.0), cross_check=True)
+        UM.verify_path_agreement(u01, 1.0, (3.0, 3.0, 3.0))
 
 
 def test_order_one_collapse():
@@ -182,22 +190,22 @@ def test_interior_zero_rejected():
     # level 1 anchors power_tail(2,1) at its median, so the coordinate that
     # level 2 weighs by |-0.5 U|^(-2) has a zero inside the support
     with pytest.raises(PreconditionError):
-        UM.upper_moment_n2_literal(pt21, 1.0, (1.5, 3.0))
+        UM.upper_moment(pt21, 1.0, (1.5, 3.0))
 
 
 # ---------------------------------------------------------------- ordering
 
 def test_deviation_ordering_in_p():
-    up3 = [UM.upper_moment_via_up(e1, p, 3.0).m for p in (0.5, 1.0, 2.0)]
+    up3 = [UM.upper_moment_n(e1, p, 3.0).m for p in (0.5, 1.0, 2.0)]
     assert np.all(np.diff(up3) > 0.0)
-    dn = [UM.upper_moment_via_up(e1, p, 0.5).m for p in (0.5, 1.0, 2.0)]
+    dn = [UM.upper_moment_n(e1, p, 0.5).m for p in (0.5, 1.0, 2.0)]
     assert np.all(np.diff(dn) < 0.0)
 
 
 def test_deviation_scale_invariance():
     # kappa * m_(1,3) of the kappa-dilated density stays at m_(1,3)[e1] = 3/4
     for k in (0.5, 10.0):
-        got = k * UM.upper_moment_via_up(rescale(e1, k), 1.0, 3.0).m
+        got = k * UM.upper_moment_n(rescale(e1, k), 1.0, 3.0).m
         assert got == pytest.approx(0.75, abs=1e-8)
 
 
@@ -235,6 +243,10 @@ def test_moment_sequence_gate_and_validation():
     with pytest.raises(TransformChainError) as ei:
         UM.moment_sequence_check(e1, (-1.0, -1.0), 2)
     assert ei.value.index == 1
+    # a third down meets an image without d2, and the step is named
+    with pytest.raises(TransformChainError) as ei:
+        UM.moment_sequence_check(e1, (1.5, 1.5, 1.5), 1)
+    assert ei.value.index == 2
     with pytest.raises(DomainError):
         UM.moment_sequence_check(e1, (3.0,), 2)
     with pytest.raises(DomainError):
