@@ -17,8 +17,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import (INF, Interval, _chandrupatla, _CumTable, _ladders, _refine_panels,
-                       integrate)
+from .numerics import INF, Interval, _chandrupatla, _CumTable, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -203,8 +202,13 @@ class Density:
     def _node_table(self):
         """The cumulative mass table (a _CumTable), built once on demand.
 
-        Ladders toward the singular edges and the interior points end in
-        closed stubs; every other panel is refined in one batch.
+        Fixed nodes grade toward each edge and interior point; each
+        infinite end then walks on by factors of 4 until the pdf is
+        subnormal (at most 400 steps, |x| <= 1e290). Before that a heavy
+        tail can hold mass the table would miss; past it no panel meets
+        the table's relative bound, as a subnormal pdf rounds to 1e-11
+        relative near 3e-313. The table lays ladders toward the singular
+        edges and the interior points.
         """
         if self._table is not None:
             return self._table
@@ -223,14 +227,22 @@ class Density:
                 nodes.append(np.r_[-t, 0.0, t])
         xs = np.unique(np.concatenate(nodes))
         xs = xs[(xs >= lo) & (xs <= hi)]
+        walks = [xs]
+        for s, far, near in ((1.0, hi, lo), (-1.0, lo, hi)):
+            if math.isinf(far):
+                x0 = xs[-1] if s > 0 else xs[0]
+                o = near if math.isfinite(near) else 0.0
+                v = o + s * max(abs(x0 - o), 1.0) * 4.0 ** np.arange(1.0, 401.0)
+                v = np.r_[x0, v[np.abs(v) <= 1e290]]
+                with np.errstate(all="ignore"):
+                    sub = np.nonzero(self.pdf(v) < np.finfo(float).tiny)[0]
+                walks.append(v[1:sub[0] + 1] if sub.size else v[1:])
+        xs = np.unique(np.concatenate(walks))
         sup = self.support
         ends = [(p, s) for p in self.interior_points for s in (-1.0, 1.0)]
         ends += [(p, s) for p, s, sing in ((lo, 1.0, sup.singular_lo),
                                            (hi, -1.0, sup.singular_hi)) if sing]
-        xs, stubs = _ladders(self.pdf, xs, ends)
-        # masses <= 1 keep the bound 1e-13
-        self._table = _CumTable(self.pdf, xs, stubs,
-                                lambda a, b: _refine_panels(self.pdf, a, b, 1e-13, 1e-13))
+        self._table = _CumTable(self.pdf, xs, ends)
         return self._table
 
     def cdf_at(self, x):

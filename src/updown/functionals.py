@@ -90,10 +90,7 @@ def sigma(f, p, *, tol=1e-10):
     if p == INF:
         return Quantity(f.esssup_abs(), True, 0.0)
     if p == 0.0:
-        extra = (0.0,) if f.support.lo < 0.0 < f.support.hi else ()
-        with np.errstate(divide="ignore"):
-            m = f.expect(lambda x, f0: np.log(np.abs(x)), tol=tol, extra_interior=extra)
-        return _exp(_from_quad(m))
+        return _exp(mean_log_abs(f, tol=tol))
     return _pow(mu(f, p, tol=tol), 1.0 / p)
 
 
@@ -232,7 +229,7 @@ def curvature_ratio(f, x):
     """Pointwise f f'' / f'^2, the scale-free curvature of the pdf."""
     x = np.asarray(x, dtype=float)
     f0, f1, f2 = f.pdf(x), f.d1(x), f.d2(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # quotient form: f0*f2 and f1**2 can underflow separately deep in
         # a tail while the two ratios stay well-scaled
         return (f0 / f1) * (f2 / f1)

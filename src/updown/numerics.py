@@ -4,8 +4,9 @@ Adaptive Gauss-Kronrod 15(7) quadrature over extended-real intervals, and
 one mechanism for singular points: a ladder of ratio-2 rungs toward the
 point, with the stub under the innermost rung closed by the power law
 through the two innermost rungs. integrate peels singular endpoints that
-way; cumulative tables (_ladders, _CumTable) lay the same ladders toward
-every singular point and read the same closure back. Everything is
+way. _CumTable, the one builder of cumulative tables, lays the same
+ladders (_ladders) toward every singular point, refines every other panel
+to one bound (_refine_panels) and reads the closure back. Everything is
 deterministic: fixed node tables, fixed budgets, no RNG, so repeated runs
 produce identical bytes.
 """
@@ -131,17 +132,21 @@ class _Piece:
 
 
 def _wrap_inf(f, edge, side):
-    """f(x) dx/ds on s in (0, 1), for x = edge - side + side/s.
+    """f(x) dx/ds on s in (0, 1), for x = edge - side L + side L/s.
 
     side +1 maps s onto (edge, inf), side -1 onto (-inf, edge); infinity
     sits at s = 0, where float spacing is dense enough for the geometric
-    peel. Non-finite abscissae give 0, NaN values raise.
+    peel. The scale L = max(1, |edge|) keeps a far edge's tail spread over
+    s: at unit scale the mass past an edge at 1e12 sits within 1e-12 of
+    s = 0, and the peel stops short of it. Non-finite abscissae give 0, NaN
+    values raise.
     """
+    scale = max(1.0, abs(edge))
 
     def g(s):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = (edge - side) + side / s
-            jac = 1.0 / s**2
+            x = (edge - side * scale) + side * scale / s
+            jac = scale / s**2
         ok = np.isfinite(x)
         y = np.zeros_like(x)
         if ok.any():
@@ -291,19 +296,19 @@ _ROUND_LEAVES = 64  # leaves bisected per round of _refine_panels
 _BUDGET = 4096  # panels per integral
 
 
-def _refine_panels(f, a, b, tol, rtol, first=None):
+def _refine_panels(f, a, b, tol, rtol):
     """Masses of independent finite panels, refined together (after quad_vec).
 
-    Each round bisects the _ROUND_LEAVES worst leaves, by error against their
-    panel's bound max(tol, rtol |mass|), in one _gk call. A panel closes on
-    that bound, on a non-finite value or at integrate's budget of _BUDGET
-    panels (keeping its value). first holds _gk values and errors of the panels.
+    One _gk call on every panel, then each round bisects the _ROUND_LEAVES
+    worst leaves, by error against their panel's bound max(tol, rtol |mass|),
+    in one _gk call. A panel closes on that bound, on a non-finite value or
+    at integrate's budget of _BUDGET panels (keeping its value).
     """
     n = len(a)
-    val, err = _gk(f, a, b) if first is None else first
-    mass, used, live = np.array(val, dtype=float), np.ones(n, int), np.ones(n, bool)
-    leaf, own = np.array([a, b, val, err], dtype=float), np.arange(n)  # ends, value, error
     with np.errstate(over="ignore", invalid="ignore"):
+        val, err = _gk(f, a, b)
+        mass, used, live = np.array(val, dtype=float), np.ones(n, int), np.ones(n, bool)
+        leaf, own = np.array([a, b, val, err], dtype=float), np.arange(n)  # ends, value, error
         while len(own):
             leaf, own = leaf[:, live[own]], own[live[own]]
             # as in _adaptive, leaves too narrow to split drop out of the error
@@ -364,25 +369,37 @@ def _ladders(w, ts, ends):
 class _CumTable:
     """Running integral C of a weight w, tabulated on sorted nodes ts.
 
-    C is 0 at ts[pivot]. Each stub from _ladders fills the table panel
-    next to its point with its closure mass; masses(a, b) gives every
-    other panel. mass_lo and mass_hi are the masses beyond the table ends,
-    infinite past a divergent edge left off the table; that edge's stub
-    lies beyond the table end. Calling the table reads C at any abscissae:
-    one searchsorted, the closure's closed form inside a stub, and one
-    batched partial GK15 panel elsewhere between nodes.
+    The one table builder: it lays _ladders toward each of the singular
+    points in ends (pairs (p, s) as there) and fills the panel next to each
+    point with its stub's closure mass; every other panel is refined to the
+    bound max(1e-13, 1e-13 |mass|) by _refine_panels. mass_lo and mass_hi
+    are the masses beyond the table ends. A finite end point whose mass is
+    infinite, or whose closure exponent is under _SLOW, is dropped off the
+    table with infinite mass beyond it; its stub then lies beyond the table
+    end. C is 0 at the first node at or above pivot, the last node if none
+    is. Calling the table reads C at any abscissae: one searchsorted, the
+    closure's closed form inside a stub, and one batched partial GK15 panel
+    elsewhere between nodes.
     """
 
-    def __init__(self, w, ts, stubs, masses, pivot=0, mass_lo=0.0, mass_hi=0.0):
+    def __init__(self, w, ts, ends, *, pivot=-INF, mass_lo=0.0, mass_hi=0.0):
         self.w = w
+        ts, stubs = _ladders(w, ts, ends)
         p, s, w1dk, gam, dk = stubs.T
+        at = p == ts[0]
+        if at.any() and (mass_lo == INF or np.any(gam[at] < _SLOW)):
+            ts, mass_lo = ts[1:], INF
+        at = p == ts[-1]
+        if at.any() and (mass_hi == INF or np.any(gam[at] < _SLOW)):
+            ts, mass_hi = ts[:-1], INF
+        pivot = int(np.clip(np.searchsorted(ts, pivot), 0, len(ts) - 1))
         # table panel holding each stub; -1 and len(ts) - 1 stand for the
         # stretches below and above the table
         panel = np.searchsorted(ts, p + 0.5 * s * dk, side="right") - 1
         on = (panel >= 0) & (panel < len(ts) - 1)
         rest = np.setdiff1d(np.arange(len(ts) - 1), panel[on])
         m = np.zeros(len(ts) - 1)
-        m[rest] = masses(ts[rest], ts[rest + 1])
+        m[rest] = _refine_panels(w, ts[rest], ts[rest + 1], 1e-13, 1e-13)
         m[panel[on]] = w1dk[on] / gam[on]
         # partial sums pivoted at one node: with a divergent edge in play a
         # one-sided running total grows enormous, and differences of C near

@@ -24,8 +24,8 @@ from .densities import (_TAIL_JS, Density, _condensation_diverges, _weighted_pdf
                         rescale)
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
-from .numerics import (INF, Interval, _chandrupatla, _CumTable, _gk, _ladders,
-                       _refine_panels, integrate)
+from .functionals import curvature_ratio
+from .numerics import INF, Interval, _chandrupatla, _CumTable, integrate
 
 
 def _forward(root, layers, x, needs):
@@ -106,11 +106,14 @@ class _UpLayer:
     the preceding layers and sigma its orientation.
 
     W can be singular only at a finite support edge, at an interior point
-    of the root and at the interior zero zc of chi. The table carries a
-    ladder toward each such point, on each side where the support
-    continues, closed by the power law of numerics._ladders. A divergent
-    edge (by the closure exponent or the condensation test) stays off the
-    table with infinite mass beyond its ladder.
+    of the root and at the interior zero zc of chi. The table is a
+    numerics._CumTable on the root's node table and quantiles, whose
+    infinite ends already reach the subnormal pdf; it lays a ladder toward
+    each such point, on each side where the support continues. The layer
+    adds only the masses beyond the table ends: infinite where the
+    condensation test finds the edge divergent, else the tail integral past
+    an infinite end. A divergent finite edge, by that test or by its closure
+    exponent, stays off the table with infinite mass beyond its ladder.
     """
 
     kind = "up"
@@ -165,81 +168,32 @@ class _UpLayer:
                     f"up(alpha={self.alpha:g}): the coordinate weight is not "
                     f"integrable across the interior zero at {self.zc:.6g}")
 
-    def _stretch(self, anchor_pt, start, direction, deep):
-        # geometric ladder away from the bulk; when the far tail carries
-        # divergent weight mass, walk until the root pdf underflows so the
-        # u coordinate stays computable wherever any mass remains. The walk
-        # stops at the first subnormal pdf: its relative rounding error
-        # (1e-11 near 3e-313) keeps panels there from ever meeting the
-        # table's relative bound
-        w = max(abs(start - anchor_pt), 1.0)
-        top = 400 if deep else 10
-        out = []
-        for k in range(1, top + 1):
-            v = anchor_pt + direction * w * 4.0 ** k
-            if abs(v) > 1e290:
-                break
-            out.append(v)
-            if self._root.pdf(np.array([v]))[0] < np.finfo(float).tiny:
-                break
-        return np.asarray(out, dtype=float)
-
     def _build_table(self):
         root = self._root
         lo, hi = root.support.lo, root.support.hi
-        xs = root._node_table().ts
         ch = self._chi(root._grid_quantiles([0.3, 0.7]))
         self.sigma = 1.0 if ch[1] > ch[0] else -1.0
         # reseating flips sigma away from the chi orientation; push needs the
         # original to sign the odd derivative correctly
         self._sign_chi = self.sigma
-
-        parts = [xs, root.quantiles(129)]
-        div_lo = _condensation_diverges(root, "lo", self._logw)
-        div_hi = _condensation_diverges(root, "hi", self._logw)
-        if not math.isfinite(hi):
-            parts.append(self._stretch(lo if math.isfinite(lo) else 0.0,
-                                       float(xs[-1]), 1.0, div_hi))
-        if not math.isfinite(lo):
-            parts.append(self._stretch(hi if math.isfinite(hi) else 0.0,
-                                       float(xs[0]), -1.0, div_lo))
-        ts = np.unique(np.concatenate([p for p in parts if len(p)]))
-        ts = ts[(ts >= lo) & (ts <= hi)]
+        ts = np.unique(np.r_[root._node_table().ts, root.quantiles(129)])
         cuts = root.interior_points + ((self.zc,) if self.zc is not None else ())
         ends = [(p, s) for p in cuts for s in (-1.0, 1.0)]
         ends += [(p, s) for p, s in ((lo, 1.0), (hi, -1.0)) if math.isfinite(p)]
-        ts, stubs = _ladders(self._w_root, ts, ends)
-        p, gam = stubs[:, 0], stubs[:, 3]
 
-        # a finite edge whose weight mass diverges stays off the table; the
-        # stub beyond its innermost rung has the closure's unbounded mass
-        mass_lo = mass_hi = 0.0
-        if math.isfinite(lo) and (div_lo or np.any(gam[p == lo] <= 0.0)):
-            ts, mass_lo = ts[1:], INF
-        if math.isfinite(hi) and (div_hi or np.any(gam[p == hi] <= 0.0)):
-            ts, mass_hi = ts[:-1], INF
-
-        def tail(iv):
-            r = integrate(self._w_root, iv, tol=1e-13)
+        def mass(side, end, node):
+            # beyond the table end at node: infinite by the condensation
+            # test, else the tail integral past an infinite end
+            if _condensation_diverges(root, side, self._logw):
+                return INF
+            if math.isfinite(end):
+                return 0.0
+            r = integrate(self._w_root, Interval(*sorted((end, float(node)))), tol=1e-13)
             return r.value if r.converged and math.isfinite(r.value) else INF
 
-        if not math.isfinite(hi):
-            mass_hi = INF if div_hi else tail(Interval(float(ts[-1]), INF))
-        if not math.isfinite(lo):
-            mass_lo = INF if div_lo else tail(Interval(-INF, float(ts[0])))
-
-        def masses(a, b):
-            # panels refine to a bound relative to their mass, which reaches
-            # 1e160 at divergent edges
-            with np.errstate(all="ignore"):
-                m, e = _gk(self._w_root, a, b)
-            j = e > 1e-15 + 1e-11 * np.abs(m)
-            m[j] = _refine_panels(self._w_root, a[j], b[j], 1e-13, 1e-13, (m[j], e[j]))
-            return m
-
         # C pivots at the node nearest the bulk
-        pivot = int(np.clip(np.searchsorted(ts, float(root.median())), 0, len(ts) - 1))
-        self.table = _CumTable(self._w_root, ts, stubs, masses, pivot, mass_lo, mass_hi)
+        self.table = _CumTable(self._w_root, ts, ends, pivot=float(root.median()),
+                               mass_lo=mass("lo", lo, ts[0]), mass_hi=mass("hi", hi, ts[-1]))
         if not self.table.cums.any():
             raise AccuracyError(
                 f"up(alpha={self.alpha!r}): the weight underflows to 0 on "
@@ -581,10 +535,7 @@ def down_applicable(f, alpha):
     alpha = float(alpha)
     if f.order < 2:
         raise CapabilityError(f"down_applicable({f.label}): needs d1 and d2")
-    x = f.quantiles(128)
-    f0, f1, f2 = (np.asarray(v, dtype=float) for v in f._state(x, 2))
-    with np.errstate(all="ignore"):
-        r = (f0 / f1) * (f2 / f1)
+    r = curvature_ratio(f, f.quantiles(128))
     r = r[np.isfinite(r)]
     sup = float(np.max(r)) if r.size else math.nan
     ok = bool(math.isfinite(sup) and alpha > sup

@@ -130,6 +130,16 @@ def test_node_table_quantiles_work_count(f):
     assert np.max(np.abs(cdf(q) - levels)) < 1e-12
 
 
+def test_node_table_holds_a_heavy_tail():
+    # the pdf falls off as |x|**-1.23: the table missed the 1.3e-3 of mass
+    # past its fixed nodes at 2**41 before its ends walked on to a
+    # subnormal pdf
+    f = stretched_gaussian(10.0, 0.1)
+    levels = np.array([1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-6])
+    np.testing.assert_allclose(f.cdf_at(f.quantile_many(levels)), levels, rtol=0.0, atol=1e-12)
+    assert f.cdf_at(1e300) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_grid_quantiles_memo_is_bounded_and_private():
     # the library's fixed grids are solved once per density; caller-chosen
     # levels stay out of the memo, and quantiles(n) hands out a fresh copy

@@ -5,10 +5,10 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from updown.densities import gzero, half_restriction, stretched_gaussian
+from updown.densities import gzero, half_restriction, power_tail, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _bisect,
-                             _chandrupatla, _CumTable, _gk, _ladders, _refine_panels,
+                             _chandrupatla, _CumTable, _refine_panels,
                              integrate)
 
 
@@ -65,6 +65,20 @@ def test_infinite_ranges(f, iv, want):
     got = integrate(f, iv)
     assert got.converged
     assert got.value == pytest.approx(want, abs=1e-9)
+
+
+_PT15 = power_tail(1.5, 1.0).pdf
+
+
+@pytest.mark.parametrize("f,iv", [
+    (_PT15, (1e12, math.inf)), (lambda x: _PT15(-x), (-math.inf, -1e12)),
+])
+def test_far_offset_infinite_tails(f, iv):
+    # mapped at unit scale, the mass past an edge at 1e12 sat within 1e-12
+    # of s = 0, short of the peel, and came back as 1.55e-17, converged
+    got = integrate(f, iv)
+    assert got.converged
+    assert got.value == pytest.approx(1e-6, rel=1e-10)
 
 
 @pytest.mark.parametrize("f,iv,want,tol", [
@@ -216,8 +230,7 @@ def test_refine_panels_bounds_every_batch():
     f = lambda x: np.exp(-x) * np.sin(300.0 * x)
     edges = np.linspace(0.0, 10.0, 101)
     g, seen = _recorded(f)
-    got = _refine_panels(g, edges[:-1], edges[1:], 1e-13, 1e-13,
-                         first=_gk(f, edges[:-1], edges[1:]))
+    got = _refine_panels(g, edges[:-1], edges[1:], 1e-13, 1e-13)
     sizes = [x.size for x in seen]
     assert max(sizes) <= 2 * _ROUND_LEAVES * 15
     assert len(sizes) > 5
@@ -232,10 +245,9 @@ def test_ladder_closure_reproduces_power_laws(gam, u):
     # closure is exact on it, inside the stub under the innermost rung as
     # well as between rungs and in the bulk
     w = lambda x: np.asarray(x, dtype=float) ** (gam - 1.0)
-    ts, stubs = _ladders(w, np.linspace(0.0, 1.0, 9), [(0.0, 1.0)])
-    table = _CumTable(w, ts, stubs, lambda a, b: _refine_panels(w, a, b, 1e-13, 1e-13))
+    table = _CumTable(w, np.linspace(0.0, 1.0, 9), [(0.0, 1.0)])
     # 80 rungs from the graded node 1/8
-    dk = stubs[0, 4]
+    dk = table._stubs[0, 4]
     assert dk == 2.0 ** -83
     t = np.array([dk * u, dk * u ** 12, 2.0 ** (-83.0 + u), 2.0 ** (-30.0 - u), 0.3 + 0.6 * u])
     np.testing.assert_allclose(table(t), t ** gam / gam, rtol=1e-12, atol=0.0)

@@ -10,6 +10,7 @@ exponential under the alpha = 2 up step to the linear density u/2 on
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -126,6 +127,15 @@ def test_up_uniform_alpha3():
     assert mass_of(u3u01) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_up_uniform_alpha3_is_a_beta_density():
+    # rescaled to (0, 1), the pdf (1 - 2u)**-1/2 on (0, 1/2) is Beta(1, 1/2),
+    # whose n-th moment is n! Gamma(3/2) / Gamma(n + 3/2)
+    for n in range(1, 9):
+        with mpmath.workdps(30):
+            want = mpmath.gamma(n + 1) * mpmath.gamma(1.5) / mpmath.gamma(n + 1.5)
+        assert 2.0 ** n * F.mu(u3u01, n).value == pytest.approx(float(want), rel=1e-12)
+
+
 def test_up_exponential_alpha2_linear_image():
     # weight e^x against 2e^-2x: u = 2e^-x on (0,2), pdf u/2
     g = up(e2, 2.0)
@@ -157,6 +167,14 @@ def test_up_median_anchor_log_tail():
     x = 2.0 * np.exp(-u)  # u = log(2/x) from the median at 2
     np.testing.assert_allclose(g.pdf(u), 1.0 / x, rtol=1e-12)
     assert mass_of(g) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("alpha, hi", [(3.5, 3.0 * 1.5 ** (2.0 / 3.0)),
+                                       (4.0, 2.0 * math.sqrt(2.0))])
+def test_up_power_tail_canonical_edge(alpha, hi):
+    # weight (c v)**(1/c) against v**-2 from 1; the tail integral past the
+    # table's last node, mapped at unit scale, left 7.6e-7 out at alpha = 3.5
+    assert up(pt21, alpha).support.hi == pytest.approx(hi, rel=1e-12)
 
 
 def test_up_negative_alpha():
@@ -264,7 +282,8 @@ def test_up_subnormal_tail_work_count(alpha):
 @pytest.mark.parametrize("make", [
     lambda: gzero(1.5), lambda: stretched_gaussian(2.0, 1.5),
     lambda: half_restriction(stretched_gaussian(2.0, 1.0)), lambda: stretched_gaussian(2.0, 1.0),
-], ids=["gzero", "sg-1.5", "half-sg", "sg"])
+    lambda: power_tail(2.0, 1.0),
+], ids=["gzero", "sg-1.5", "half-sg", "sg", "power-tail"])
 def test_tables_integrate_only_infinite_tails(make, monkeypatch):
     # ladders with closed stubs hold the panels next to singular points,
     # so neither table calls integrate per panel; an up table still
