@@ -2,10 +2,10 @@
 
 A Density wraps a vectorized pdf on an open extended-real interval, together
 with optional derivative callables d1..d3, an optional closed-form cdf and
-quantile, a tri-state monotone_decreasing claim, and a list of interior
-abscissae where the pdf or a derivative is kinked or singular. Construction
-verifies unit mass and any monotonicity claim. Expectations are computed by
-adaptive quadrature over the support with cuts at the interior points.
+quantile, and a list of interior abscissae where the pdf or a derivative is
+kinked or singular. Construction verifies unit mass. Expectations are
+computed by adaptive quadrature over the support with cuts at the interior
+points.
 
 The cumulative node table and the quantiles at the library's fixed level
 grids (the median, quantiles(n), the tail levels of the condensation test)
@@ -47,14 +47,13 @@ class Density:
     """
 
     def __init__(self, pdf, support, *, d1=None, d2=None, d3=None,
-                 monotone_decreasing=None, label="density", interior_points=(),
-                 cdf=None, quantile=None, normalization_tol=1e-7):
+                 label="density", interior_points=(), cdf=None, quantile=None,
+                 normalization_tol=1e-7):
         self.support = support if isinstance(support, Interval) else Interval(*support)
         self.pdf = _as_callable_on_array(pdf)
         self.d1 = _as_callable_on_array(d1) if d1 is not None else None
         self.d2 = _as_callable_on_array(d2) if d2 is not None else None
         self.d3 = _as_callable_on_array(d3) if d3 is not None else None
-        self.monotone_decreasing = monotone_decreasing
         self.label = label
         self._cdf = cdf
         self._quantile = quantile
@@ -75,14 +74,6 @@ class Density:
                         f"(error estimate {total.abs_error_estimate:.3g})")
                 raise DomainError(
                     f"{label}: pdf mass is {total.value!r}, not 1 within {normalization_tol}")
-        if monotone_decreasing is True:
-            if self.d1 is None:
-                raise CapabilityError(f"{label}: monotone claim needs d1")
-            q = self.quantiles(64)
-            slopes = self.d1(q)
-            if not np.all(slopes < 0.0):
-                bad = q[slopes >= 0.0][0]
-                raise DomainError(f"{label}: claimed decreasing but d1 >= 0 at x={bad}")
 
     def __repr__(self):
         return f"Density({self.label})"
@@ -117,7 +108,7 @@ class Density:
             out[inside] = self.pdf(x[inside])
         return out if out.ndim else float(out)
 
-    def integral(self, fn, *, needs=0, tol=1e-10, rtol=3e-8, extra_interior=(),
+    def integral(self, fn, *, needs=0, tol=1e-10, extra_interior=(),
                  force_singular_edges=False):
         """Integral of fn(x, f, [f', f'', f''']) over the support.
 
@@ -146,7 +137,7 @@ class Density:
                           singular_lo=math.isfinite(iv.lo),
                           singular_hi=math.isfinite(iv.hi))
         cuts = self.interior_points + tuple(extra_interior)
-        return integrate(integrand, iv, tol=tol, rtol=rtol, interior=cuts)
+        return integrate(integrand, iv, tol=tol, rtol=3e-8, interior=cuts)
 
     def expect(self, fn, **kw):
         """Integral of fn(x, f, ...) weighted by the pdf; see integral()."""
@@ -349,8 +340,7 @@ def affine_image(f, scale, shift=0.0, label=None):
     """Density of (X - shift)/scale when X has density f.
 
     The image pdf is |scale| f(scale y + shift). A negative scale reflects
-    the support and swaps edge flags; a monotone claim does not survive
-    reflection and is dropped to None there.
+    the support and swaps edge flags.
     """
     scale = float(scale)
     shift = float(shift)
@@ -361,10 +351,8 @@ def affine_image(f, scale, shift=0.0, label=None):
     b = (s.hi - shift) / scale
     if scale > 0:
         sup = Interval(a, b, singular_lo=s.singular_lo, singular_hi=s.singular_hi)
-        mono = f.monotone_decreasing
     else:
         sup = Interval(b, a, singular_lo=s.singular_hi, singular_hi=s.singular_lo)
-        mono = None
     aj = abs(scale)
 
     def mk(d, k):
@@ -387,7 +375,6 @@ def affine_image(f, scale, shift=0.0, label=None):
         lambda y: aj * f.pdf(scale * np.asarray(y, dtype=float) + shift),
         sup,
         d1=mk(f.d1, 1), d2=mk(f.d2, 2), d3=mk(f.d3, 3),
-        monotone_decreasing=mono,
         label=label or f"affine({f.label},{scale:g},{shift:g})",
         interior_points=tuple((p - shift) / scale for p in f.interior_points),
         cdf=cdf, quantile=quantile)
@@ -419,7 +406,6 @@ def half_restriction(f, label=None):
         lambda x: 2.0 * f.pdf(np.asarray(x, dtype=float)),
         sup,
         d1=mk(f.d1), d2=mk(f.d2), d3=mk(f.d3),
-        monotone_decreasing=True if f.order >= 1 else None,
         label=label or f"half({f.label})",
         interior_points=(p for p in f.interior_points if p > 0.0))
 
@@ -437,7 +423,6 @@ def uniform(a, b):
         lambda x: np.full_like(np.asarray(x, dtype=float), h),
         Interval(a, b),
         d1=zero, d2=zero, d3=zero,
-        monotone_decreasing=None,
         label=f"uniform({a:g},{b:g})",
         cdf=lambda x: np.clip((np.asarray(x, dtype=float) - a) * h, 0.0, 1.0),
         quantile=lambda v: a + (b - a) * v)
@@ -456,7 +441,6 @@ def exponential(rate, shift=0.0):
         d1=lambda x: -rate * pdf(x),
         d2=lambda x: rate**2 * pdf(x),
         d3=lambda x: -rate**3 * pdf(x),
-        monotone_decreasing=True,
         label=f"exponential({rate:g},{shift:g})",
         cdf=lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=float) - shift, 0.0)),
         quantile=lambda v: shift - np.log1p(-v) / rate)
@@ -493,7 +477,6 @@ def power_tail(eta, x0):
         d2=lambda x: eta * (eta + 1.0) * pdf(x) / np.asarray(x, dtype=float) ** 2,
         d3=lambda x: -eta * (eta + 1.0) * (eta + 2.0) * pdf(x)
         / np.asarray(x, dtype=float) ** 3,
-        monotone_decreasing=True,
         label=f"power_tail({eta:g},{x0:g})",
         cdf=lambda x: 1.0
         - (x0 / np.maximum(np.asarray(x, dtype=float), x0)) ** (eta - 1.0),
@@ -575,7 +558,6 @@ def stretched_gaussian(p, lam):
 
     return Density(
         pdf, sup, d1=d1, d2=d2, d3=d3,
-        monotone_decreasing=None,
         label=f"stretched_gaussian({p:g},{lam:g})",
         interior_points=(0.0,))
 
@@ -613,7 +595,6 @@ def gzero(lam):
     return Density(
         pdf, Interval(-1.0, 1.0, singular_lo=True, singular_hi=True),
         d1=d1, d2=d2,
-        monotone_decreasing=None,
         label=f"gzero({lam:g})",
         interior_points=(0.0,))
 

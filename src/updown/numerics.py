@@ -118,19 +118,6 @@ def _gk(f, a, b, at=None):
     return (ik, err) if at is None else (ik, err, f_at)
 
 
-class _Piece:
-    """One finite integration piece in (possibly transformed) coordinates."""
-
-    __slots__ = ("g", "a", "b", "sing_lo", "sing_hi")
-
-    def __init__(self, g, a, b, sing_lo, sing_hi):
-        self.g = g
-        self.a = a
-        self.b = b
-        self.sing_lo = sing_lo
-        self.sing_hi = sing_hi
-
-
 def _wrap_inf(f, edge, side):
     """f(x) dx/ds on s in (0, 1), for x = edge - side L + side L/s.
 
@@ -161,7 +148,11 @@ def _wrap_inf(f, edge, side):
 
 
 def _pieces(f, iv, interior):
-    """Cut the interval at interior points; map infinite ends onto (0, 1)."""
+    """Cut the interval at interior points; map infinite ends onto (0, 1).
+
+    Returns (g, a, b, sing_lo, sing_hi) tuples; a piece singular at both
+    ends is halved at its midpoint, so each has at most one singular end.
+    """
     pts = sorted({float(p) for p in interior if iv.lo < p < iv.hi})
     edges = [iv.lo] + pts + [iv.hi]
     pieces = []
@@ -171,15 +162,20 @@ def _pieces(f, iv, interior):
         s_lo = iv.singular_lo if i == 0 else True
         s_hi = iv.singular_hi if i == len(edges) - 2 else True
         if a == -INF and b == INF:
-            pieces.append(_Piece(_wrap_inf(f, 0.0, -1.0), 0.0, 1.0, True, False))
-            pieces.append(_Piece(_wrap_inf(f, 0.0, 1.0), 0.0, 1.0, True, False))
+            pieces.append((_wrap_inf(f, 0.0, -1.0), 0.0, 1.0, True, False))
+            pieces.append((_wrap_inf(f, 0.0, 1.0), 0.0, 1.0, True, False))
         elif b == INF:
-            pieces.append(_Piece(_wrap_inf(f, a, 1.0), 0.0, 1.0, True, s_lo))
+            pieces.append((_wrap_inf(f, a, 1.0), 0.0, 1.0, True, s_lo))
         elif a == -INF:
-            pieces.append(_Piece(_wrap_inf(f, b, -1.0), 0.0, 1.0, True, s_hi))
+            pieces.append((_wrap_inf(f, b, -1.0), 0.0, 1.0, True, s_hi))
         else:
-            pieces.append(_Piece(f, a, b, s_lo, s_hi))
-    return pieces
+            pieces.append((f, a, b, s_lo, s_hi))
+    out = []
+    for g, a, b, s_lo, s_hi in pieces:
+        m = 0.5 * (a + b)
+        out += [(g, a, m, True, False), (g, m, b, False, True)] if s_lo and s_hi else \
+            [(g, a, b, s_lo, s_hi)]
+    return out
 
 
 # A stub exponent under _SLOW counts as unbounded: the ladder cannot tell
@@ -341,8 +337,10 @@ def _ladders(w, ts, ends):
     ends lists (p, s): a point p and the side s (+1 above, -1 below) on
     which the table continues. Each ladder starts at the nearest node
     beyond which ts is already graded (next node within ratio 2), so that
-    no coarse panel is left between the ladder and the bulk, and lays up
-    to 80 rungs, stopping 64 ulp short of p. Returns the nodes, with the
+    no coarse panel is left between the ladder and the bulk, and stops
+    64 ulp of max(|p|, 2**-74) short of p: 2**-120 at p = 0. The depth
+    depends on p alone, so a table laid on the nodes of another adds no
+    rung where that one already has a ladder. Returns the nodes, with the
     points and rungs added and any node inside a stub dropped, and one row
     (p, s, w1 dK, gam, dK) per stub from _closure at its innermost rung.
     """
@@ -352,8 +350,10 @@ def _ladders(w, ts, ends):
         d = np.sort(s * (ts - p))
         d = d[d > 0.0]
         graded = np.nonzero(d[1:] <= 2.0 * d[:-1])[0]
-        x = p + s * _rungs(d[graded[0]] if graded.size else d[-1], 80,
-                           64.0 * np.spacing(abs(p)))
+        d0 = d[graded[0]] if graded.size else d[-1]
+        dmin = 64.0 * np.spacing(max(abs(p), 2.0 ** -74))
+        n = max(0, math.ceil(math.log2(d0) - math.log2(dmin)))
+        x = p + s * _rungs(d0, n, dmin)
         rungs.append(x)
         rows.append((p, s, abs(x[-1] - p)))
     ts = np.unique(np.concatenate(rungs))
@@ -457,35 +457,11 @@ def _double(k):
     return np.copysign(np.abs(k).view(np.float64), k)
 
 
-def _bisect(g, target, lo, hi):
-    """Bisect brackets [lo, hi] of a vectorized g down to adjacent doubles.
-
-    Each round moves lo to the midpoint where g(mid) < target, hi elsewhere.
-    Midpoints split the ordered bit patterns of doubles, not the values, so
-    a bracket that straddles 0 or reaches into the subnormals closes as
-    fast as any: in the bit length of the widest gap, at most 64 rounds.
-
-    No library code calls this; every inverse runs on _chandrupatla. It is
-    kept as the reference that _chandrupatla's contract is tested against:
-    the same adjacent pair, bit for bit, unless g hits the target exactly.
-    """
-    klo = _key(lo)
-    gap = _key(hi).view(np.uint64) - klo.view(np.uint64)  # keys span < 2**64
-    # closed brackets and an empty batch take no round
-    for _ in range((int(gap.max(initial=1)) - 1).bit_length()):
-        half = gap >> 1
-        mid = klo + half.astype(np.int64)
-        below = g(_double(mid)) < target
-        klo = np.where(below, mid, klo)
-        gap = np.where(below, gap - half, half)
-    return _double(klo), _double(klo + gap.astype(np.int64))
-
-
 _NARROW = 1 << 52  # a key gap under one binade's worth of doubles
 
 
 def _chandrupatla(g, target, lo, hi):
-    """_bisect's contract for a monotone g, in fewer g calls.
+    """Close brackets [lo, hi] of a vectorized monotone g on target.
 
     Two calls evaluate g at both ends of every open bracket. An end that
     hits the target, or past which the target lies (NaN counts as past lo),
@@ -495,9 +471,10 @@ def _chandrupatla(g, target, lo, hi):
     Softw. 28:145): inverse quadratic interpolation through both ends and
     the end replaced last, where his test finds it monotone, else the
     secant. Wider gaps, and any round after one that did not halve the
-    gap, take _bisect's key midpoint, so every bracket closes within
-    2 + 2*64 calls. A point with g(t) == target closes its bracket on
-    [t, t]; elsewhere the result is _bisect's adjacent pair.
+    gap, bisect the _key values (the ordered bit patterns of doubles), so
+    every bracket closes within 2 + 2*64 calls. A point with g(t) == target
+    closes its bracket on [t, t]; elsewhere the result is the adjacent pair
+    (a, b) of doubles with g(a) < target <= g(b).
     """
     lo, hi, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, target))
     out_lo, out_hi = lo.copy(), hi.copy()
@@ -580,24 +557,6 @@ def _chandrupatla(g, target, lo, hi):
     return out_lo, out_hi
 
 
-def _integrate_piece(piece, tol, budget):
-    g, a, b = piece.g, piece.a, piece.b
-    if piece.sing_lo and piece.sing_hi:
-        m = 0.5 * (a + b)
-        left = _integrate_piece(_Piece(g, a, m, True, False), tol / 2, budget // 2)
-        right = _integrate_piece(_Piece(g, m, b, False, True), tol / 2, budget // 2)
-        return left[0] + right[0], left[1] + right[1]
-    if piece.sing_lo:
-        seeds, stub_val, stub_err = _peel(g, a, b, tol)
-    elif piece.sing_hi:
-        seeds, stub_val, stub_err = _peel(g, b, a, tol)
-    else:
-        vals, errs = _gk(g, [a], [b])
-        seeds, stub_val, stub_err = [(a, b, vals[0], errs[0])], 0.0, 0.0
-    val, err, _ = _adaptive(g, seeds, max(tol - stub_err, tol / 4), budget)
-    return val + stub_val, err + stub_err
-
-
 def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     """Integrate a vectorized callable over an extended-real interval.
 
@@ -624,8 +583,14 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     value = 0.0
     err = 0.0
     diverged = False
-    for piece in pieces:
-        v, e = _integrate_piece(piece, per_tol, per_budget)
+    for g, a, b, sing_lo, sing_hi in pieces:
+        if sing_lo or sing_hi:
+            seeds, stub_val, stub_err = _peel(g, *((a, b) if sing_lo else (b, a)), per_tol)
+        else:
+            vals, errs = _gk(g, [a], [b])
+            seeds, stub_val, stub_err = [(a, b, vals[0], errs[0])], 0.0, 0.0
+        v, e, _ = _adaptive(g, seeds, max(per_tol - stub_err, per_tol / 4), per_budget)
+        v, e = v + stub_val, e + stub_err
         value += v
         err += e
         if not (np.isfinite(v) and np.isfinite(e)):

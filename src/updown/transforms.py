@@ -68,7 +68,7 @@ class _DownLayer:
         f0 = state[0]
         with np.errstate(all="ignore"):
             logf = np.log(f0)
-            s = -logf if al == 2.0 else np.exp((2.0 - al) * logf) / (al - 2.0)
+            s = _down_coord(logf, al)
             if order < 0:
                 return s, ()
             f1 = state[1]
@@ -90,6 +90,12 @@ class _DownLayer:
                            * ((2.0 * al - 2.0) * f1 * brak + f0 * brakp
                               - f0 * brak * q21) / f1 ** 2)
         return s, tuple(out)
+
+
+def _down_coord(logf, alpha):
+    """The down coordinate f**(2-alpha)/(alpha-2) (-log f at alpha = 2) of
+    log f; log f = -inf and inf give its limits at pdf values 0 and inf."""
+    return -logf if alpha == 2.0 else np.exp((2.0 - alpha) * logf) / (alpha - 2.0)
 
 
 def _log_weight(v, c):
@@ -227,41 +233,17 @@ class _UpLayer:
         # exactly when a reseat reversed the image orientation
         flip = self.sigma * self._sign_chi
         with np.errstate(all="ignore"):
-            if c == 0.0:
-                h0 = np.exp(-wb)
-                out = [h0]
-                if order >= 1:
-                    f0 = state[0]
-                    out.append(flip * np.exp(-2.0 * wb) / f0)
-                if order >= 2:
-                    f0, f1 = state[0], state[1]
-                    out.append(np.exp(-3.0 * wb) * (2.0 / f0 ** 2 + f1 / f0 ** 3))
-            else:
-                h0 = np.exp(-(math.log(abs(c)) + np.log(np.abs(wb))) / c)
-                out = [h0]
-                if order >= 1:
-                    f0 = state[0]
-                    t1 = c * wb * f0
-                    out.append(flip * h0 * h0 / t1)
-                if order >= 2:
-                    f1 = state[1]
-                    out.append(h0 ** 3 * ((2.0 + c) / t1 ** 2
-                                          + f1 / (t1 * f0 ** 2)))
+            # h0 = 1/w(wb); q = d log w / dv, 1 at c = 0
+            h0 = np.exp(-_log_weight(wb, c))
+            q = 1.0 if c == 0.0 else 1.0 / (c * wb)
+            out = [h0]
+            if order >= 1:
+                f0 = state[0]
+                out.append(flip * h0 * h0 * q / f0)
+            if order >= 2:
+                f1 = state[1]
+                out.append(h0 ** 3 * q * ((2.0 + c) * q / f0 ** 2 + f1 / f0 ** 3))
         return u, tuple(out)
-
-
-def _down_coord_limit(v, alpha):
-    """Limit of the down coordinate as the pdf tends to the edge value v."""
-    if alpha == 2.0:
-        if v == 0.0:
-            return INF
-        return -INF if v == INF else -math.log(v)
-    c = alpha - 2.0
-    if v == 0.0:
-        return INF if c > 0 else 0.0
-    if v == INF:
-        return 0.0 if c > 0 else -INF
-    return v ** -c / c
 
 
 class TransformedDensity(Density):
@@ -376,9 +358,9 @@ class TransformedDensity(Density):
         if layer.kind == "up":
             u_lo, u_hi = layer.u_support
         else:
-            sa = _down_coord_limit(self.base.edge_value("lo"), layer.alpha)
-            sb = _down_coord_limit(self.base.edge_value("hi"), layer.alpha)
-            u_lo, u_hi = min(sa, sb), max(sa, sb)
+            v = [self.base.edge_value("lo"), self.base.edge_value("hi")]
+            with np.errstate(divide="ignore", over="ignore"):
+                u_lo, u_hi = sorted(_down_coord(np.log(v), layer.alpha).tolist())
         slo = math.isfinite(u_lo) and self._edge_singular("lo")
         shi = math.isfinite(u_hi) and self._edge_singular("hi")
         return Interval(u_lo, u_hi, singular_lo=slo, singular_hi=shi)
@@ -430,7 +412,7 @@ class TransformedDensity(Density):
 
     # -- overrides: work in root coordinates -----------------------------------
 
-    def integral(self, fn, *, needs=0, tol=1e-10, rtol=3e-8, extra_interior=(),
+    def integral(self, fn, *, needs=0, tol=1e-10, extra_interior=(),
                  force_singular_edges=False):
         if needs > self._img_order:
             raise CapabilityError(
@@ -451,8 +433,7 @@ class TransformedDensity(Density):
             # root.integral drops fr == 0 and non-finite values under 1e-160
             return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
 
-        return root.integral(g, needs=0, tol=tol, rtol=rtol,
-                             extra_interior=tuple(cuts),
+        return root.integral(g, needs=0, tol=tol, extra_interior=tuple(cuts),
                              force_singular_edges=True)
 
     def quantile_many(self, levels):

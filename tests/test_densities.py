@@ -38,18 +38,6 @@ def test_unconverged_normalization_is_an_accuracy_error(eta):
         power_tail(eta, 1.0)
 
 
-def test_monotone_claim_checked():
-    with pytest.raises(DomainError, match="decreasing"):
-        Density(lambda x: np.full_like(x, 1.0), Interval(0.0, 1.0),
-                d1=lambda x: np.zeros_like(x), monotone_decreasing=True)
-
-
-def test_monotone_claim_needs_d1():
-    with pytest.raises(CapabilityError):
-        Density(lambda x: np.full_like(x, 1.0), Interval(0.0, 1.0),
-                monotone_decreasing=True)
-
-
 def test_corpus_members():
     cs = corpus()
     assert len(cs) == 6
@@ -269,7 +257,6 @@ def test_affine_image_reflection():
     assert m.support.hi == 0.0 and m.support.lo == -math.inf
     assert m.pdf(np.array([-2.0]))[0] == pytest.approx(math.exp(-2.0))
     assert m.strict_monotone_sign() == 1
-    assert m.monotone_decreasing is None
 
 
 def test_rescale_mass_and_pdf():
@@ -290,7 +277,7 @@ def test_rescale_quantile_scaling(kappa):
 def test_half_restriction():
     h = half_restriction(stretched_gaussian(2.0, 1.0))
     assert h.support.lo == 0.0
-    assert h.monotone_decreasing is True
+    assert h.strict_monotone_sign() == -1
     assert h.expect(lambda x, f0: np.ones_like(x)).value == pytest.approx(1.0, abs=1e-8)
     assert h.pdf(np.array([0.5]))[0] == pytest.approx(
         2.0 * math.exp(-0.25) / math.sqrt(math.pi))

@@ -114,6 +114,21 @@ def test_down_coordinate_sign():
         assert np.all((al - 2.0) * s > 0.0)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+def test_down_support_edges_at_edge_values_zero_finite_and_infinite(alpha):
+    # the image edges are the down coordinate's values at the base's edge
+    # values: its limits at 0 and inf, v**-c/c (-log v at alpha = 2) at a
+    # finite v. e1 has edge values 1 and 0, u3u01 (increasing) 1 and inf
+    c = alpha - 2.0
+    at_zero = math.inf if c >= 0.0 else 0.0
+    at_inf = 0.0 if c > 0.0 else -math.inf
+    for f, at_edge in ((e1, at_zero), (u3u01, at_inf)):
+        v = f.edge_value("lo")
+        want = sorted([-math.log(v) if c == 0.0 else v ** -c / c, at_edge])
+        got = down(f, alpha).support
+        assert [got.lo, got.hi] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 # -------------------------------------------------------------------- up
 
 def test_up_uniform_alpha3():
@@ -125,6 +140,29 @@ def test_up_uniform_alpha3():
     np.testing.assert_allclose(u3u01.pdf(u), (1.0 - 2.0 * u) ** -0.5,
                                rtol=1e-9)
     assert mass_of(u3u01) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_up_second_derivative_away_from_alpha2():
+    # d2 of (1 - 2u)**-1/2 is 3 (1 - 2u)**-5/2; under the reflection
+    # u -> 1/2 - u an even derivative keeps its sign: 3 (2y)**-5/2
+    u = np.array([0.02, 0.2, 0.4])
+    np.testing.assert_allclose(u3u01.d2(u), 3.0 * (1.0 - 2.0 * u) ** -2.5, rtol=1e-12)
+    y = np.array([0.1, 0.25, 0.4])
+    np.testing.assert_allclose(u3u01.reseat(-1.0, 0.5).d2(y), 3.0 * (2.0 * y) ** -2.5,
+                               rtol=1e-12)
+
+
+@pytest.mark.parametrize("f", [gzero(1.5), g21], ids=["gzero(1.5)", "sg(2,1)"])
+def test_up_table_ladders_stop_at_the_root_depth(f):
+    # an up table is laid on its root's nodes; toward a point the root
+    # table already ladders, its own ladder adds no deeper rung
+    def depth(table):
+        return {(p, s): dk for p, s, _, _, dk, _, _ in table._stubs}
+
+    root, img = depth(f._node_table()), depth(up(f, 3.0)._layers[-1].table)
+    shared = root.keys() & img.keys()
+    assert shared
+    assert all(img[k] >= root[k] for k in shared)
 
 
 def test_up_uniform_alpha3_is_a_beta_density():
