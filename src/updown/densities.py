@@ -284,6 +284,18 @@ class Density:
     def median(self):
         return float(self._grid_quantiles(0.5)[0])
 
+    # -- coordinate seen by an up layer on top ------------------------------
+    # A root's coordinate is its own abscissa, increasing, and crosses 0
+    # inside the support only at 0 itself
+
+    _sigma_total = 1.0
+
+    def _chi(self, t):
+        return np.asarray(t, dtype=float)
+
+    def _zero(self):
+        return 0.0 if self.support.lo < 0.0 < self.support.hi else None
+
 
 # tail mass levels 2**-j of the condensation test; the image edge test reads
 # the first 29, so both share one memo entry per side

@@ -51,12 +51,6 @@ def _forward(root, layers, x, needs):
     return coord, state
 
 
-def _coord(root, layers, t):
-    """Image coordinate of root abscissae t after the layer stack."""
-    coord, _ = _forward(root, layers, np.asarray(t, dtype=float), -1)
-    return np.asarray(coord, dtype=float)
-
-
 class _DownLayer:
     kind = "down"
 
@@ -108,80 +102,46 @@ class _UpLayer:
 
     Everything is tabulated in root abscissae: the new coordinate is
     u(t) = sigma * (C(anchor) - C(t)) with C the running integral of
-    W(t) = weight(chi(t)) * f_root(t), where chi is the coordinate map of
-    the preceding layers and sigma its orientation.
+    W(t) = weight(chi(t)) * f_root(t), where chi is the base's coordinate
+    in root abscissae (base._chi) and sigma its orientation.
 
     W can be singular only at a finite support edge, at an interior point
-    of the root and at the interior zero zc of chi. The table is a
-    numerics._CumTable on the root's node table and quantiles, whose
-    infinite ends already reach the subnormal pdf; it lays a ladder toward
-    each such point, on each side where the support continues. The layer
-    adds only the masses beyond the table ends: infinite where the
-    condensation test finds the edge divergent, else the tail integral past
-    an infinite end. A divergent finite edge, by that test or by its closure
-    exponent, stays off the table with infinite mass beyond its ladder.
+    of the root and at the interior zero zc of chi, which the base reads
+    off its bracket table (base._zero). The table is a numerics._CumTable
+    on the root's node table and quantiles, whose infinite ends already
+    reach the subnormal pdf; it lays a ladder toward each such point, on
+    each side where the support continues. The layer adds only the masses
+    beyond the table ends: infinite where the condensation test finds the
+    edge divergent, else the tail integral past an infinite end. A
+    divergent finite edge, by that test or by its closure exponent, stays
+    off the table with infinite mass beyond its ladder.
     """
 
     kind = "up"
 
-    def __init__(self, root, prefix, alpha):
+    def __init__(self, base, alpha):
         self.alpha = float(alpha)
         self.c = self.alpha - 2.0
-        self._root = root
-        self._prefix = tuple(prefix)
+        self.base = base
+        self._root = root = getattr(base, "root", base)
+        # reseating flips sigma away from the chi orientation; push needs the
+        # original to sign the odd derivative correctly
+        self.sigma = self._sign_chi = base._sigma_total
+        self.zc = None if self.c == 0.0 else base._zero()
+        if self.zc is not None and -1.0 <= self.c < 0.0:
+            raise PreconditionError(
+                f"up(alpha={self.alpha:g}): the coordinate weight is not "
+                f"integrable across the interior zero at {self.zc:.6g}")
         self._w_root = _weighted_pdf(root, self._logw)
-        self._locate_zero()
         self._build_table()
         self._set_anchor()
 
-    # -- weight in root coordinates -----------------------------------------
-
-    def _chi(self, t):
-        return _coord(self._root, self._prefix, t)
-
     def _logw(self, t):
-        return _log_weight(self._chi(t), self.c)
-
-    # -- construction ---------------------------------------------------------
-
-    def _locate_zero(self):
-        self.zc = None
-        if self.c == 0.0:
-            return
-        root = self._root
-        grid = root._node_table().ts
-        cg = self._chi(grid)
-        good = np.isfinite(cg)
-        grid, cg = grid[good], cg[good]
-        # a coordinate heading to zero at a support edge saturates in float
-        # and oscillates at table-roundoff size; only flips between points
-        # clear of that floor witness a genuine interior crossing
-        floor = 1e-12 * float(np.max(np.abs(cg), initial=0.0))
-        big = np.abs(cg) > floor
-        grid, cg = grid[big], cg[big]
-        sg = np.sign(cg)
-        flip = np.nonzero(sg[:-1] * sg[1:] < 0.0)[0]
-        if flip.size:
-            i = int(flip[0])
-            # close on adjacent floats or an exact zero: the ladders toward
-            # zc resolve the weight that finely. Each round pushes through
-            # the prefix stack, so the interpolating solver's few rounds pay
-            _, zc = _chandrupatla(lambda t: -sg[i] * self._chi(t), 0.0,
-                                  grid[i:i + 1], grid[i + 1:i + 2])
-            self.zc = float(zc[0])
-            if -1.0 <= self.c < 0.0:
-                raise PreconditionError(
-                    f"up(alpha={self.alpha:g}): the coordinate weight is not "
-                    f"integrable across the interior zero at {self.zc:.6g}")
+        return _log_weight(self.base._chi(t), self.c)
 
     def _build_table(self):
         root = self._root
         lo, hi = root.support.lo, root.support.hi
-        ch = self._chi(root._grid_quantiles([0.3, 0.7]))
-        self.sigma = 1.0 if ch[1] > ch[0] else -1.0
-        # reseating flips sigma away from the chi orientation; push needs the
-        # original to sign the odd derivative correctly
-        self._sign_chi = self.sigma
         ts = np.unique(np.r_[root._node_table().ts, root.quantiles(129)])
         cuts = root.interior_points + ((self.zc,) if self.zc is not None else ())
         ends = [(p, s) for p in cuts for s in (-1.0, 1.0)]
@@ -265,13 +225,10 @@ class TransformedDensity(Density):
         self.root = root
         self.kind = kind
         self.alpha = alpha
-        layer = _DownLayer(alpha) if kind == "down" else _UpLayer(root, prefix, alpha)
+        layer = _DownLayer(alpha) if kind == "down" else _UpLayer(base, alpha)
         self._layers = prefix + (layer,)
         self.chain = prov + ((kind, alpha),)
-        o = root.order
-        for ly in self._layers:
-            o = min(o - 1, 2) if ly.kind == "down" else min(o + 1, 2)
-        self._img_order = max(o, 0)
+        self._img_order = max(min(base.order + (1 if kind == "up" else -1), 2), 0)
         self._finish(f"{kind}({base.label},{alpha:g})")
 
     def _finish(self, label):
@@ -290,7 +247,8 @@ class TransformedDensity(Density):
     # -- coordinate map -------------------------------------------------------
 
     def _chi(self, t):
-        return _coord(self.root, self._layers, t)
+        """Image coordinate of root abscissae t."""
+        return np.asarray(_forward(self.root, self._layers, t, -1)[0], dtype=float)
 
     def _build_brackets(self):
         root = self.root
@@ -313,6 +271,24 @@ class TransformedDensity(Density):
         self._br_z = z[keep]
         self._sigma_total = sgn
 
+    def _zero(self):
+        """Root abscissa where the image coordinate crosses 0, or None.
+
+        A coordinate heading to 0 at a support edge saturates in float at
+        table-roundoff size, so only bracket-table ends clear of 1e-12 of
+        the largest |value| witness an interior crossing. The bracket around
+        it closes on an exact zero or the upper of two adjacent doubles: the
+        ladders toward zc resolve the weight that finely.
+        """
+        z, bt = self._br_z, self._br_t
+        floor = 1e-12 * np.max(np.abs(z))
+        if not (z[0] < -floor and z[-1] > floor):
+            return None
+        j = np.searchsorted(z, 0.0)
+        _, zc = _chandrupatla(lambda t: self._sigma_total * self._chi(t), 0.0,
+                              bt[j - 1:j], bt[j:j + 1])
+        return float(zc[0])
+
     def _invert(self, y):
         """Root abscissae whose image coordinate is y, and an out-of-range mask.
 
@@ -334,9 +310,7 @@ class TransformedDensity(Density):
     def inverse_map(self, y):
         """Base-coordinate abscissae whose image coordinate equals y."""
         t, oob = self._invert(y)
-        if len(self._layers) > 1:
-            t = _coord(self.root, self._layers[:-1], t)
-        return np.where(oob, np.nan, t)
+        return np.where(oob, np.nan, self.base._chi(t))
 
     # -- pdf callables --------------------------------------------------------
 

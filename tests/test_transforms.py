@@ -22,8 +22,8 @@ from updown.densities import (Density, affine_image, exponential, gzero,
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
                            PreconditionError, TransformChainError)
 from updown.numerics import integrate
-from updown.transforms import (_rigid_fit, _UpLayer, chain, down, down_applicable,
-                               up, verify_inversion, verify_scaling)
+from updown.transforms import (_rigid_fit, chain, down, down_applicable, up,
+                               verify_inversion, verify_scaling)
 
 EULER = 0.5772156649015329
 
@@ -419,30 +419,45 @@ def test_image_pdf_interpolated_inversion_work_count():
     assert n[0] <= 24
 
 
-class _ZeroCounted(_UpLayer):
-    """An up layer that counts the _chi calls of its _locate_zero."""
+@pytest.mark.parametrize("make, most", [(lambda: stretched_gaussian(2.0, 1.0), 0),
+                                        (lambda: up(pt21, 3.0), 16)], ids=["sg21", "up-pt21"])
+def test_locate_zero_work_count(make, most):
+    # an up layer reads its coordinate's zero off the base: a root answers
+    # 0.0 with no coordinate call, an image closes one bracket of its table
+    # (bisection to adjacent doubles took 52-64 calls after a grid push).
+    # The zero is exact, or the upper of two adjacent doubles around it
+    base = make()
+    chi, zero, calls = base._chi, base._zero, []
 
-    def _locate_zero(self):
-        chi, self.zero_calls = self._chi, 0
+    def counted_zero():
+        base._chi = lambda t: calls.append(t) or chi(t)
+        try:
+            return zero()
+        finally:
+            del base._chi
 
-        def counted(t):
-            self.zero_calls += 1
-            return chi(t)
-
-        self._chi = counted
-        super()._locate_zero()
-        del self._chi
-
-
-@pytest.mark.parametrize("make", [lambda: (g21, ()), lambda: (pt21, up(pt21, 3.0)._layers)],
-                         ids=["sg21", "up-pt21"])
-def test_locate_zero_work_count(make):
-    # bisection to adjacent doubles took 52-64 calls after the grid's one;
-    # the zero is exact, or the upper of two adjacent doubles around it
-    layer = _ZeroCounted(*make(), 3.0)
-    assert layer.zero_calls <= 16
-    below, at = layer._chi(np.array([np.nextafter(layer.zc, -np.inf), layer.zc]))
+    base._zero = counted_zero
+    zc = up(base, 3.0)._layers[-1].zc
+    assert len(calls) <= most
+    below, at = base._chi(np.array([np.nextafter(zc, -np.inf), zc]))
     assert at == 0.0 or below * at < 0.0
+
+
+@pytest.mark.parametrize("make, zc, sigma", [
+    (lambda: up(up(u01, 3.0).reseat(-1.0, 0.3), 3.0), "0x1.43d1362484902p-1", 1.0),
+    # the pdf of the down base crosses 1, its log 0, at 1 + ln 2 / 2
+    (lambda: up(down(e21, 2.0), 3.0), "0x1.58b90bfbe8e7cp+0", 1.0),
+    # a median-anchored coordinate is 0 at the root median
+    (lambda: up(up(pt21, 3.0), 3.0), "0x1.0p+1", -1.0),
+    (lambda: up(up(e1, 3.0), 3.0), None, -1.0),
+    (lambda: up(up(e1, 1.5), 1.5), None, -1.0),
+    (lambda: up(up(g21, 3.0), 3.0), None, -1.0),
+], ids=["reseat", "down2", "median", "up3-e1", "up1.5-e1", "up3-sg21"])
+def test_up_layer_reads_zero_and_orientation_off_its_base(make, zc, sigma):
+    # pinned bit for bit at the values the layer found by pushing the root
+    # node table through the whole prefix again; canonical bases have none
+    layer = make()._layers[-1]
+    assert (layer.zc, layer.sigma) == (zc and float.fromhex(zc), sigma)
 
 
 @pytest.mark.parametrize("make, alpha", [
