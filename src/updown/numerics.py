@@ -185,11 +185,18 @@ def _pieces(f, iv, interior):
 _SLOW = 0.04
 
 
-def _rungs(d0, n, dmin):
-    """Rung distances d0, d0/2, ...: at most n halvings, none under dmin
-    (d0 itself is always kept)."""
+def _rungs(p, d0, n=1144):
+    """Rung distances d0, d0/2, ... toward a singular point p: at most n
+    halvings (by default as many as any double d0 needs), none under
+    max(3e-8 |p|, 2**-120); d0 itself is always kept.
+
+    The floor balances abscissa quantization against the closure's model
+    error: nodes near a nonzero p snap to the ulp(p) grid, so stopping at
+    3e-8 |p| keeps both effects near 1e-10. At p = 0 floats are dense, and
+    the rungs go on to 2**-120.
+    """
     ds = d0 * 0.5 ** np.arange(n + 1.0)
-    return ds[:max(1, np.count_nonzero(ds >= dmin))]
+    return ds[:max(1, np.count_nonzero(ds >= max(3e-8 * abs(p), 2.0 ** -120)))]
 
 
 def _closure(w1, w2, dk):
@@ -219,11 +226,7 @@ def _peel(g, edge, other, tol):
     so a non-integrable edge comes back unconverged.
     """
     span = other - edge
-    # Width floor balances abscissa quantization against extrapolation model
-    # error: nodes near a nonzero edge are snapped to the ulp(edge) grid, so
-    # stopping around width ~ 3e-8 * |edge| keeps both effects near 1e-10.
-    # An edge at exactly 0 peels to full depth (floats are dense there).
-    ds = _rungs(abs(span), 64, max(3e-8 * abs(edge), 1e-300))
+    ds = _rungs(edge, abs(span), 64)
     kmax = len(ds) - 1
     if kmax < 2:
         val, err = _gk(g, [min(edge, other)], [max(edge, other)])
@@ -338,7 +341,7 @@ def _ladders(w, ts, ends):
     which the table continues. Each ladder starts at the nearest node
     beyond which ts is already graded (next node within ratio 2), so that
     no coarse panel is left between the ladder and the bulk, and stops
-    64 ulp of max(|p|, 2**-74) short of p: 2**-120 at p = 0. The depth
+    at _rungs' floor, max(3e-8 |p|, 2**-120) short of p. The depth
     depends on p alone, so a table laid on the nodes of another adds no
     rung where that one already has a ladder. Returns the nodes, with the
     points and rungs added and any node inside a stub dropped, and one row
@@ -351,9 +354,7 @@ def _ladders(w, ts, ends):
         d = d[d > 0.0]
         graded = np.nonzero(d[1:] <= 2.0 * d[:-1])[0]
         d0 = d[graded[0]] if graded.size else d[-1]
-        dmin = 64.0 * np.spacing(max(abs(p), 2.0 ** -74))
-        n = max(0, math.ceil(math.log2(d0) - math.log2(dmin)))
-        x = p + s * _rungs(d0, n, dmin)
+        x = p + s * _rungs(p, d0)
         rungs.append(x)
         rows.append((p, s, abs(x[-1] - p)))
     ts = np.unique(np.concatenate(rungs))

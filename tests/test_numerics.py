@@ -245,11 +245,21 @@ def test_ladder_closure_reproduces_power_laws(gam, u):
     # well as between rungs and in the bulk
     w = lambda x: np.asarray(x, dtype=float) ** (gam - 1.0)
     table = _CumTable(w, np.linspace(0.0, 1.0, 9), [(0.0, 1.0)])
-    # rungs from the graded node 1/8 down to 64 ulp of 2**-74
+    # rungs from the graded node 1/8 down to the floor 2**-120 at p = 0
     dk = table._stubs[0, 4]
     assert dk == 2.0 ** -120
     t = np.array([dk * u, dk * u ** 12, 2.0 ** (-120.0 + u), 2.0 ** (-30.0 - u), 0.3 + 0.6 * u])
     np.testing.assert_allclose(table(t), t ** gam / gam, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 1000.0])
+def test_ladder_toward_a_nonzero_point_stops_at_the_peel_depth(p):
+    # |x - p|**-0.8 on (p, p + 1) holds 5. A ladder 64 ulp deep put the
+    # innermost GK nodes on p's ulp grid, 9.8e-8 and 3.4e-7 off; at the
+    # peel's 3e-8 |p| the closure carries the stub
+    w = lambda x: np.abs(np.asarray(x, dtype=float) - p) ** -0.8
+    table = _CumTable(w, p + np.linspace(0.0, 1.0, 9), [(p, 1.0)])
+    assert table.cums[-1] - table.cums[0] == pytest.approx(5.0, rel=1e-12, abs=0.0)
 
 
 def _bisect(g, target, lo, hi):
