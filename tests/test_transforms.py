@@ -454,8 +454,9 @@ def test_locate_zero_work_count(make, most):
     (lambda: up(up(g21, 3.0), 3.0), None, -1.0),
 ], ids=["reseat", "down2", "median", "up3-e1", "up1.5-e1", "up3-sg21"])
 def test_up_layer_reads_zero_and_orientation_off_its_base(make, zc, sigma):
-    # pinned bit for bit at the values the layer found by pushing the root
-    # node table through the whole prefix again; canonical bases have none
+    # the zero and orientation read off the base, pinned bit for bit; a
+    # canonical coordinate runs from 0 at its anchor edge, so crosses 0
+    # nowhere inside
     layer = make()._layers[-1]
     assert (layer.zc, layer.sigma) == (zc and float.fromhex(zc), sigma)
 
