@@ -284,7 +284,7 @@ class Density:
     def median(self):
         return float(self._grid_quantiles(0.5)[0])
 
-    # -- coordinate seen by an up layer on top ------------------------------
+    # -- coordinate seen by an image on top ----------------------------------
     # A root's coordinate is its own abscissa, increasing, and crosses 0
     # inside the support only at 0 itself
 
@@ -292,6 +292,11 @@ class Density:
 
     def _chi(self, t):
         return np.asarray(t, dtype=float)
+
+    def _push(self, t, needs):
+        """Abscissae t and the pdf state up to order needs (none at -1)."""
+        t = np.asarray(t, dtype=float)
+        return t, tuple(self._state(t, needs)) if needs >= 0 else ()
 
     def _zero(self):
         return 0.0 if self.support.lo < 0.0 < self.support.hi else None

@@ -1,17 +1,20 @@
 """Density images under the down and up changes of variable.
 
-The down map sends a strictly monotone density f through the canonical
-coordinate s = f**(2-alpha)/(alpha-2) (s = -log f at alpha = 2) and carries
-the pdf to f**alpha/|f'|; it consumes one derivative order. The up map
-integrates the weight |(alpha-2)v|**(1/(alpha-2)) (e**v at alpha = 2)
-against f from an anchor and reads the image pdf off the inverse
-coordinate; it restores one order. Both maps preserve mass exactly, so a
-transformed density evaluates every expectation by pulling the integrand
-back to the root density's coordinates, where the quadrature cuts are
-already understood. Image-space pdf queries go through an eagerly built
-monotone bracket table and numerics._chandrupatla, the interpolating
-bracketed solver behind every inverse in the library: each of its rounds
-pushes a batch through the layer stack, so fewer rounds pay.
+Every image is its base density plus one step. The down step sends a
+strictly monotone density f through the canonical coordinate
+s = f**(2-alpha)/(alpha-2) (s = -log f at alpha = 2) and carries the pdf
+to f**alpha/|f'|; it consumes one derivative order. The up step integrates
+the weight |(alpha-2)v|**(1/(alpha-2)) (e**v at alpha = 2) against f from
+an anchor and reads the image pdf off the inverse coordinate; it restores
+one order. Each image evaluates at root abscissae by one _push: it asks
+its base for the derivative orders its own step needs, and the root
+answers with its abscissae and pdf state. Both maps preserve mass exactly,
+so a transformed density evaluates every expectation by pulling the
+integrand back to the root density's coordinates, where the quadrature
+cuts are already understood. Image-space pdf queries go through an
+eagerly built monotone bracket table and numerics._chandrupatla, the
+interpolating bracketed solver behind every inverse in the library: each
+of its rounds pushes a batch down the base chain, so fewer rounds pay.
 """
 
 import copy
@@ -28,64 +31,6 @@ from .functionals import curvature_ratio
 from .numerics import INF, Interval, _chandrupatla, _CumTable, integrate
 
 
-def _forward(root, layers, x, needs):
-    """Image coordinate and pdf-state tuple after the full layer stack.
-
-    needs = -1 asks for the coordinate alone. A down layer consumes one
-    derivative order of its base, an up layer supplies one.
-    """
-    orders = [0] * len(layers)
-    req = needs
-    for j in reversed(range(len(layers))):
-        orders[j] = req
-        if layers[j].kind == "down":
-            req = req + 1 if req >= 0 else 0
-        else:
-            req = max(req - 1, -1)
-    rx = np.asarray(x, dtype=float)
-    state = tuple(root._state(rx, max(req, 0)))
-    coord = rx
-    with np.errstate(all="ignore"):
-        for j, layer in enumerate(layers):
-            coord, state = layer.push(rx, coord, state, orders[j])
-    return coord, state
-
-
-class _DownLayer:
-    kind = "down"
-
-    def __init__(self, alpha):
-        self.alpha = float(alpha)
-
-    def push(self, rx, coord, state, order):
-        al = self.alpha
-        f0 = state[0]
-        with np.errstate(all="ignore"):
-            logf = np.log(f0)
-            s = _down_coord(logf, al)
-            if order < 0:
-                return s, ()
-            f1 = state[1]
-            lf1 = np.log(np.abs(f1))
-            out = [np.exp(al * logf - lf1)]
-            if order >= 1:
-                f2 = state[2]
-                # quotient form: f0*f2 and f1**2 underflow separately deep in
-                # a tail while the ratios stay well-scaled
-                q01 = f0 / f1
-                q21 = f2 / f1
-                brak = al - q01 * q21
-                out.append(-np.exp((2.0 * al - 2.0) * logf - lf1) * brak)
-            if order >= 2:
-                f3 = state[3]
-                brakp = -q21 - q01 * (f3 / f1) + 2.0 * q01 * q21 ** 2
-                pref = np.exp((3.0 * al - 4.0) * logf)
-                out.append(np.sign(f1) * pref
-                           * ((2.0 * al - 2.0) * f1 * brak + f0 * brakp
-                              - f0 * brak * q21) / f1 ** 2)
-        return s, tuple(out)
-
-
 def _down_coord(logf, alpha):
     """The down coordinate f**(2-alpha)/(alpha-2) (-log f at alpha = 2) of
     log f; log f = -inf and inf give its limits at pdf values 0 and inf."""
@@ -97,166 +42,57 @@ def _log_weight(v, c):
     return v if c == 0.0 else (math.log(abs(c)) + np.log(np.abs(v))) / c
 
 
-class _UpLayer:
-    """Holds the cumulative weight table that realizes one up step.
+class TransformedDensity(Density):
+    """A density produced by one down or up step on a base density.
 
-    Everything is tabulated in root abscissae: the new coordinate is
-    u(t) = sigma * (C(anchor) - C(t)) with C the running integral of
-    W(t) = weight(chi(t)) * f_root(t), where chi is the base's coordinate
-    in root abscissae (base._chi) and sigma its orientation.
-
-    W can be singular only at a finite support edge, at an interior point
-    of the root and at the interior zero zc of chi, which the base reads
-    off its bracket table (base._zero). The table is a numerics._CumTable
-    on the root's node table and quantiles, whose infinite ends already
-    reach the subnormal pdf; it lays a ladder toward each such point, on
-    each side where the support continues. The layer adds only the masses
-    beyond the table ends: infinite where the condensation test finds the
-    edge divergent, else the tail integral past an infinite end. A
-    divergent finite edge, by that test or by its closure exponent, stays
-    off the table with infinite mass beyond its ladder.
+    The base is a root density or another image, so an image is a stack of
+    steps over its root. The forward map and the image pdf state are
+    closed-form pushes down the base chain (_push), so all quadrature
+    happens in the root's coordinates. The exposed fields are base (the
+    immediate input density), root, kind and alpha of this step, and
+    chain, the full (kind, alpha) provenance. up and down build the two
+    kinds.
     """
-
-    kind = "up"
 
     def __init__(self, base, alpha):
+        self.base = base
+        self.root = getattr(base, "root", base)
         self.alpha = float(alpha)
-        self.c = self.alpha - 2.0
-        self.base = base
-        self._root = root = getattr(base, "root", base)
-        # reseating flips sigma away from the chi orientation; push needs the
-        # original to sign the odd derivative correctly
-        self.sigma = self._sign_chi = base._sigma_total
-        self.zc = None if self.c == 0.0 else base._zero()
-        if self.zc is not None and -1.0 <= self.c < 0.0:
-            raise PreconditionError(
-                f"up(alpha={self.alpha:g}): the coordinate weight is not "
-                f"integrable across the interior zero at {self.zc:.6g}")
-        self._w_root = _weighted_pdf(root, self._logw)
-        self._build_table()
-        self._set_anchor()
+        self.chain = getattr(base, "chain", ()) + ((self.kind, self.alpha),)
+        self._img_order = max(min(base.order + (1 if self.kind == "up" else -1), 2), 0)
 
-    def _logw(self, t):
-        return _log_weight(self.base._chi(t), self.c)
-
-    def _build_table(self):
-        root = self._root
-        lo, hi = root.support.lo, root.support.hi
-        ts = np.unique(np.r_[root._node_table().ts, root.quantiles(129)])
-        cuts = root.interior_points + ((self.zc,) if self.zc is not None else ())
-        ends = [(p, s) for p in cuts for s in (-1.0, 1.0)]
-        ends += [(p, s) for p, s in ((lo, 1.0), (hi, -1.0)) if math.isfinite(p)]
-
-        def mass(side, end, node):
-            # beyond the table end at node: infinite by the condensation
-            # test, else the tail integral past an infinite end
-            if _condensation_diverges(root, side, self._logw):
-                return INF
-            if math.isfinite(end):
-                return 0.0
-            r = integrate(self._w_root, Interval(*sorted((end, float(node)))), tol=1e-13)
-            return r.value if r.converged and math.isfinite(r.value) else INF
-
-        # C pivots at the node nearest the bulk
-        self.table = _CumTable(self._w_root, ts, ends, pivot=float(root.median()),
-                               mass_lo=mass("lo", lo, ts[0]), mass_hi=mass("hi", hi, ts[-1]))
-        if not self.table.cums.any():
-            raise AccuracyError(
-                f"up(alpha={self.alpha!r}): the weight underflows to 0 on "
-                f"every table panel of {root.label}")
-
-    def _set_anchor(self):
-        c_lo, c_hi = float(self.table.below), float(self.table.above)
-        want = c_hi if self.sigma > 0 else c_lo
-        if math.isfinite(want):
-            self.anchor_mode = "canonical"
-            self.c_anchor = want
-        else:
-            self.anchor_mode = "median"
-            self.c_anchor = float(self.table(self._root.median())[0])
-        u_lo = self.sigma * (self.c_anchor - (c_hi if self.sigma > 0 else c_lo))
-        u_hi = self.sigma * (self.c_anchor - (c_lo if self.sigma > 0 else c_hi))
-        self.u_support = (float(u_lo), float(u_hi))
-
-    # -- evaluation -----------------------------------------------------------
-
-    def u_eval(self, t):
-        return self.sigma * (self.c_anchor - self.table(t))
-
-    def push(self, rx, coord, state, order):
-        u = self.u_eval(rx)
-        if order < 0:
-            return u, ()
-        wb = coord
-        c = self.c
-        # odd derivatives are odd under a coordinate reflection; flip is -1
-        # exactly when a reseat reversed the image orientation
-        flip = self.sigma * self._sign_chi
-        with np.errstate(all="ignore"):
-            # h0 = 1/w(wb); q = d log w / dv, 1 at c = 0
-            h0 = np.exp(-_log_weight(wb, c))
-            q = 1.0 if c == 0.0 else 1.0 / (c * wb)
-            out = [h0]
-            if order >= 1:
-                f0 = state[0]
-                out.append(flip * h0 * h0 * q / f0)
-            if order >= 2:
-                f1 = state[1]
-                out.append(h0 ** 3 * q * ((2.0 + c) * q / f0 ** 2 + f1 / f0 ** 3))
-        return u, tuple(out)
-
-
-class TransformedDensity(Density):
-    """A density produced by a stack of down/up layers over a root density.
-
-    The forward map and the image pdf state are closed-form pushes through
-    the layers, so all quadrature happens in the root's coordinates. The
-    exposed fields are base (the immediate input density), root, kind and
-    alpha of the last layer, and chain, the full (kind, alpha) provenance.
-    """
-
-    def __init__(self, base, kind, alpha):
-        alpha = float(alpha)
-        if isinstance(base, TransformedDensity):
-            root, prefix, prov = base.root, base._layers, base.chain
-        else:
-            root, prefix, prov = base, (), ()
-        self.base = base
-        self.root = root
-        self.kind = kind
-        self.alpha = alpha
-        layer = _DownLayer(alpha) if kind == "down" else _UpLayer(base, alpha)
-        self._layers = prefix + (layer,)
-        self.chain = prov + ((kind, alpha),)
-        self._img_order = max(min(base.order + (1 if kind == "up" else -1), 2), 0)
-        self._finish(f"{kind}({base.label},{alpha:g})")
-
-    def _finish(self, label):
-        """Brackets, image support and Density fields for the layer stack."""
+    def _finish(self, label=None):
+        """Brackets, image support and Density fields for the stack."""
         self._build_brackets()
         img = [functools.partial(self._img, order=k) for k in range(3)]
-        super().__init__(img[0], self._image_support(self._layers[-1]),
+        super().__init__(img[0], self._image_support(),
                          d1=img[1] if self._img_order >= 1 else None,
                          d2=img[2] if self._img_order >= 2 else None,
-                         label=label,
+                         label=label or f"{self.kind}({self.base.label},{self.alpha:g})",
                          interior_points=self._image_cuts(),
                          cdf=self._cdf_img,
                          normalization_tol=None)
         self._probe()
 
+    def _up_steps(self):
+        """The up images of the stack, this one first, down the base chain."""
+        d = self
+        while d is not self.root:
+            if d.kind == "up":
+                yield d
+            d = d.base
+
     # -- coordinate map -------------------------------------------------------
 
     def _chi(self, t):
         """Image coordinate of root abscissae t."""
-        return np.asarray(_forward(self.root, self._layers, t, -1)[0], dtype=float)
+        return np.asarray(self._push(np.asarray(t, dtype=float), -1)[0], dtype=float)
 
     def _build_brackets(self):
         root = self.root
         lo, hi = root.support.lo, root.support.hi
         parts = [root._node_table().ts, root.quantiles(257)]
-        for ly in self._layers:
-            if ly.kind == "up":
-                parts.append(ly.table.ts)
+        parts += [d.table.ts for d in self._up_steps()]
         bt = np.unique(np.concatenate(parts))
         bt = bt[(bt >= lo) & (bt <= hi)]
         ys = self._chi(bt)
@@ -294,7 +130,7 @@ class TransformedDensity(Density):
 
         Solved by _chandrupatla inside the bracket table: a round of the
         coordinate map costs 140-730 us on 64 points through one or two
-        layers, and the solver takes about a quarter of bisection's rounds.
+        steps, and the solver takes about a quarter of bisection's rounds.
         An out-of-range y lands on the nearest bracket-table end.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -317,7 +153,7 @@ class TransformedDensity(Density):
     def _img(self, y, order):
         """Image pdf (order 0) or its derivative of the given order."""
         t, oob = self._invert(y)
-        _, st = _forward(self.root, self._layers, t, order)
+        _, st = self._push(t, order)
         v = np.asarray(st[order], dtype=float)
         return np.where(oob | ~np.isfinite(v), 0.0, v)
 
@@ -328,13 +164,8 @@ class TransformedDensity(Density):
 
     # -- construction helpers ---------------------------------------------------
 
-    def _image_support(self, layer):
-        if layer.kind == "up":
-            u_lo, u_hi = layer.u_support
-        else:
-            v = [self.base.edge_value("lo"), self.base.edge_value("hi")]
-            with np.errstate(divide="ignore", over="ignore"):
-                u_lo, u_hi = sorted(_down_coord(np.log(v), layer.alpha).tolist())
+    def _image_support(self):
+        u_lo, u_hi = self.u_support
         slo = math.isfinite(u_lo) and self._edge_singular("lo")
         shi = math.isfinite(u_hi) and self._edge_singular("hi")
         return Interval(u_lo, u_hi, singular_lo=slo, singular_hi=shi)
@@ -343,7 +174,7 @@ class TransformedDensity(Density):
         toward_lo = (side == "lo") == (self._sigma_total > 0)
         lv = 2.0 ** -_TAIL_JS
         t = self.root._grid_quantiles(lv if toward_lo else 1.0 - lv)[:29]
-        _, st = _forward(self.root, self._layers, t, 0)
+        _, st = self._push(t, 0)
         h = np.asarray(st[0], dtype=float)
         if np.any(np.isposinf(h)):
             return True
@@ -355,9 +186,7 @@ class TransformedDensity(Density):
 
     def _image_cuts(self):
         pts = set(self.root.interior_points)
-        for ly in self._layers:
-            if ly.kind == "up" and ly.zc is not None:
-                pts.add(float(ly.zc))
+        pts.update(float(d.zc) for d in self._up_steps() if d.zc is not None)
         if not pts:
             return ()
         img = np.atleast_1d(self._chi(np.array(sorted(pts), dtype=float)))
@@ -369,7 +198,7 @@ class TransformedDensity(Density):
         # map is locally flat there and pointwise inversion cannot resolve it
         tq = self.root._grid_quantiles(np.linspace(0.08, 0.92, 9))
         yq = self._chi(tq)
-        _, st = _forward(self.root, self._layers, tq, 0)
+        _, st = self._push(tq, 0)
         want = np.asarray(st[0], dtype=float)
         keep = np.isfinite(want) & (want > 0.0)
         cuts = np.asarray(self.interior_points, dtype=float)
@@ -392,23 +221,22 @@ class TransformedDensity(Density):
             raise CapabilityError(
                 f"{self.label}: derivative order {needs} requested,"
                 f" have {self._img_order}")
-        root, layers = self.root, self._layers
-        cuts = [ly.zc for ly in layers if ly.kind == "up" and ly.zc is not None]
+        cuts = [d.zc for d in self._up_steps() if d.zc is not None]
         extra = np.asarray(tuple(extra_interior), dtype=float)
         if extra.size:
             tt, oob = self._invert(extra)
             cuts.extend(float(v) for v, bad in zip(tt, oob) if not bad)
 
         def g(t, fr):
-            coord, st = _forward(root, layers, t, needs)
+            coord, st = self._push(t, needs)
             h0 = np.asarray(st[0], dtype=float)
             with np.errstate(all="ignore"):
                 vals = np.asarray(fn(coord, *st), dtype=float) * (fr / h0)
             # root.integral drops fr == 0 and non-finite values under 1e-160
             return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
 
-        return root.integral(g, needs=0, tol=tol, extra_interior=tuple(cuts),
-                             force_singular_edges=True)
+        return self.root.integral(g, needs=0, tol=tol, extra_interior=tuple(cuts),
+                                  force_singular_edges=True)
 
     def quantile_many(self, levels):
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
@@ -422,8 +250,8 @@ class TransformedDensity(Density):
         scale * u + shift.
 
         An up anchor is a free constant, so the remap is absorbed into the
-        top layer's orientation sign and anchor value and evaluation stays
-        on the forward-push path; wrapping in a generic affine view instead
+        copy's orientation sign and anchor value and evaluation stays on
+        the forward-push path; wrapping in a generic affine view instead
         would force every pdf query through bracket inversion, which is
         ruinous for stacked transforms. A down coordinate has no free
         constant, and |scale| != 1 would rescale the tabulated weight
@@ -432,22 +260,174 @@ class TransformedDensity(Density):
         scale, shift = float(scale), float(shift)
         if scale not in (1.0, -1.0):
             raise DomainError(f"reseat scale must be +1 or -1, got {scale:g}")
-        old = self._layers[-1]
-        if old.kind != "up":
+        if self.kind != "up":
             raise CapabilityError(
                 f"{self.label}: only an up image can be reseated")
-        top = copy.copy(old)
-        top.sigma = scale * old.sigma
-        top.c_anchor = old.c_anchor + top.sigma * shift
-        a, b = old.u_support
-        top.u_support = (a + shift, b + shift) if scale > 0 else \
-            (shift - b, shift - a)
         # _finish rebuilds every derived field; Density.__init__ drops the
         # node table and quantile memo the copy shares with self
         out = copy.copy(self)
-        out._layers = self._layers[:-1] + (top,)
+        out.sigma = scale * self.sigma
+        out.c_anchor = self.c_anchor + out.sigma * shift
+        a, b = self.u_support
+        out.u_support = (a + shift, b + shift) if scale > 0 else \
+            (shift - b, shift - a)
         out._finish(f"reseat({self.label})")
         return out
+
+
+class _DownImage(TransformedDensity):
+    """A down image: the canonical coordinate of its base's pdf."""
+
+    kind = "down"
+
+    def __init__(self, base, alpha):
+        super().__init__(base, alpha)
+        v = [base.edge_value("lo"), base.edge_value("hi")]
+        with np.errstate(divide="ignore", over="ignore"):
+            self.u_support = tuple(sorted(_down_coord(np.log(v), self.alpha).tolist()))
+        self._finish()
+
+    def _push(self, t, needs):
+        """Coordinate and pdf state up to order needs at root abscissae t.
+
+        needs = -1 asks for the coordinate alone, which needs the base's
+        pdf; otherwise the base supplies one order more.
+        """
+        _, st = self.base._push(t, needs + 1 if needs >= 0 else 0)
+        al = self.alpha
+        f0 = st[0]
+        with np.errstate(all="ignore"):
+            logf = np.log(f0)
+            s = _down_coord(logf, al)
+            if needs < 0:
+                return s, ()
+            f1 = st[1]
+            lf1 = np.log(np.abs(f1))
+            out = [np.exp(al * logf - lf1)]
+            if needs >= 1:
+                f2 = st[2]
+                # quotient form: f0*f2 and f1**2 underflow separately deep in
+                # a tail while the ratios stay well-scaled
+                q01 = f0 / f1
+                q21 = f2 / f1
+                brak = al - q01 * q21
+                out.append(-np.exp((2.0 * al - 2.0) * logf - lf1) * brak)
+            if needs >= 2:
+                f3 = st[3]
+                brakp = -q21 - q01 * (f3 / f1) + 2.0 * q01 * q21 ** 2
+                pref = np.exp((3.0 * al - 4.0) * logf)
+                out.append(np.sign(f1) * pref
+                           * ((2.0 * al - 2.0) * f1 * brak + f0 * brakp
+                              - f0 * brak * q21) / f1 ** 2)
+        return s, tuple(out)
+
+
+class _UpImage(TransformedDensity):
+    """An up image, realized by one cumulative weight table.
+
+    Everything is tabulated in root abscissae: the new coordinate is
+    u(t) = sigma * (C(anchor) - C(t)) with C the running integral of
+    W(t) = weight(chi(t)) * f_root(t), where chi is the base's coordinate
+    in root abscissae (base._chi) and sigma its orientation.
+
+    W can be singular only at a finite support edge, at an interior point
+    of the root and at the interior zero zc of chi, which the base reads
+    off its bracket table (base._zero). The table is a numerics._CumTable
+    on the root's node table and quantiles, whose infinite ends already
+    reach the subnormal pdf; it lays a ladder toward each such point, on
+    each side where the support continues. The image adds only the masses
+    beyond the table ends: infinite where the condensation test finds the
+    edge divergent, else the tail integral past an infinite end. A
+    divergent finite edge, by that test or by its closure exponent, stays
+    off the table with infinite mass beyond its ladder.
+    """
+
+    kind = "up"
+
+    def __init__(self, base, alpha):
+        super().__init__(base, alpha)
+        self.c = self.alpha - 2.0
+        # reseating flips sigma away from the chi orientation; _push needs
+        # the original to sign the odd derivative correctly
+        self.sigma = self._sign_chi = base._sigma_total
+        self.zc = None if self.c == 0.0 else base._zero()
+        if self.zc is not None and -1.0 <= self.c < 0.0:
+            raise PreconditionError(
+                f"up(alpha={self.alpha:g}): the coordinate weight is not "
+                f"integrable across the interior zero at {self.zc:.6g}")
+        self._build_table()
+        self._set_anchor()
+        self._finish()
+
+    def _logw(self, t):
+        return _log_weight(self.base._chi(t), self.c)
+
+    def _build_table(self):
+        root = self.root
+        w_root = _weighted_pdf(root, self._logw)
+        lo, hi = root.support.lo, root.support.hi
+        ts = np.unique(np.r_[root._node_table().ts, root.quantiles(129)])
+        cuts = root.interior_points + ((self.zc,) if self.zc is not None else ())
+        ends = [(p, s) for p in cuts for s in (-1.0, 1.0)]
+        ends += [(p, s) for p, s in ((lo, 1.0), (hi, -1.0)) if math.isfinite(p)]
+
+        def mass(side, end, node):
+            # beyond the table end at node: infinite by the condensation
+            # test, else the tail integral past an infinite end
+            if _condensation_diverges(root, side, self._logw):
+                return INF
+            if math.isfinite(end):
+                return 0.0
+            r = integrate(w_root, Interval(*sorted((end, float(node)))), tol=1e-13)
+            return r.value if r.converged and math.isfinite(r.value) else INF
+
+        # C pivots at the node nearest the bulk
+        self.table = _CumTable(w_root, ts, ends, pivot=float(root.median()),
+                               mass_lo=mass("lo", lo, ts[0]), mass_hi=mass("hi", hi, ts[-1]))
+        if not self.table.cums.any():
+            raise AccuracyError(
+                f"up(alpha={self.alpha!r}): the weight underflows to 0 on "
+                f"every table panel of {root.label}")
+
+    def _set_anchor(self):
+        c_lo, c_hi = float(self.table.below), float(self.table.above)
+        want = c_hi if self.sigma > 0 else c_lo
+        if math.isfinite(want):
+            self.anchor_mode = "canonical"
+            self.c_anchor = want
+        else:
+            self.anchor_mode = "median"
+            self.c_anchor = float(self.table(self.root.median())[0])
+        u_lo = self.sigma * (self.c_anchor - (c_hi if self.sigma > 0 else c_lo))
+        u_hi = self.sigma * (self.c_anchor - (c_lo if self.sigma > 0 else c_hi))
+        self.u_support = (float(u_lo), float(u_hi))
+
+    def _push(self, t, needs):
+        """Coordinate and pdf state up to order needs at root abscissae t.
+
+        The coordinate is a table read; needs = -1 asks for it alone, with
+        no push into the base. Otherwise the base supplies its coordinate
+        and one order less.
+        """
+        with np.errstate(all="ignore"):
+            u = self.sigma * (self.c_anchor - self.table(t))
+        if needs < 0:
+            return u, ()
+        wb, st = self.base._push(t, needs - 1)
+        c = self.c
+        # odd derivatives are odd under a coordinate reflection; flip is -1
+        # exactly when a reseat reversed the image orientation
+        flip = self.sigma * self._sign_chi
+        with np.errstate(all="ignore"):
+            # h0 = 1/w(wb); q = d log w / dv, 1 at c = 0
+            h0 = np.exp(-_log_weight(wb, c))
+            q = 1.0 if c == 0.0 else 1.0 / (c * wb)
+            out = [h0]
+            if needs >= 1:
+                out.append(flip * h0 * h0 * q / st[0])
+            if needs >= 2:
+                out.append(h0 ** 3 * q * ((2.0 + c) * q / st[0] ** 2 + st[1] / st[0] ** 3))
+        return u, tuple(out)
 
 
 # -- public operations --------------------------------------------------------
@@ -468,7 +448,7 @@ def down(f, alpha):
         raise PreconditionError(
             f"down({f.label}): the support edge under the pdf supremum"
             f" must be finite")
-    return TransformedDensity(f, "down", alpha)
+    return _DownImage(f, alpha)
 
 
 def up(f, alpha):
@@ -477,7 +457,7 @@ def up(f, alpha):
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"up needs finite alpha, got {alpha}")
-    return TransformedDensity(f, "up", alpha)
+    return _UpImage(f, alpha)
 
 
 def down_applicable(f, alpha):

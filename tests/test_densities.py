@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.special
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from updown.densities import (
@@ -281,6 +282,23 @@ def test_half_restriction():
     assert h.expect(lambda x, f0: np.ones_like(x)).value == pytest.approx(1.0, abs=1e-8)
     assert h.pdf(np.array([0.5]))[0] == pytest.approx(
         2.0 * math.exp(-0.25) / math.sqrt(math.pi))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_stretched_gaussian_d3_matches_sympy(p, lam):
+    # for x > 0 the profile is exp(-x**p*) at lam = 1, else
+    # (1 - (lam - 1) x**p*)**(1/(lam - 1)); its third derivative is odd in x
+    f = stretched_gaussian(p, lam)
+    x = sympy.Symbol("x", positive=True)
+    ps, lr = sympy.Rational(p) / (sympy.Rational(p) - 1), sympy.Rational(lam)
+    prof = sympy.exp(-x ** ps) if lam == 1.0 else (1 - (lr - 1) * x ** ps) ** (1 / (lr - 1))
+    d3 = sympy.lambdify(x, sympy.diff(prof, x, 3), "mpmath")
+    xs = np.array([0.3, 0.7, 1.1, 1.35])
+    want = f.pdf(0.0) * np.array([float(d3(v)) for v in xs])  # the profile is 1 at 0
+    np.testing.assert_allclose(f.d3(xs), want, rtol=1e-12)
+    np.testing.assert_allclose(f.d3(-xs), -want, rtol=1e-12)
+    np.testing.assert_allclose(half_restriction(f).d3(xs), 2.0 * want, rtol=1e-12)
 
 
 def test_half_restriction_needs_symmetric_support():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -137,6 +138,19 @@ def test_nan_integrand_raises_with_abscissa():
         integrate(g, Interval(0, 1, singular_lo=True))
 
 
+def test_nan_on_an_infinite_piece_names_the_abscissa():
+    # on (0, inf) the integrand is read at x = L/s on s in (0, 1); the
+    # error names x, here past 5, not s
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 5.0, math.nan, np.exp(-x))
+
+    with pytest.raises(IntegrandError) as e:
+        integrate(f, (0.0, math.inf))
+    x = float(re.search(r"x=(?:np\.float64\()?([^)]+)\)?$", str(e.value)).group(1))
+    assert x > 5.0
+
+
 def test_error_estimate_is_honest():
     # converged implies the claimed error bound actually holds
     for f, iv, want in [
@@ -260,6 +274,29 @@ def test_ladder_toward_a_nonzero_point_stops_at_the_peel_depth(p):
     w = lambda x: np.abs(np.asarray(x, dtype=float) - p) ** -0.8
     table = _CumTable(w, p + np.linspace(0.0, 1.0, 9), [(p, 1.0)])
     assert table.cums[-1] - table.cums[0] == pytest.approx(5.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("w, end, side, flat", [
+    (lambda x: 1.0 / x, 0.0, 1.0, math.log(2.0)),
+    (lambda x: 1.0 / (1.0 - x), 1.0, -1.0, math.log(1.5)),
+], ids=["lo", "hi"])
+def test_divergent_end_drops_off_the_table(w, end, side, flat):
+    # 1/d toward an end has closure exponent 0: the mass beyond the ladder
+    # diverges, so the end leaves the table with infinite mass beyond it
+    table = _CumTable(lambda x: w(np.asarray(x, dtype=float)), np.linspace(0.0, 1.0, 9),
+                      [(end, side)])
+    # the node next to the end is the ladder's innermost rung, within twice
+    # the floor max(3e-8 |p|, 2**-120) of it
+    if side > 0:
+        assert (table.below, table.ts[-1]) == (-math.inf, 1.0)
+        assert 0.0 < table.ts[0] < 2.0 * 2.0 ** -120
+    else:
+        assert (table.above, table.ts[0]) == (math.inf, 0.0)
+        assert 0.0 < 1.0 - table.ts[-1] < 2.0 * 3e-8
+    assert np.all(np.isfinite(table.cums))
+    assert math.isfinite(table.above if side > 0 else table.below)
+    # the running integral in between is log |d| up to a constant
+    assert (table(0.5) - table(0.25))[0] == pytest.approx(flat, rel=1e-13)
 
 
 def _bisect(g, target, lo, hi):

@@ -21,7 +21,7 @@ from updown.densities import (Density, affine_image, exponential, gzero,
                               stretched_gaussian, uniform)
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
                            PreconditionError, TransformChainError)
-from updown.numerics import integrate
+from updown.numerics import _CumTable, integrate
 from updown.transforms import (_rigid_fit, chain, down, down_applicable, up,
                                verify_inversion, verify_scaling)
 
@@ -159,7 +159,7 @@ def test_up_table_ladders_stop_at_the_root_depth(f):
     def depth(table):
         return {(p, s): dk for p, s, _, _, dk, _, _ in table._stubs}
 
-    root, img = depth(f._node_table()), depth(up(f, 3.0)._layers[-1].table)
+    root, img = depth(f._node_table()), depth(up(f, 3.0).table)
     shared = root.keys() & img.keys()
     assert shared
     assert all(img[k] >= root[k] for k in shared)
@@ -381,10 +381,9 @@ def test_up_on_a_warmed_root_is_bit_identical():
     warm, fresh = stretched_gaussian(2.0, 1.0), stretched_gaussian(2.0, 1.0)
     up(warm, 2.5)
     a, b = up(warm, 3.0), up(fresh, 3.0)
-    la, lb = a._layers[-1], b._layers[-1]
     assert mass_of(a).hex() == mass_of(b).hex()
-    assert (la.c_anchor.hex(), la.zc.hex()) == (lb.c_anchor.hex(), lb.zc.hex())
-    assert la.table.cums.tobytes() == lb.table.cums.tobytes()
+    assert (a.c_anchor.hex(), a.zc.hex()) == (b.c_anchor.hex(), b.zc.hex())
+    assert a.table.cums.tobytes() == b.table.cums.tobytes()
 
 
 def test_image_pdf_inversion_work_count():
@@ -419,6 +418,27 @@ def test_image_pdf_interpolated_inversion_work_count():
     assert n[0] <= 24
 
 
+def test_coordinate_read_is_one_table_read_per_up_step(monkeypatch):
+    # a coordinate-only read of an up image reads its own table and pushes
+    # nothing into its base: one read per table (the inner one by the outer
+    # table's weight) and one root pdf call per table. Pushing the whole
+    # stack read the inner table twice and called the root pdf 5 times
+    root = exponential(1.0, 0.0)
+    g = up(up(root, 3.0), 3.0)
+    t = root.quantiles(16)
+    reads, pdf_calls, read, pdf = {}, [], _CumTable.__call__, root.pdf
+
+    def counted_read(table, x):
+        reads[id(table)] = reads.get(id(table), 0) + 1
+        return read(table, x)
+
+    monkeypatch.setattr(_CumTable, "__call__", counted_read)
+    monkeypatch.setattr(root, "pdf", lambda x: pdf_calls.append(x) or pdf(x))
+    g._chi(t)
+    assert reads == {id(g.table): 1, id(g.base.table): 1}
+    assert len(pdf_calls) == 2
+
+
 @pytest.mark.parametrize("make, most", [(lambda: stretched_gaussian(2.0, 1.0), 0),
                                         (lambda: up(pt21, 3.0), 16)], ids=["sg21", "up-pt21"])
 def test_locate_zero_work_count(make, most):
@@ -437,7 +457,7 @@ def test_locate_zero_work_count(make, most):
             del base._chi
 
     base._zero = counted_zero
-    zc = up(base, 3.0)._layers[-1].zc
+    zc = up(base, 3.0).zc
     assert len(calls) <= most
     below, at = base._chi(np.array([np.nextafter(zc, -np.inf), zc]))
     assert at == 0.0 or below * at < 0.0
@@ -457,8 +477,8 @@ def test_up_layer_reads_zero_and_orientation_off_its_base(make, zc, sigma):
     # the zero and orientation read off the base, pinned bit for bit; a
     # canonical coordinate runs from 0 at its anchor edge, so crosses 0
     # nowhere inside
-    layer = make()._layers[-1]
-    assert (layer.zc, layer.sigma) == (zc and float.fromhex(zc), sigma)
+    g = make()
+    assert (g.zc, g.sigma) == (zc and float.fromhex(zc), sigma)
 
 
 @pytest.mark.parametrize("make, alpha", [
@@ -489,6 +509,23 @@ def test_up_divergent_edge_table_is_quiet(make):
         warnings.simplefilter("error", RuntimeWarning)
         r = up(make(), 2.0).integral(lambda y, h: h)
     assert not r.converged
+
+
+@pytest.mark.parametrize("make, alpha", [(lambda: exponential(1.0, 0.0), 2.05),
+                                         (lambda: exponential(1.0, 0.0), 2.1),
+                                         (lambda: uniform(0.0, 1.0), 2.1)],
+                         ids=["exp-2.05", "exp-2.1", "uniform-2.1"])
+def test_defect_4a_cells_raise_or_hold_unit_mass(make, alpha):
+    # the build's probe compares forward and inverted pdf values: where
+    # they disagree the cell raises, and it never returns a wrong mass
+    try:
+        g = up(make(), alpha)
+    except AccuracyError as e:
+        assert "forward and inverted evaluations disagree" in str(e)
+        return
+    r = g.integral(lambda y, h: h)
+    assert r.converged
+    assert r.value == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------------------ round trips
@@ -608,6 +645,13 @@ def test_reseat_keeps_no_quantile_memo_of_the_original():
     r = u3u01.reseat(-1.0, 0.3)
     assert r._grids is not u3u01._grids
     assert r.median() == pytest.approx(0.3 - m, abs=1e-12)
+
+
+def test_integral_beyond_the_image_order_names_the_image():
+    g = down(down(e1, 3.0), 3.0)
+    with pytest.raises(CapabilityError, match=r"^down\(down\(exponential\(1,0\),3\),3\): "
+                       "derivative order 2 requested, have 1$"):
+        g.integral(lambda y, h, h1, h2: h, needs=2)
 
 
 def test_reseat_rejects_rescale_and_down_tops():
