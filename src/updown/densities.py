@@ -8,8 +8,9 @@ computed by adaptive quadrature over the support with cuts at the interior
 points.
 
 The cumulative node table and the quantiles at the library's fixed level
-grids (the median, quantiles(n), the tail levels of the condensation test)
-are each computed once per density, on first use, and kept read-only.
+grids (the median, quantiles(n), the tail levels of the condensation test
+and of edge_value) are each computed once per density, on first use, and
+kept read-only.
 """
 
 import math
@@ -159,31 +160,34 @@ class Density:
         return None
 
     def edge_value(self, side):
-        """Limit of the pdf at a support edge: 0.0, a finite value, or inf."""
-        lo, hi = self.support.lo, self.support.hi
-        if side == "lo" and lo == -INF or side == "hi" and hi == INF:
-            return 0.0
-        edge = lo if side == "lo" else hi
-        other = hi if side == "lo" else lo
-        if not math.isfinite(other):
-            other = edge + math.copysign(1.0, other)
-        for p in self.interior_points:
-            if (edge < p < other) if side == "lo" else (other < p < edge):
-                other = p  # stay on the edge's side of any interior kink
-        span = other - edge
-        ks = np.arange(20, 45, dtype=float)
-        vals = self.pdf(edge + span * 0.5 ** ks)
-        tail = vals[-6:]
-        mag = np.abs(tail)
-        if mag.max() < 1e-13:
-            return 0.0
-        # six halvings grow a d**-g blowup by 2**(6g); 1.5 catches g ~ 0.1
-        # while a pdf settling on a finite limit moves by far less
-        if mag[-1] > 1e13 or (np.all(np.diff(mag) > 0) and mag[-1] / max(mag[0], 1e-300) > 1.5):
+        """Limit of the pdf at a support edge, "lo" or "hi": 0.0 at an
+        infinite edge, else read off the pdf in root abscissae at the root's
+        last three distinct tail quantiles toward it (masses to 2**-41). Any
+        inf gives inf; a geometric approach (successive changes in a ratio
+        in (0, 0.9], or a last change of 0) gives its Aitken limit, 0.0 when
+        that lies below the last change; any other gives 0.0 or inf by its
+        direction. An up image has its step's closed form instead."""
+        if side not in ("lo", "hi"):
+            raise DomainError(f"edge side must be 'lo' or 'hi', got {side!r}")
+        edge = self.support.lo if side == "lo" else self.support.hi
+        return 0.0 if math.isinf(edge) else self._edge_limit(side)
+
+    def _edge_limit(self, side):
+        toward_lo = (side == "lo") == (self._sigma_total > 0)
+        _, t = _tail_quantiles(getattr(self, "root", self), "lo" if toward_lo else "hi")
+        _, st = self._push(t[-3:], 0)
+        h = np.asarray(st[0], dtype=float)
+        if np.any(np.isposinf(h)):
             return INF
-        if mag[-1] < 1e-8 and np.all(np.diff(mag) < 0):
-            return 0.0
-        return float(tail[-1])
+        # quantiles that collapse onto the edge's own doubles read as settled
+        d1, d2 = np.diff(h) if h.size == 3 else np.zeros(2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = d2 / d1
+        if d2 == 0.0 or 0.0 < r <= 0.9:
+            lim = h[-1] if d2 == 0.0 else h[-1] + d2 * r / (1.0 - r)
+            # a decay to 0 extrapolates to roundoff of either sign
+            return 0.0 if lim < abs(d2) else float(lim)
+        return INF if d2 > 0.0 else 0.0
 
     def esssup_abs(self):
         return max(abs(self.support.lo), abs(self.support.hi))
@@ -302,9 +306,18 @@ class Density:
         return 0.0 if self.support.lo < 0.0 < self.support.hi else None
 
 
-# tail mass levels 2**-j of the condensation test; the image edge test reads
-# the first 29, so both share one memo entry per side
+# tail mass levels 2**-j of the condensation test and of the edge-limit rule,
+# which share one memo entry per side
 _TAIL_JS = np.arange(6.0, 42.0)
+
+
+def _tail_quantiles(f, side):
+    """Levels j and the distinct quantiles of f at tail masses 2**-j toward
+    side: repeats, where the levels outrun the node table, say nothing."""
+    lv = 2.0 ** -_TAIL_JS
+    t = f._grid_quantiles(lv if side == "lo" else 1.0 - lv)
+    keep = np.concatenate([[True], np.diff(t) != 0.0])
+    return _TAIL_JS[keep], t[keep]
 
 
 def _condensation_diverges(f, side, logw):
@@ -316,13 +329,7 @@ def _condensation_diverges(f, side, logw):
     underflow can make a divergent tail look finite to direct quadrature
     (weight growth cancels pdf decay beyond the float horizon).
     """
-    js = _TAIL_JS
-    lv = 2.0 ** -js
-    t = f._grid_quantiles(lv if side == "lo" else 1.0 - lv)
-    # quantiles saturate once the levels outrun the node table; those
-    # repeats say nothing about the tail
-    keep = np.concatenate([[True], np.diff(t) != 0.0])
-    js, t = js[keep], t[keep]
+    js, t = _tail_quantiles(f, side)
     with np.errstate(divide="ignore", invalid="ignore"):
         la = -js * math.log(2.0) + np.asarray(logw(t), dtype=float)
     if np.any(np.isposinf(la)) or np.any(np.isnan(la)) or la.size < 4:

@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from .densities import (_TAIL_JS, Density, _condensation_diverges, _weighted_pdf,
-                        rescale)
+from .densities import Density, _condensation_diverges, _weighted_pdf, rescale
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
 from .functionals import curvature_ratio
@@ -166,23 +165,9 @@ class TransformedDensity(Density):
 
     def _image_support(self):
         u_lo, u_hi = self.u_support
-        slo = math.isfinite(u_lo) and self._edge_singular("lo")
-        shi = math.isfinite(u_hi) and self._edge_singular("hi")
+        slo = math.isfinite(u_lo) and self._edge_limit("lo") == INF
+        shi = math.isfinite(u_hi) and self._edge_limit("hi") == INF
         return Interval(u_lo, u_hi, singular_lo=slo, singular_hi=shi)
-
-    def _edge_singular(self, side):
-        toward_lo = (side == "lo") == (self._sigma_total > 0)
-        lv = 2.0 ** -_TAIL_JS
-        t = self.root._grid_quantiles(lv if toward_lo else 1.0 - lv)[:29]
-        _, st = self._push(t, 0)
-        h = np.asarray(st[0], dtype=float)
-        if np.any(np.isposinf(h)):
-            return True
-        h = h[np.isfinite(h)]
-        if h.size < 10:
-            return False
-        tail = h[-10:]
-        return bool(np.all(np.diff(tail) > 0.0) and tail[-1] > 10.0 * tail[0])
 
     def _image_cuts(self):
         pts = set(self.root.interior_points)
@@ -197,8 +182,7 @@ class TransformedDensity(Density):
         # points next to an interior spike are excused, since the coordinate
         # map is locally flat there and pointwise inversion cannot resolve it
         tq = self.root._grid_quantiles(np.linspace(0.08, 0.92, 9))
-        yq = self._chi(tq)
-        _, st = self._push(tq, 0)
+        yq, st = self._push(tq, 0)
         want = np.asarray(st[0], dtype=float)
         keep = np.isfinite(want) & (want > 0.0)
         cuts = np.asarray(self.interior_points, dtype=float)
@@ -401,6 +385,14 @@ class _UpImage(TransformedDensity):
         u_lo = self.sigma * (self.c_anchor - (c_hi if self.sigma > 0 else c_lo))
         u_hi = self.sigma * (self.c_anchor - (c_lo if self.sigma > 0 else c_hi))
         self.u_support = (float(u_lo), float(u_hi))
+
+    def _edge_limit(self, side):
+        # the pdf is 1/w(v): exact at the base's edge v this side maps to
+        toward_lo = (side == "lo") == (self._sigma_total > 0)
+        b = self.base
+        v = b.support.lo if toward_lo == (b._sigma_total > 0) else b.support.hi
+        with np.errstate(divide="ignore"):
+            return float(np.exp(-_log_weight(v, self.c)))
 
     def _push(self, t, needs):
         """Coordinate and pdf state up to order needs at root abscissae t.

@@ -352,6 +352,8 @@ def test_edge_values():
     assert e.edge_value("hi") == 0.0
     assert uniform(0.0, 1.0).edge_value("lo") == pytest.approx(1.0)
     assert gzero(2.0).edge_value("hi") == 0.0
+    with pytest.raises(DomainError):
+        e.edge_value("low")
 
 
 def test_esssup():

@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from updown import functionals
 from updown.down_fisher import (down_fisher, down_order_check,
@@ -53,6 +54,17 @@ def test_measure_closed_forms():
         1.0, rel=1e-10)
     assert down_fisher(pt21, 2.0, 1.0, 1.5).value == pytest.approx(
         2.25, rel=1e-10)
+
+
+@pytest.mark.parametrize("p, q, lam", [(2.0, 1.0, 1.5), (2.0, 0.0, 3.0)])
+@given(st.floats(min_value=0.5, max_value=3.0))
+@settings(max_examples=8, deadline=None)
+def test_measure_scale_degree(p, q, lam, kappa):
+    # under rescale f -> kappa f, f' -> kappa**2 f', r is invariant and
+    # dx -> dx/kappa, so the measure picks up kappa**(p(lam-2) + 2q)
+    got = down_fisher(rescale(e1, kappa), p, q, lam).value
+    want = kappa ** (p * (lam - 2.0) + 2.0 * q) * down_fisher(e1, p, q, lam).value
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_measure_preconditions():

@@ -129,6 +129,57 @@ def test_down_support_edges_at_edge_values_zero_finite_and_infinite(alpha):
         assert [got.lo, got.hi] == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+hgz = half_restriction(gzero(1.5))
+hg21 = half_restriction(g21)
+
+
+EDGE_LIMITS = [
+    # 2 a0 (-log x)**2 grows without bound at 0, so the down edge at 0 sits
+    # at the coordinate's limit there: -inf for alpha <= 2, 0 above
+    ("half(gzero).lo", lambda: hgz.edge_value("lo"), math.inf),
+    ("down(half(gzero),1.5).support.lo", lambda: down(hgz, 1.5).support.lo, -math.inf),
+    ("down(half(gzero),2).support.lo", lambda: down(hgz, 2.0).support.lo, -math.inf),
+    ("down(half(gzero),3).support.lo", lambda: down(hgz, 3.0).support.lo, 0.0),
+    ("uniform(0,1e-14).lo", lambda: uniform(0.0, 1e-14).edge_value("lo"), 1e14),
+    # every tail quantile rounds to the edge itself
+    ("uniform(1e15,1e15+1).lo", lambda: uniform(1e15, 1e15 + 1.0).edge_value("lo"), 1.0),
+    # an up pdf is 1/w(v), w = |(alpha-2) v|**(1/(alpha-2)), at the base
+    # edge v the side maps to; an up image of an increasing coordinate
+    # reverses it, so its lo edge is the base's hi edge
+    ("up(e1,3).lo", lambda: up(e1, 3.0).edge_value("lo"), 0.0),
+    ("down(up(e1,3),2).support.hi", lambda: down(up(e1, 3.0), 2.0).support.hi, math.inf),
+    ("up(e1,1.5).lo", lambda: up(e1, 1.5).edge_value("lo"), math.inf),
+    ("up(e1,1.5).singular_lo", lambda: up(e1, 1.5).support.singular_lo, True),
+    ("up(gzero,3).lo", lambda: up(gzero(1.5), 3.0).edge_value("lo"), 1.0),
+    ("up(gzero,2.05).lo", lambda: up(gzero(1.5), 2.05).edge_value("lo"), 20.0 ** 20),
+    ("up(sg(2,1.5),3).lo", lambda: up(stretched_gaussian(2.0, 1.5), 3.0).edge_value("lo"),
+     2.0 ** -0.5),
+    ("up(g21,3).lo", lambda: up(g21, 3.0).edge_value("lo"), 0.0),
+    ("up(u01,3).lo", lambda: u3u01.edge_value("lo"), 1.0),
+    ("up(u01,3).hi", lambda: u3u01.edge_value("hi"), math.inf),
+    ("reseat(up(u01,3)).lo", lambda: u3u01.reseat(-1.0, 0.0).edge_value("lo"), math.inf),
+    ("reseat(up(u01,3)).hi", lambda: u3u01.reseat(-1.0, 0.0).edge_value("hi"), 1.0),
+    # a down pdf is f**alpha/|f'|: e**(-(alpha-1) x) on e1 and
+    # f**(alpha-1)/(2x) on half(g21), which blows up at 0; x**-1/2 on pt31
+    ("down(e1,2+1e-6).lo", lambda: down(e1, 2.0 + 1e-6).edge_value("lo"), 1.0),
+    ("down(half(g21),2+1e-6).lo", lambda: down(hg21, 2.0 + 1e-6).edge_value("lo"), math.inf),
+    ("down(pt31,1.5).hi", lambda: down(pt31, 1.5).edge_value("hi"), 0.0),
+    ("down(half(g21),1.5).hi", lambda: down(hg21, 1.5).edge_value("hi"), 0.0),
+    ("gzero.hi", lambda: gzero(1.5).edge_value("hi"), 0.0),
+    # the last tail quantile alone reads 1 - 2**-41, 4.5e-13 short; the
+    # geometric approach is extrapolated
+    ("e1.lo", lambda: abs(e1.edge_value("lo") - 1.0) <= 5.7e-14, True),
+]
+
+
+@pytest.mark.parametrize("read, want", [r[1:] for r in EDGE_LIMITS],
+                         ids=[r[0] for r in EDGE_LIMITS])
+def test_edge_limits_match_closed_forms(read, want):
+    # a finite limit to 1e-12; 0, inf and the flags exactly
+    got = read()
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 # -------------------------------------------------------------------- up
 
 def test_up_uniform_alpha3():

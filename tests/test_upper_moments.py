@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 
 from updown import upper_moments as UM
-from updown.densities import (exponential, power_tail, rescale,
-                              stretched_gaussian, uniform)
+from updown.densities import (exponential, half_restriction, power_tail,
+                              rescale, stretched_gaussian, uniform)
 from updown.errors import (AccuracyError, DomainError, PreconditionError,
                            TransformChainError, UnsupportedCaseError)
 
@@ -207,6 +207,12 @@ def test_deviation_scale_invariance():
     for k in (0.5, 10.0):
         got = k * UM.upper_moment_n(rescale(e1, k), 1.0, 3.0).m
         assert got == pytest.approx(0.75, abs=1e-8)
+    # and kappa * m_(1,(3,3)) at m_(1,(3,3)) of the undilated root
+    for f in (u01, e1, half_restriction(g21)):
+        m = UM.upper_moment_n(f, 1.0, (3.0, 3.0)).m
+        for k in (0.5, 10.0):
+            got = k * UM.upper_moment_n(rescale(f, k), 1.0, (3.0, 3.0)).m
+            assert got == pytest.approx(m, rel=1e-12)
 
 
 # ------------------------------------------------- moment-sequence check
