@@ -6,7 +6,10 @@ point, with the stub under the innermost rung closed by the power law
 through the two innermost rungs. integrate peels singular endpoints that
 way. _CumTable, the one builder of cumulative tables, lays the same
 ladders (_ladders) toward every singular point, refines every other panel
-to one bound (_refine_panels) and reads the closure back. Everything is
+to one bound (_refine_panels) and reads the closure back. Its running
+integral is 0 at a pivot node and reads each point from the node of its
+panel on the pivot's side, so a value near the pivot is a sum of masses
+of one sign, never a difference of large partial sums. Everything is
 deterministic: fixed node tables, fixed budgets, no RNG, so repeated runs
 produce identical bytes.
 """
@@ -92,8 +95,9 @@ def _as_interval(iv):
 
 
 def _gk(f, a, b, at=None):
-    """Kronrod values and QUADPACK-style errors for a batch of panels;
-    given abscissae at, f there as well, from the same call of f."""
+    """Kronrod values and QUADPACK-style errors for a batch of panels (a
+    panel with a > b integrates backward, to the negated value); given
+    abscissae at, f there as well, from the same call of f."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
@@ -378,9 +382,12 @@ class _CumTable:
     infinite, or whose closure exponent is under _SLOW, is dropped off the
     table with infinite mass beyond it; its stub then lies beyond the table
     end. C is 0 at the first node at or above pivot, the last node if none
-    is. Calling the table reads C at any abscissae: one searchsorted, the
-    closure's closed form inside a stub, and one batched partial GK15 panel
-    elsewhere between nodes.
+    is; pivot=inf and -inf pick the end nodes. Calling the table reads C at
+    any abscissae: one searchsorted, the closure's closed form inside a
+    stub, and one batched partial GK15 panel elsewhere between nodes. That
+    panel runs from the panel's node on the pivot's side to the point,
+    backward below the pivot, so C near the pivot adds masses of one sign
+    and cancels nothing.
     """
 
     def __init__(self, w, ts, ends, *, pivot=-INF, mass_lo=0.0, mass_hi=0.0):
@@ -393,7 +400,7 @@ class _CumTable:
         at = p == ts[-1]
         if at.any() and (mass_hi == INF or np.any(gam[at] < _SLOW)):
             ts, mass_hi = ts[:-1], INF
-        pivot = int(np.clip(np.searchsorted(ts, pivot), 0, len(ts) - 1))
+        self._pivot = pivot = int(np.clip(np.searchsorted(ts, pivot), 0, len(ts) - 1))
         # table panel holding each stub; -1 and len(ts) - 1 stand for the
         # stretches below and above the table
         panel = np.searchsorted(ts, p + 0.5 * s * dk, side="right") - 1
@@ -442,8 +449,12 @@ class _CumTable:
         j = np.minimum(i, len(ts) - 2)
         pending = (i == np.maximum(j, 0)) & (t > ts[j]) & ~stub
         if pending.any():
-            vals, _ = _gk(self.w, ts[i[pending]], t[pending])
-            out[pending] += vals
+            # from the panel's node on the pivot's side; below the pivot
+            # that is the upper node, and GK15 from it runs backward
+            k = i[pending]
+            k += k < self._pivot
+            vals, _ = _gk(self.w, ts[k], t[pending])
+            out[pending] = self.cums[k] + vals
         return out
 
 

@@ -312,7 +312,14 @@ class _UpImage(TransformedDensity):
     Everything is tabulated in root abscissae: the new coordinate is
     u(t) = sigma * (C(anchor) - C(t)) with C the running integral of
     W(t) = weight(chi(t)) * f_root(t), where chi is the base's coordinate
-    in root abscissae (base._chi) and sigma its orientation.
+    in root abscissae (base._chi) and sigma its orientation. The anchor is
+    the support end sigma points to (canonical) where the mass toward it
+    is finite, else the root median; C pivots at the anchor end in the
+    first case and at the median in the second. A canonical u is then the
+    mass between t and the anchor, read as a sum with no cancellation as
+    it falls toward 0 at the anchor edge; what error is left is the partial
+    GK15 panel's (on up(exponential(1), 1.5), 1.4e-13 relative at t = 20
+    but 8.4e-5 at t = 64, where one panel spans a factor-2 walk step).
 
     W can be singular only at a finite support edge, at an interior point
     of the root and at the interior zero zc of chi, which the base reads
@@ -365,9 +372,13 @@ class _UpImage(TransformedDensity):
             r = integrate(w_root, Interval(*sorted((end, float(node)))), tol=1e-13)
             return r.value if r.converged and math.isfinite(r.value) else INF
 
-        # C pivots at the node nearest the bulk
-        self.table = _CumTable(w_root, ts, ends, pivot=float(root.median()),
-                               mass_lo=mass("lo", lo, ts[0]), mass_hi=mass("hi", hi, ts[-1]))
+        # C pivots at the anchor end where its mass is finite, so that u
+        # there is a sum of masses of one sign; else at the root median
+        m_lo, m_hi = mass("lo", lo, ts[0]), mass("hi", hi, ts[-1])
+        m_anchor, pivot = (m_hi, INF) if self.sigma > 0 else (m_lo, -INF)
+        if not math.isfinite(m_anchor):
+            pivot = float(root.median())
+        self.table = _CumTable(w_root, ts, ends, pivot=pivot, mass_lo=m_lo, mass_hi=m_hi)
         if not self.table.cums.any():
             raise AccuracyError(
                 f"up(alpha={self.alpha!r}): the weight underflows to 0 on "

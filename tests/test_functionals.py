@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from updown import functionals as F
-from updown.densities import (exponential, gzero, power_tail, rescale,
-                              stretched_gaussian, uniform)
+from updown.densities import (exponential, gzero, half_restriction,
+                              power_tail, rescale, stretched_gaussian,
+                              uniform)
 from updown.errors import DomainError
 
 EULER = 0.5772156649015329
@@ -232,6 +233,30 @@ def test_shannon_scaling(kappa):
 def test_sigma_scaling(kappa, p):
     got = F.sigma(rescale(u02, kappa), p)
     close(got, F.sigma(u02, p).value / kappa, 1e-7)
+
+
+@pytest.mark.parametrize("f", [e1, half_restriction(g21)], ids=["exp", "half-sg"])
+@given(kappa=st.floats(min_value=0.4, max_value=6.0),
+       p=st.floats(min_value=1.0, max_value=3.0),
+       lam=st.floats(min_value=0.8, max_value=2.0))
+@settings(max_examples=10, deadline=None)
+def test_score_deviation_scale_degree(f, kappa, p, lam):
+    # rescale(f, kappa) is the law of X/kappa: f^(lam-2) f' scales by
+    # kappa^lam, so the Fisher form by kappa^(p lam) and phi by kappa
+    got = F.phi(rescale(f, kappa), p, lam)
+    assert got.converged
+    assert got.value == pytest.approx(kappa * F.phi(f, p, lam).value, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("f", [e1, half_restriction(g21)], ids=["exp", "half-sg"])
+@given(kappa=st.floats(min_value=0.4, max_value=6.0),
+       p=st.floats(min_value=0.25, max_value=4.0))
+@settings(max_examples=10, deadline=None)
+def test_absolute_moment_scale_degree(f, kappa, p):
+    # <|X/kappa|^p> = kappa^-p <|X|^p>
+    got = F.mu(rescale(f, kappa), p)
+    assert got.converged
+    assert got.value == pytest.approx(kappa ** -p * F.mu(f, p).value, rel=1e-9, abs=0.0)
 
 
 @given(st.floats(min_value=0.5, max_value=4.0))

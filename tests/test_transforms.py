@@ -14,7 +14,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from updown import densities, transforms
+from updown import densities, numerics, transforms
 from updown import functionals as F
 from updown.densities import (Density, affine_image, exponential, gzero,
                               half_restriction, power_tail,
@@ -258,6 +258,19 @@ def test_up_median_anchor_log_tail():
     assert mass_of(g) == pytest.approx(1.0, abs=1e-10)
 
 
+def test_up_coordinate_keeps_its_digits_toward_the_anchor():
+    # weight 4/v**2 against e^-v from the anchor at inf: u = 4 E2(t)/t.
+    # Read as C(anchor) - C(t) with C pivoted at the median, u was 1.8e-8
+    # off at t = 16 and exactly 0.0 from t = 32 on
+    g = up(e1, 1.5)
+    t = np.array([0.5, 1.0, 4.0, 12.0, 16.0, 20.0])
+    with mpmath.workdps(30):
+        want = [float(4 * mpmath.expint(2, x) / x) for x in t]
+    np.testing.assert_allclose(g._chi(t), want, rtol=1e-12, atol=0.0)
+    u = g._chi(np.linspace(0.01, 700.0, 20_001))
+    assert np.all(np.isfinite(u)) and np.all(u > 0.0) and np.all(np.diff(u) < 0.0)
+
+
 @pytest.mark.parametrize("alpha, hi", [(3.5, 3.0 * 1.5 ** (2.0 / 3.0)),
                                        (4.0, 2.0 * math.sqrt(2.0))])
 def test_up_power_tail_canonical_edge(alpha, hi):
@@ -366,6 +379,24 @@ def test_up_subnormal_tail_work_count(alpha):
     # relative rounding no panel refinement can bring under the table's
     # 1e-13 relative bound; the walk must stop before spending on them
     assert _build_points(power_tail(2.0, 1.0), alpha) <= 200_000
+
+
+def test_nested_up_build_gk_points(monkeypatch):
+    # the outer weight |c u|**(1/c), c = -1/2, amplifies any noise in the
+    # inner coordinate u toward its anchor; while u was a difference of
+    # partial sums there, two outer panels ran to the panel budget and the
+    # build cost 4,094,599 GK points
+    f, n = exponential(1.0), [0]
+    up(f, 1.5)
+    gk = numerics._gk
+
+    def counted(w, a, b, at=None):
+        n[0] += 15 * np.size(a) + (0 if at is None else np.size(at))
+        return gk(w, a, b, at)
+
+    monkeypatch.setattr(numerics, "_gk", counted)
+    up(up(f, 1.5), 1.5)
+    assert 0 < n[0] < 400_000
 
 
 @pytest.mark.parametrize("make", [
@@ -515,7 +546,8 @@ def test_locate_zero_work_count(make, most):
 
 
 @pytest.mark.parametrize("make, zc, sigma", [
-    (lambda: up(up(u01, 3.0).reseat(-1.0, 0.3), 3.0), "0x1.43d1362484902p-1", 1.0),
+    # the reseated coordinate t**2/2 - 0.2 is 0 at sqrt(0.4), 12 ulp above
+    (lambda: up(up(u01, 3.0).reseat(-1.0, 0.3), 3.0), "0x1.43d1362484903p-1", 1.0),
     # the pdf of the down base crosses 1, its log 0, at 1 + ln 2 / 2
     (lambda: up(down(e21, 2.0), 3.0), "0x1.58b90bfbe8e7cp+0", 1.0),
     # a median-anchored coordinate is 0 at the root median
