@@ -91,10 +91,13 @@ class Density:
             k += 1
         return k
 
-    def _state(self, x, needs):
+    def _check_order(self, needs):
         if needs > self.order:
             raise CapabilityError(
                 f"{self.label}: derivative order {needs} requested, have {self.order}")
+
+    def _state(self, x, needs):
+        self._check_order(needs)
         vals = [self.pdf(x)]
         for d in (self.d1, self.d2, self.d3)[:needs]:
             vals.append(d(x))
@@ -175,8 +178,7 @@ class Density:
     def _edge_limit(self, side):
         toward_lo = (side == "lo") == (self._sigma_total > 0)
         _, t = _tail_quantiles(getattr(self, "root", self), "lo" if toward_lo else "hi")
-        _, st = self._push(t[-3:], 0)
-        h = np.asarray(st[0], dtype=float)
+        h = np.asarray(self._push(t[-3:], 0)[0], dtype=float)
         if np.any(np.isposinf(h)):
             return INF
         # quantiles that collapse onto the edge's own doubles read as settled
@@ -288,9 +290,9 @@ class Density:
     def median(self):
         return float(self._grid_quantiles(0.5)[0])
 
-    # -- coordinate seen by an image on top ----------------------------------
+    # -- coordinate (_chi) and pdf state (_push) seen by an image on top -----
     # A root's coordinate is its own abscissa, increasing, and crosses 0
-    # inside the support only at 0 itself
+    # inside the support only at 0 itself; its state is its own _state
 
     _sigma_total = 1.0
 
@@ -298,9 +300,7 @@ class Density:
         return np.asarray(t, dtype=float)
 
     def _push(self, t, needs):
-        """Abscissae t and the pdf state up to order needs (none at -1)."""
-        t = np.asarray(t, dtype=float)
-        return t, tuple(self._state(t, needs)) if needs >= 0 else ()
+        return self._state(t, needs)
 
     def _zero(self):
         return 0.0 if self.support.lo < 0.0 < self.support.hi else None

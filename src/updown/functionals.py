@@ -228,7 +228,7 @@ def mean_log_abs_deriv(f, *, tol=1e-10):
 def curvature_ratio(f, x):
     """Pointwise f f'' / f'^2, the scale-free curvature of the pdf."""
     x = np.asarray(x, dtype=float)
-    f0, f1, f2 = f.pdf(x), f.d1(x), f.d2(x)
+    f0, f1, f2 = f._state(x, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # quotient form: f0*f2 and f1**2 can underflow separately deep in
         # a tail while the two ratios stay well-scaled

@@ -6,9 +6,10 @@ s = f**(2-alpha)/(alpha-2) (s = -log f at alpha = 2) and carries the pdf
 to f**alpha/|f'|; it consumes one derivative order. The up step integrates
 the weight |(alpha-2)v|**(1/(alpha-2)) (e**v at alpha = 2) against f from
 an anchor and reads the image pdf off the inverse coordinate; it restores
-one order. Each image evaluates at root abscissae by one _push: it asks
-its base for the derivative orders its own step needs, and the root
-answers with its abscissae and pdf state. Both maps preserve mass exactly,
+one order. At root abscissae each image reads its coordinate (_chi) and,
+apart from it, its pdf state (_push), for which it asks its base only what
+its own step needs: a down step one derivative order more, an up step the
+base coordinate and one order less. Both maps preserve mass exactly,
 so a transformed density evaluates every expectation by pulling the
 integrand back to the root density's coordinates, where the quadrature
 cuts are already understood. Image-space pdf queries go through an
@@ -18,7 +19,6 @@ of its rounds pushes a batch down the base chain, so fewer rounds pay.
 """
 
 import copy
-import functools
 import math
 
 import numpy as np
@@ -45,12 +45,13 @@ class TransformedDensity(Density):
     """A density produced by one down or up step on a base density.
 
     The base is a root density or another image, so an image is a stack of
-    steps over its root. The forward map and the image pdf state are
-    closed-form pushes down the base chain (_push), so all quadrature
-    happens in the root's coordinates. The exposed fields are base (the
-    immediate input density), root, kind and alpha of this step, and
-    chain, the full (kind, alpha) provenance. up and down build the two
-    kinds.
+    steps over its root. The forward map (_chi) and the image pdf state up
+    to a derivative order (_push) are closed-form reads down the base chain
+    at root abscissae, so all quadrature happens in the root's coordinates;
+    an image-space query (_state) inverts once and pushes once for all the
+    orders it returns. The exposed fields are base (the immediate input
+    density), root, kind and alpha of this step, and chain, the full
+    (kind, alpha) provenance. up and down build the two kinds.
     """
 
     def __init__(self, base, alpha):
@@ -58,15 +59,15 @@ class TransformedDensity(Density):
         self.root = getattr(base, "root", base)
         self.alpha = float(alpha)
         self.chain = getattr(base, "chain", ()) + ((self.kind, self.alpha),)
-        self._img_order = max(min(base.order + (1 if self.kind == "up" else -1), 2), 0)
 
     def _finish(self, label=None):
         """Brackets, image support and Density fields for the stack."""
         self._build_brackets()
-        img = [functools.partial(self._img, order=k) for k in range(3)]
+        order = min(self.base.order + (1 if self.kind == "up" else -1), 2)
+        img = [lambda y, j=j: self._state(y, j)[j] for j in range(order + 1)]
         super().__init__(img[0], self._image_support(),
-                         d1=img[1] if self._img_order >= 1 else None,
-                         d2=img[2] if self._img_order >= 2 else None,
+                         d1=img[1] if order >= 1 else None,
+                         d2=img[2] if order >= 2 else None,
                          label=label or f"{self.kind}({self.base.label},{self.alpha:g})",
                          interior_points=self._image_cuts(),
                          cdf=self._cdf_img,
@@ -82,10 +83,6 @@ class TransformedDensity(Density):
             d = d.base
 
     # -- coordinate map -------------------------------------------------------
-
-    def _chi(self, t):
-        """Image coordinate of root abscissae t."""
-        return np.asarray(self._push(np.asarray(t, dtype=float), -1)[0], dtype=float)
 
     def _build_brackets(self):
         root = self.root
@@ -149,12 +146,12 @@ class TransformedDensity(Density):
 
     # -- pdf callables --------------------------------------------------------
 
-    def _img(self, y, order):
-        """Image pdf (order 0) or its derivative of the given order."""
+    def _state(self, y, needs):
+        """The image pdf and its derivatives up to order needs at y, from one
+        inversion and one push; 0 out of range and where not finite."""
+        self._check_order(needs)
         t, oob = self._invert(y)
-        _, st = self._push(t, order)
-        v = np.asarray(st[order], dtype=float)
-        return np.where(oob | ~np.isfinite(v), 0.0, v)
+        return [np.where(oob | ~np.isfinite(v), 0.0, v) for v in self._push(t, needs)]
 
     def _cdf_img(self, y):
         t, _ = self._invert(y)  # out-of-range points land on the nearest edge
@@ -182,8 +179,8 @@ class TransformedDensity(Density):
         # points next to an interior spike are excused, since the coordinate
         # map is locally flat there and pointwise inversion cannot resolve it
         tq = self.root._grid_quantiles(np.linspace(0.08, 0.92, 9))
-        yq, st = self._push(tq, 0)
-        want = np.asarray(st[0], dtype=float)
+        yq = self._chi(tq)
+        want = np.asarray(self._push(tq, 0)[0], dtype=float)
         keep = np.isfinite(want) & (want > 0.0)
         cuts = np.asarray(self.interior_points, dtype=float)
         if cuts.size:
@@ -201,10 +198,7 @@ class TransformedDensity(Density):
 
     def integral(self, fn, *, needs=0, tol=1e-10, extra_interior=(),
                  force_singular_edges=False):
-        if needs > self._img_order:
-            raise CapabilityError(
-                f"{self.label}: derivative order {needs} requested,"
-                f" have {self._img_order}")
+        self._check_order(needs)
         cuts = [d.zc for d in self._up_steps() if d.zc is not None]
         extra = np.asarray(tuple(extra_interior), dtype=float)
         if extra.size:
@@ -212,10 +206,10 @@ class TransformedDensity(Density):
             cuts.extend(float(v) for v, bad in zip(tt, oob) if not bad)
 
         def g(t, fr):
-            coord, st = self._push(t, needs)
+            st = self._push(t, needs)
             h0 = np.asarray(st[0], dtype=float)
             with np.errstate(all="ignore"):
-                vals = np.asarray(fn(coord, *st), dtype=float) * (fr / h0)
+                vals = np.asarray(fn(self._chi(t), *st), dtype=float) * (fr / h0)
             # root.integral drops fr == 0 and non-finite values under 1e-160
             return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
 
@@ -271,20 +265,19 @@ class _DownImage(TransformedDensity):
             self.u_support = tuple(sorted(_down_coord(np.log(v), self.alpha).tolist()))
         self._finish()
 
-    def _push(self, t, needs):
-        """Coordinate and pdf state up to order needs at root abscissae t.
+    def _chi(self, t):
+        """Image coordinate at root abscissae t, read off the base pdf."""
+        with np.errstate(all="ignore"):
+            return _down_coord(np.log(self.base._push(t, 0)[0]), self.alpha)
 
-        needs = -1 asks for the coordinate alone, which needs the base's
-        pdf; otherwise the base supplies one order more.
-        """
-        _, st = self.base._push(t, needs + 1 if needs >= 0 else 0)
+    def _push(self, t, needs):
+        """Pdf state up to order needs at root abscissae t; the base
+        supplies one order more."""
+        st = self.base._push(t, needs + 1)
         al = self.alpha
         f0 = st[0]
         with np.errstate(all="ignore"):
             logf = np.log(f0)
-            s = _down_coord(logf, al)
-            if needs < 0:
-                return s, ()
             f1 = st[1]
             lf1 = np.log(np.abs(f1))
             out = [np.exp(al * logf - lf1)]
@@ -303,7 +296,7 @@ class _DownImage(TransformedDensity):
                 out.append(np.sign(f1) * pref
                            * ((2.0 * al - 2.0) * f1 * brak + f0 * brakp
                               - f0 * brak * q21) / f1 ** 2)
-        return s, tuple(out)
+        return out
 
 
 class _UpImage(TransformedDensity):
@@ -405,18 +398,17 @@ class _UpImage(TransformedDensity):
         with np.errstate(divide="ignore"):
             return float(np.exp(-_log_weight(v, self.c)))
 
-    def _push(self, t, needs):
-        """Coordinate and pdf state up to order needs at root abscissae t.
-
-        The coordinate is a table read; needs = -1 asks for it alone, with
-        no push into the base. Otherwise the base supplies its coordinate
-        and one order less.
-        """
+    def _chi(self, t):
+        """Image coordinate at root abscissae t: one table read."""
         with np.errstate(all="ignore"):
-            u = self.sigma * (self.c_anchor - self.table(t))
-        if needs < 0:
-            return u, ()
-        wb, st = self.base._push(t, needs - 1)
+            return self.sigma * (self.c_anchor - self.table(t))
+
+    def _push(self, t, needs):
+        """Pdf state up to order needs at root abscissae t; the base
+        supplies its coordinate, and from needs = 1 its state to one order
+        less. Its own table is not read."""
+        wb = self.base._chi(t)
+        st = self.base._push(t, needs - 1) if needs >= 1 else ()
         c = self.c
         # odd derivatives are odd under a coordinate reflection; flip is -1
         # exactly when a reseat reversed the image orientation
@@ -430,7 +422,7 @@ class _UpImage(TransformedDensity):
                 out.append(flip * h0 * h0 * q / st[0])
             if needs >= 2:
                 out.append(h0 ** 3 * q * ((2.0 + c) * q / st[0] ** 2 + st[1] / st[0] ** 3))
-        return u, tuple(out)
+        return out
 
 
 # -- public operations --------------------------------------------------------

@@ -11,7 +11,8 @@ from updown import functionals as F
 from updown.densities import (exponential, gzero, half_restriction,
                               power_tail, rescale, stretched_gaussian,
                               uniform)
-from updown.errors import DomainError
+from updown.errors import CapabilityError, DomainError
+from updown.transforms import down
 
 EULER = 0.5772156649015329
 
@@ -265,3 +266,15 @@ def test_fisher_scaling(kappa):
     # F_{p,lam} picks up kappa^(p lam) .. for p=2, lam=1: kappa^2
     got = F.fisher(rescale(e1, kappa), 2.0, 1.0)
     close(got, kappa**2 * F.fisher(e1, 2.0, 1.0).value, 1e-7)
+
+
+@pytest.mark.parametrize("fn", [F.curvature_sup, F.curvature_inf,
+                                lambda f: F.mean_log_curvature(f, 3.0)],
+                         ids=["sup", "inf", "mean-log"])
+def test_curvature_needs_order_two(fn):
+    # this down image has d1 but no d2; the curvature ratio asks for both
+    # through the pdf state and gets a typed refusal, not a call of None
+    f = down(half_restriction(gzero(1.5)), 3.0)
+    assert f.order == 1
+    with pytest.raises(CapabilityError, match="derivative order 2 requested, have 1"):
+        fn(f)

@@ -19,6 +19,7 @@ from updown import functionals as F
 from updown.densities import (Density, affine_image, exponential, gzero,
                               half_restriction, power_tail,
                               stretched_gaussian, uniform)
+from updown.down_fisher import order_minimizer
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
                            PreconditionError, TransformChainError)
 from updown.numerics import _CumTable, integrate
@@ -519,6 +520,54 @@ def test_coordinate_read_is_one_table_read_per_up_step(monkeypatch):
     g._chi(t)
     assert reads == {id(g.table): 1, id(g.base.table): 1}
     assert len(pdf_calls) == 2
+
+
+def test_state_push_asks_its_base_only_for_what_its_step_needs(monkeypatch):
+    # a down step asks its up base for one order more, and that needs only
+    # the root's abscissae and pdf; an up step at order 0 needs its base's
+    # coordinate alone, and never reads its own table. While every push
+    # also returned its own coordinate, the pdf query below cost 3,889
+    # root-pdf points and the push read its own table and the inner twice
+    u = uniform(0.0, 1.0)
+    img = down(up(u, 3.0), 3.0)
+    y = img._chi(u.quantiles(64))
+    pdf, n = u.pdf, [0]
+
+    def counted(x):
+        n[0] += np.size(x)
+        return pdf(x)
+
+    u.pdf = counted
+    img.pdf(y)
+    assert n[0] == 64
+
+    g = up(up(exponential(1.0, 0.0), 3.0), 3.0)
+    reads, read = {}, _CumTable.__call__
+
+    def counted_read(table, x):
+        reads[id(table)] = reads.get(id(table), 0) + 1
+        return read(table, x)
+
+    monkeypatch.setattr(_CumTable, "__call__", counted_read)
+    g._push(g.root.quantiles(16), 0)
+    assert reads == {id(g.base.table): 1}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: down(half_restriction(stretched_gaussian(2.0, 1.5)), 1.5),
+    lambda: order_minimizer(2.0, 1.0, 2.0),
+], ids=["down-half-sg", "minimizer"])
+def test_image_state_inverts_once(make, monkeypatch):
+    # the pdf and both derivatives of an image at the same points share one
+    # bracket inversion; read one at a time they took three
+    img = make()
+    y = img.quantiles(64)
+    invert, calls = img._invert, []
+    monkeypatch.setattr(img, "_invert", lambda v: calls.append(v) or invert(v))
+    f0, f1, f2 = img._state(y, 2)
+    assert len(calls) == 1
+    for got, want in ((f0, img.pdf(y)), (f1, img.d1(y)), (f2, img.d2(y))):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("make, most", [(lambda: stretched_gaussian(2.0, 1.0), 0),
