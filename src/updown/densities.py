@@ -121,6 +121,10 @@ class Density:
         dropped; divergent integrals come back flagged non-convergent.
         force_singular_edges marks finite support edges singular, for
         integrands that blow up where the pdf itself does not.
+
+        fn runs under np.errstate(all="ignore"), so it needs no guard of its
+        own. The quadrature's arithmetic runs outside it: a caller whose
+        integral may sum to inf wraps the whole call.
         """
 
         def integrand(x):

@@ -81,10 +81,9 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
         return Quantity(math.inf, False, math.inf)
 
     def fn(x, f0, f1, f2):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            r = (f0 / f1) * (f2 / f1)
-            y = np.exp(e0 * np.log(f0) + q * np.log(np.abs(f1))
-                       + p * np.log(np.abs(ratio - r)))
+        r = (f0 / f1) * (f2 / f1)
+        y = np.exp(e0 * np.log(f0) + q * np.log(np.abs(f1))
+                   + p * np.log(np.abs(ratio - r)))
         # points where the pdf or slope has underflowed to zero carry no
         # resolvable mass; the tail probe above already ruled out
         # divergence hiding past the underflow horizon

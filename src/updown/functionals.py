@@ -12,10 +12,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .densities import _SNAP
 from .errors import DomainError
 from .numerics import INF
-
-_SNAP = 1e-13
 
 
 class Quantity(NamedTuple):
@@ -183,9 +182,8 @@ def fisher(f, p, lam, *, tol=1e-10):
     def fn(x, f0, f1):
         # |f'|^p f^(p(lam-2)+1): in the far tail |f'|^p underflows to 0
         # while the f power overflows, so form the product in log space
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.exp(p * np.log(np.abs(f1))
-                          + (p * (lam - 2.0) + 1.0) * np.log(f0))
+        return np.exp(p * np.log(np.abs(f1))
+                      + (p * (lam - 2.0) + 1.0) * np.log(f0))
 
     return _nonneg(f.integral(fn, needs=1, tol=tol))
 
@@ -207,8 +205,7 @@ def phi_limit0(f, lam, *, tol=1e-10):
         return Quantity(0.0 if lam > 0 else INF, True, 0.0)
 
     def fn(x, f0, f1):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(f1)) + (lam - 2.0) * np.log(f0)
+        return np.log(np.abs(f1)) + (lam - 2.0) * np.log(f0)
 
     return _exp(_from_quad(f.expect(fn, needs=1, tol=tol)), 1.0 / lam)
 
@@ -219,8 +216,7 @@ def mean_log_abs_deriv(f, *, tol=1e-10):
         return Quantity(-INF, True, 0.0)
 
     def fn(x, f0, f1):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(f1))
+        return np.log(np.abs(f1))
 
     return _from_quad(f.expect(fn, needs=1, tol=tol))
 
@@ -246,8 +242,7 @@ def mean_log_curvature(f, alpha, *, tol=1e-10):
             f"{f.label}: log-curvature argument not positive at x={bad:.6g}")
 
     def fn(x, f0, f1, f2):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(alpha - (f0 / f1) * (f2 / f1))
+        return np.log(alpha - (f0 / f1) * (f2 / f1))
 
     return _from_quad(f.expect(fn, needs=2, tol=tol))
 

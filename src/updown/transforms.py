@@ -208,8 +208,7 @@ class TransformedDensity(Density):
         def g(t, fr):
             st = self._push(t, needs)
             h0 = np.asarray(st[0], dtype=float)
-            with np.errstate(all="ignore"):
-                vals = np.asarray(fn(self._chi(t), *st), dtype=float) * (fr / h0)
+            vals = np.asarray(fn(self._chi(t), *st), dtype=float) * (fr / h0)
             # root.integral drops fr == 0 and non-finite values under 1e-160
             return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
 
@@ -217,9 +216,8 @@ class TransformedDensity(Density):
                                   force_singular_edges=True)
 
     def quantile_many(self, levels):
+        # the root rejects levels outside (0, 1), NaN included
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        if not np.all((levels > 0.0) & (levels < 1.0)):  # NaN fails too
-            raise DomainError("quantile levels must be inside (0, 1)")
         rl = levels if self._sigma_total > 0 else 1.0 - levels
         return self._chi(self.root.quantile_many(rl))
 

@@ -25,11 +25,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals
-from .densities import _condensation_diverges, _weighted_pdf
+from .densities import Density, _condensation_diverges, _weighted_pdf
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError,
                      UnsupportedCaseError)
-from .numerics import Interval, QuadResult, integrate
+from .numerics import Interval, integrate
 from .transforms import _log_weight, _rigid_fit, chain, up
 
 __all__ = [
@@ -120,19 +120,23 @@ def _nested(f, p, vec, tol):
     of the coordinate U of the level below (U = x at the bottom), and
     integrates from x toward the end where U is largest: the upper edge at
     odd levels, the lower edge at even ones, or the median when the
-    condensation test finds the weighted mass divergent there. Each level
-    is cut at U's interior zero (x = 0 on a support that straddles 0 at
-    the bottom, a median anchor above), and a weight with -1 <= c < 0 is
-    not integrable across it. The top level runs at min(tol/100,
-    10**(n-13)), each level below ten times tighter.
+    condensation test finds the weighted mass divergent there. A level
+    sorts each batch of points with its anchor, integrates every gap
+    between neighbours once, at its tol over the number of points, and
+    sums the gaps outward from the anchor. Each gap is cut at U's interior
+    zero (x = 0 on a support that straddles 0 at the bottom, a median
+    anchor above), and a weight with -1 <= c < 0 is not integrable across
+    it. The top level runs at min(tol/100, 10**(n-13)), each level below
+    ten times tighter.
     """
     bad = []
 
     def level(k, level_tol):
         """Coordinate of level k and its interior zero (None if none)."""
         if k == 0:
-            zero = 0.0 if f.support.lo < 0.0 < f.support.hi else None
-            return (lambda x: np.asarray(x, dtype=float)), zero
+            # the root rule on f's own abscissa: an image's _zero() is a
+            # root abscissa
+            return (lambda x: np.asarray(x, dtype=float)), Density._zero(f)
         U, zero = level(k - 1, level_tol / 10.0)
         c = vec[-k] - 2.0
         if zero is not None and -1.0 <= c < 0.0:
@@ -148,31 +152,26 @@ def _nested(f, p, vec, tol):
         d = 1.0 if hi else -1.0
 
         def U_next(x):
-            out = []
-            for xi in np.asarray(x, dtype=float):
-                a, b = min(xi, anchor), max(xi, anchor)
+            pts, at = np.unique(np.r_[anchor, x], return_inverse=True)
+            m = np.empty(len(pts) - 1)
+            for i, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
                 cuts = (zero,) if zero is not None and a < zero < b else ()
-                # no mass between a point and itself, as at the anchor
-                r = integrate(wf, Interval(a, b), tol=level_tol, interior=cuts) \
-                    if a < b else QuadResult(0.0, 0.0, True)
+                r = integrate(wf, Interval(a, b), tol=level_tol / len(pts), interior=cuts)
                 if not r.converged:
-                    bad.append(xi)
-                out.append(d * r.value if xi < anchor else -d * r.value)
-            return np.array(out)
+                    bad.append((a, b))
+                m[i] = r.value
+            j = at[0]
+            cum = np.r_[-np.cumsum(m[:j][::-1])[::-1], 0.0, np.cumsum(m[j:])]
+            return -d * cum[at[1:]]
 
         return U_next, (anchor if median else None)
 
     n = vec.order
     U, zero = level(n, min(tol / 100.0, 10.0 ** (n - 13)))
 
-    def outer(x, f0):
-        with np.errstate(divide="ignore"):
-            y = np.abs(U(x)) ** p * f0
-        return np.where(f0 > 0.0, y, 0.0)
-
     extra = (zero,) if (zero is not None and p < 0.0) else ()
-    q = f.integral(outer, needs=0, tol=tol, extra_interior=extra,
-                   force_singular_edges=p < 0.0)
+    q = f.integral(lambda x, f0: np.abs(U(x)) ** p * f0, needs=0, tol=tol,
+                   extra_interior=extra, force_singular_edges=p < 0.0)
     return _package(q.value, p, vec, "direct",
                     q.converged and not bad, q.abs_error_estimate)
 
@@ -181,8 +180,8 @@ def upper_moment(f, p, alphas, *, tol=1e-10):
     """(p, vec-alpha)-upper-moment of f by direct nested quadrature.
 
     Above order one the outer quadrature runs no tighter than 1e-9: each
-    level under it runs tighter still, one integrate call per point of the
-    level above.
+    level under it runs tighter still, one integrate call per gap between
+    the sorted points of the level above and its anchor.
     """
     vec = AlphaVector(alphas)
     return _nested(f, float(p), vec, tol if vec.order == 1 else max(tol, 1e-9))

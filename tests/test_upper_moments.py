@@ -21,6 +21,7 @@ import math
 import numpy as np
 import pytest
 
+from updown import numerics
 from updown import upper_moments as UM
 from updown.densities import (exponential, half_restriction, power_tail,
                               rescale, stretched_gaussian, uniform)
@@ -94,6 +95,22 @@ def test_median_anchored_power_tail():
     b = UM.upper_moment_n(pt21, 1.0, 3.0)
     assert a.M == pytest.approx(math.log(2.0), abs=1e-8)
     assert b.M == pytest.approx(math.log(2.0), abs=1e-8)
+
+
+def test_nested_levels_integrate_gaps_not_spans(monkeypatch):
+    # each level integrates the gaps between neighbouring points once; a
+    # span from each point to the median anchor crosses 19 decades of peel
+    # points again and again (59,597 _gk calls, where gaps take 1,025)
+    f, n = power_tail(2.0, 1.0), [0]
+    gk = numerics._gk
+
+    def counted(w, a, b, at=None):
+        n[0] += 1
+        return gk(w, a, b, at)
+
+    monkeypatch.setattr(numerics, "_gk", counted)
+    assert UM.upper_moment(f, 1.0, 3.0).converged
+    assert 0 < n[0] <= 2048
 
 
 # ----------------------------------------------------------- second order
@@ -207,12 +224,16 @@ def test_deviation_scale_invariance():
     for k in (0.5, 10.0):
         got = k * UM.upper_moment_n(rescale(e1, k), 1.0, 3.0).m
         assert got == pytest.approx(0.75, abs=1e-8)
-    # and kappa * m_(1,(3,3)) at m_(1,(3,3)) of the undilated root
+    # and kappa * m_(1,(3,3)) at m_(1,(3,3)) of the undilated root, and the
+    # same for the direct route's m_(1,3)
     for f in (u01, e1, half_restriction(g21)):
         m = UM.upper_moment_n(f, 1.0, (3.0, 3.0)).m
+        md = UM.upper_moment(f, 1.0, 3.0).m
         for k in (0.5, 10.0):
             got = k * UM.upper_moment_n(rescale(f, k), 1.0, (3.0, 3.0)).m
             assert got == pytest.approx(m, rel=1e-12)
+            got = k * UM.upper_moment(rescale(f, k), 1.0, 3.0).m
+            assert got == pytest.approx(md, rel=1e-12)
 
 
 # ------------------------------------------------- moment-sequence check
