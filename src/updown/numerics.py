@@ -94,12 +94,12 @@ def _as_interval(iv):
     return Interval(lo, hi)
 
 
-def _gk(f, a, b, at=None):
-    """Kronrod values and QUADPACK-style errors for a batch of panels (a
-    panel with a > b integrates backward, to the negated value); given
-    abscissae at, f there as well, from the same call of f."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+def _kronrod(f, a, b, at=None):
+    """GK15 Kronrod values of a batch of panels, float arrays a to b (a
+    panel with a > b integrates backward, to the negated value): the one
+    place f meets the GK15 nodes. Returns the values, the half-widths, f
+    at the nodes (one row per panel) and, given abscissae at, f there from
+    the same call of f. NaN raises."""
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     x = mid[:, None] + half[:, None] * _XK[None, :]
@@ -108,7 +108,15 @@ def _gk(f, a, b, at=None):
     if np.isnan(y).any():
         raise IntegrandError(f"integrand returned NaN at x={xs[np.isnan(y)][0]!r}")
     y, f_at = y[:x.size].reshape(x.shape), y[x.size:]
-    ik = half * (y * _WK).sum(axis=1)
+    return half * (y * _WK).sum(axis=1), half, y, f_at
+
+
+def _gk(f, a, b, at=None):
+    """_kronrod's values with QUADPACK-style errors from the embedded
+    Gauss-7 rule; given abscissae at, f there as well."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    ik, half, y, f_at = _kronrod(f, a, b, at)
     ig = half * (y[:, 1::2] * _WG).sum(axis=1)
     with np.errstate(invalid="ignore", over="ignore"):
         mean = ik / (b - a)
@@ -387,7 +395,9 @@ class _CumTable:
     stub, and one batched partial GK15 panel elsewhere between nodes. That
     panel runs from the panel's node on the pivot's side to the point,
     backward below the pivot, so C near the pivot adds masses of one sign
-    and cancels nothing.
+    and cancels nothing. It is read as its Kronrod value alone (_kronrod,
+    the same sum as _gk's value), with no error estimate: the table's bound
+    was met when the panels were refined.
     """
 
     def __init__(self, w, ts, ends, *, pivot=-INF, mass_lo=0.0, mass_hi=0.0):
@@ -453,8 +463,7 @@ class _CumTable:
             # that is the upper node, and GK15 from it runs backward
             k = i[pending]
             k += k < self._pivot
-            vals, _ = _gk(self.w, ts[k], t[pending])
-            out[pending] = self.cums[k] + vals
+            out[pending] = self.cums[k] + _kronrod(self.w, ts[k], t[pending])[0]
         return out
 
 
@@ -472,21 +481,23 @@ def _double(k):
 _NARROW = 1 << 52  # a key gap under one binade's worth of doubles
 
 
-def _chandrupatla(g, target, lo, hi):
+def _chandrupatla(g, target, lo, hi, ends=None):
     """Close brackets [lo, hi] of a vectorized monotone g on target.
 
-    Two calls evaluate g at both ends of every open bracket. An end that
-    hits the target, or past which the target lies (NaN counts as past lo),
-    closes its bracket on itself: [lo, lo] or [hi, hi]. Each later round
-    evaluates g once, on the brackets still open. Inside a key gap under
-    2**52 a round takes Chandrupatla's step (Chandrupatla 1997, Adv. Eng.
-    Softw. 28:145): inverse quadratic interpolation through both ends and
-    the end replaced last, where his test finds it monotone, else the
-    secant. Wider gaps, and any round after one that did not halve the
-    gap, bisect the _key values (the ordered bit patterns of doubles), so
-    every bracket closes within 2 + 2*64 calls. A point with g(t) == target
-    closes its bracket on [t, t]; elsewhere the result is the adjacent pair
-    (a, b) of doubles with g(a) < target <= g(b).
+    The solver starts from g at both ends of every open bracket: the pair
+    ends = (g(lo), g(hi)), a value per bracket, where the caller already
+    holds it, else two calls of g. An end that hits the target, or past
+    which the target lies (NaN counts as past lo), closes its bracket on
+    itself: [lo, lo] or [hi, hi]. Each round evaluates g once, on the
+    brackets still open. Inside a key gap under 2**52 a round takes
+    Chandrupatla's step (Chandrupatla 1997, Adv. Eng. Softw. 28:145):
+    inverse quadratic interpolation through both ends and the end replaced
+    last, where his test finds it monotone, else the secant. Wider gaps,
+    and any round after one that did not halve the gap, bisect the _key
+    values (the ordered bit patterns of doubles), so every bracket closes
+    within 2*64 rounds after its ends. A point with g(t) == target closes
+    its bracket on [t, t]; elsewhere the result is the adjacent pair (a, b)
+    of doubles with g(a) < target <= g(b).
     """
     lo, hi, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, target))
     out_lo, out_hi = lo.copy(), hi.copy()
@@ -496,9 +507,12 @@ def _chandrupatla(g, target, lo, hi):
     if not idx.size:
         return out_lo, out_hi
     kl, gap, xl, xh, y = kl[idx], gap[idx], lo[idx], hi[idx], y[idx]
-    # two calls, not one on twice the points: a round costs per point, and
-    # twice the points double the transient memory of a deep layer stack
-    gl, gh = np.asarray(g(xl), dtype=float), np.asarray(g(xh), dtype=float)
+    if ends is not None:
+        gl, gh = (np.asarray(v, dtype=float)[idx] for v in ends)
+    else:
+        # two calls, not one on twice the points: a round costs per point,
+        # and twice the points double the transient memory of a deep stack
+        gl, gh = np.asarray(g(xl), dtype=float), np.asarray(g(xh), dtype=float)
     end = np.where(~(gl < y), xl, np.where(gh <= y, xh, np.nan))
     stop = ~np.isnan(end)
     out_lo[idx[stop]] = out_hi[idx[stop]] = end[stop]

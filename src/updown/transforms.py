@@ -15,7 +15,9 @@ integrand back to the root density's coordinates, where the quadrature
 cuts are already understood. Image-space pdf queries go through an
 eagerly built monotone bracket table and numerics._chandrupatla, the
 interpolating bracketed solver behind every inverse in the library: each
-of its rounds pushes a batch down the base chain, so fewer rounds pay.
+of its rounds reads the coordinate of a batch down the base chain, so
+fewer rounds pay, and it starts from the coordinate the table holds at
+each bracket end.
 """
 
 import copy
@@ -118,16 +120,19 @@ class TransformedDensity(Density):
             return None
         j = np.searchsorted(z, 0.0)
         _, zc = _chandrupatla(lambda t: self._sigma_total * self._chi(t), 0.0,
-                              bt[j - 1:j], bt[j:j + 1])
+                              bt[j - 1:j], bt[j:j + 1], (z[j - 1:j], z[j:j + 1]))
         return float(zc[0])
 
     def _invert(self, y):
         """Root abscissae whose image coordinate is y, and an out-of-range mask.
 
         Solved by _chandrupatla inside the bracket table: a round of the
-        coordinate map costs 140-730 us on 64 points through one or two
+        coordinate map costs 90-480 us on 64 points through one or two up
         steps, and the solver takes about a quarter of bisection's rounds.
-        An out-of-range y lands on the nearest bracket-table end.
+        It starts from the table's values at the bracket ends, which
+        _build_brackets computed with the same coordinate call, so it spends
+        no call there. An out-of-range y lands on the nearest bracket-table
+        end.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         z = self._sigma_total * y
@@ -136,7 +141,7 @@ class TransformedDensity(Density):
         oob = (idx <= 0) | (idx >= len(bz)) | ~np.isfinite(z)
         idc = np.clip(idx, 1, len(bz) - 1)
         lo, hi = _chandrupatla(lambda t: self._sigma_total * self._chi(t), z,
-                               bt[idc - 1], bt[idc])
+                               bt[idc - 1], bt[idc], (bz[idc - 1], bz[idc]))
         return 0.5 * (lo + hi), oob
 
     def inverse_map(self, y):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from updown.densities import gzero, half_restriction, power_tail, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _chandrupatla,
-                             _CumTable, _double, _key, _refine_panels, integrate)
+                             _CumTable, _double, _gk, _key, _refine_panels, integrate)
 
 
 class TestInterval:
@@ -297,6 +297,39 @@ def test_divergent_end_drops_off_the_table(w, end, side, flat):
     assert math.isfinite(table.above if side > 0 else table.below)
     # the running integral in between is log |d| up to a constant
     assert (table(0.5) - table(0.25))[0] == pytest.approx(flat, rel=1e-13)
+
+
+@pytest.mark.parametrize("pivot", [-math.inf, 0.8, math.inf], ids=["forward", "mid", "backward"])
+def test_cum_table_reads_partial_panels_as_gk_values(pivot):
+    # a read between nodes is the Kronrod value of one partial panel from
+    # the node on the pivot's side, the same sum _gk returns, bit for bit
+    poison = [False]
+
+    def w(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(poison[0] & (x > 1.0), math.nan, np.exp(-x) * (1.5 + np.sin(7.0 * x)))
+
+    table = _CumTable(w, np.linspace(0.0, 2.0, 17), [], pivot=pivot)
+    t = np.random.default_rng(7).uniform(0.0, 2.0, 256)
+    k = np.searchsorted(table.ts, t, side="right") - 1
+    k += k < table._pivot
+    assert table(t).tobytes() == (table.cums[k] + _gk(w, table.ts[k], t)[0]).tobytes()
+    # a NaN weight raises, naming the abscissa inside the panel read
+    poison[0] = True
+    with pytest.raises(IntegrandError) as e:
+        table(1.3)
+    x = float(re.search(r"x=(?:np\.float64\()?([^)]+)\)?$", str(e.value)).group(1))
+    assert 1.0 < x < 1.375
+
+
+@pytest.mark.parametrize("make", [lambda: gzero(1.5), lambda: stretched_gaussian(2.0, 1.5),
+                                  lambda: half_restriction(stretched_gaussian(2.0, 1.5))],
+                         ids=["gzero", "sg", "half-sg"])
+def test_node_table_reads_cums_at_its_nodes(make):
+    # quantile_many hands the solver cums as g at its bracket ends, the
+    # nodes; it holds next to the closure stubs on either side of a point
+    table = make()._node_table()
+    assert table(table.ts).tobytes() == table.cums.tobytes()
 
 
 def _bisect(g, target, lo, hi):

@@ -389,13 +389,13 @@ def test_nested_up_build_gk_points(monkeypatch):
     # build cost 4,094,599 GK points
     f, n = exponential(1.0), [0]
     up(f, 1.5)
-    gk = numerics._gk
+    kronrod = numerics._kronrod
 
     def counted(w, a, b, at=None):
         n[0] += 15 * np.size(a) + (0 if at is None else np.size(at))
-        return gk(w, a, b, at)
+        return kronrod(w, a, b, at)
 
-    monkeypatch.setattr(numerics, "_gk", counted)
+    monkeypatch.setattr(numerics, "_kronrod", counted)
     up(up(f, 1.5), 1.5)
     assert 0 < n[0] < 400_000
 
@@ -611,6 +611,49 @@ def test_up_layer_reads_zero_and_orientation_off_its_base(make, zc, sigma):
     # nowhere inside
     g = make()
     assert (g.zc, g.sigma) == (zc and float.fromhex(zc), sigma)
+
+
+def _solve_counted(run, seeded, monkeypatch):
+    """run() with the transforms solver seeded or not; (result, g calls)."""
+    solve, calls = numerics._chandrupatla, []
+
+    def solver(g, target, lo, hi, ends):
+        counted = lambda t: calls.append(t) or g(t)
+        return solve(counted, target, lo, hi, ends if seeded else None)
+
+    monkeypatch.setattr(transforms, "_chandrupatla", solver)
+    return run(), len(calls)
+
+
+@pytest.mark.parametrize("make, straddles", [
+    (lambda: up(e1, 3.0), False),
+    (lambda: up(u3u01, 3.0), False),
+    (lambda: down(u3u01, 3.0), False),
+    (lambda: u3u01.reseat(-1.0, 0.5), False),
+    # shifted by its median, the coordinate crosses 0 inside the table
+    (lambda: (lambda g: g.reseat(1.0, -g.median()))(up(g21, 3.0)), True),
+], ids=["up3-e1", "up3-up3-u01", "down3-up3-u01", "reseat", "straddle-sg21"])
+def test_seeded_solves_match_unseeded(make, straddles, monkeypatch):
+    # the bracket table holds the solver's g at every bracket end, computed
+    # by the same coordinate call, so a seeded solve takes the unseeded
+    # one's rounds bit for bit and skips its two end calls
+    img = make()
+    bz = img._br_z
+    assert (bz[0] < 0.0 < bz[-1]) == straddles
+    # in range, beyond both bracket-table ends, infinite and NaN
+    ends = bz[[0, -1]]
+    y = np.r_[img.quantiles(32), img._sigma_total * (ends + [-1.0, 1.0] * (1.0 + abs(ends))),
+              -np.inf, np.inf, np.nan]
+    (t0, oob0), n0 = _solve_counted(lambda: img._invert(y), False, monkeypatch)
+    (t1, oob1), n1 = _solve_counted(lambda: img._invert(y), True, monkeypatch)
+    assert t1.tobytes() == t0.tobytes()
+    np.testing.assert_array_equal(oob1, oob0)
+    assert not oob0[:32].any() and oob0[32:].all()
+    assert n0 - n1 == 2
+    if straddles:
+        z0, n0 = _solve_counted(img._zero, False, monkeypatch)
+        z1, n1 = _solve_counted(img._zero, True, monkeypatch)
+        assert (z1, n0 - n1) == (z0, 2)
 
 
 @pytest.mark.parametrize("make, alpha", [

@@ -100,15 +100,15 @@ def test_median_anchored_power_tail():
 def test_nested_levels_integrate_gaps_not_spans(monkeypatch):
     # each level integrates the gaps between neighbouring points once; a
     # span from each point to the median anchor crosses 19 decades of peel
-    # points again and again (59,597 _gk calls, where gaps take 1,025)
+    # points again and again (59,597 GK15 batches, where gaps take 1,025)
     f, n = power_tail(2.0, 1.0), [0]
-    gk = numerics._gk
+    kronrod = numerics._kronrod
 
     def counted(w, a, b, at=None):
         n[0] += 1
-        return gk(w, a, b, at)
+        return kronrod(w, a, b, at)
 
-    monkeypatch.setattr(numerics, "_gk", counted)
+    monkeypatch.setattr(numerics, "_kronrod", counted)
     assert UM.upper_moment(f, 1.0, 3.0).converged
     assert 0 < n[0] <= 2048
 
