@@ -227,38 +227,32 @@ def _closure(w1, w2, dk):
         return np.where(ok, w1 * dk, 0.0), np.where(ok, 1.0 + np.log2(r), 1.0)
 
 
-def _peel(g, edge, other, tol):
-    """Geometric panels (ratio 1/2) from `other` toward a singular `edge`.
+def _peel(g, edge, other):
+    """Geometric panels (ratio 1/2) from `other` toward a singular `edge`,
+    to _rungs' depth at most 64 halvings in, whatever the caller's tol.
 
-    Returns seed panels for adaptive refinement plus the value and error
-    charge of the unreachable stub next to the edge, closed by _closure at
-    the innermost kept panel. The charge is the gap to the stub that
-    panel's own mass implies under the same exponent. A stub no faster
-    than _SLOW adds nothing and charges the mass it would hold at _SLOW,
-    so a non-integrable edge comes back unconverged.
+    Returns the panels as seeds for adaptive refinement plus the value and
+    error charge of the stub next to the edge, closed by _closure at the
+    innermost rung. The charge is the gap to the stub that the innermost
+    panel's mass implies under the same exponent. A stub no faster than
+    _SLOW adds nothing and charges the mass it would hold at _SLOW, so a
+    non-integrable edge comes back unconverged.
     """
     span = other - edge
     ds = _rungs(edge, abs(span), 64)
-    kmax = len(ds) - 1
-    if kmax < 2:
+    if len(ds) < 3:
         val, err = _gk(g, [min(edge, other)], [max(edge, other)])
         return [(min(edge, other), max(edge, other), val[0], err[0])], 0.0, float(err[0])
-    s = math.copysign(1.0, span)
-    xs = edge + s * ds
+    xs = edge + math.copysign(1.0, span) * ds
     a = np.minimum(xs[1:], xs[:-1])
     b = np.maximum(xs[1:], xs[:-1])
     # rungs for the closure in the same call, but not xs[0], the piece end
     vals, errs, w = _gk(g, a, b, xs[1:])
-    cut = kmax - 1
-    for k in range(4, kmax):
-        if abs(vals[k]) < tol / 8.0:
-            cut = k
-            break
-    panels = [(a[k], b[k], vals[k], errs[k]) for k in range(cut + 1)]
-    w1dk, gam = _closure(w[cut], w[cut - 1], ds[cut + 1])
+    w1dk, gam = _closure(w[-1], w[-2], ds[-1])
     gam = max(float(gam), _SLOW)
     with np.errstate(over="ignore"):
-        implied = float(vals[cut] / np.expm1(gam * np.log(2.0)))
+        implied = float(vals[-1] / np.expm1(gam * np.log(2.0)))
+    panels = list(zip(a, b, vals, errs))
     if gam == _SLOW:
         return panels, 0.0, abs(implied)
     stub = float(w1dk) / gam
@@ -593,9 +587,10 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
 
     Singular ends, cut points and mapped infinities are peeled (_peel): a
     ratio-2 ladder of panels, with the stub under it closed by the power
-    law through its two innermost rungs. A stub exponent under 0.04 is
-    not told apart from a divergent edge: its mass is left out and charged
-    to the error estimate.
+    law through its two innermost rungs. The ladder is 64 halvings deep,
+    or stops max(3e-8 |p|, 2**-120) short of its point p, whatever tol is.
+    A stub exponent under 0.04 is not told apart from a divergent edge:
+    its mass is left out and charged to the error estimate.
 
     Refinement always runs to the absolute tol (or the panel budget); rtol
     only widens the converged verdict afterwards, to max(tol, rtol*|value|).
@@ -611,7 +606,7 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     diverged = False
     for g, a, b, sing_lo, sing_hi in pieces:
         if sing_lo or sing_hi:
-            seeds, stub_val, stub_err = _peel(g, *((a, b) if sing_lo else (b, a)), per_tol)
+            seeds, stub_val, stub_err = _peel(g, *((a, b) if sing_lo else (b, a)))
         else:
             vals, errs = _gk(g, [a], [b])
             seeds, stub_val, stub_err = [(a, b, vals[0], errs[0])], 0.0, 0.0

@@ -203,6 +203,10 @@ class TransformedDensity(Density):
 
     def integral(self, fn, *, needs=0, tol=1e-10, extra_interior=(),
                  force_singular_edges=False):
+        """Density.integral pulled back to root coordinates, cut at each up
+        step's zc and at the root points of extra_interior. It ignores
+        force_singular_edges: the root's finite edges are always peeled,
+        as the pullback can blow up there where the root pdf does not."""
         self._check_order(needs)
         cuts = [d.zc for d in self._up_steps() if d.zc is not None]
         extra = np.asarray(tuple(extra_interior), dtype=float)
@@ -334,9 +338,7 @@ class _UpImage(TransformedDensity):
     def __init__(self, base, alpha):
         super().__init__(base, alpha)
         self.c = self.alpha - 2.0
-        # reseating flips sigma away from the chi orientation; _push needs
-        # the original to sign the odd derivative correctly
-        self.sigma = self._sign_chi = base._sigma_total
+        self.sigma = base._sigma_total
         self.zc = None if self.c == 0.0 else base._zero()
         if self.zc is not None and -1.0 <= self.c < 0.0:
             raise PreconditionError(
@@ -414,8 +416,8 @@ class _UpImage(TransformedDensity):
         st = self.base._push(t, needs - 1) if needs >= 1 else ()
         c = self.c
         # odd derivatives are odd under a coordinate reflection; flip is -1
-        # exactly when a reseat reversed the image orientation
-        flip = self.sigma * self._sign_chi
+        # exactly when a reseat turned sigma against the base's orientation
+        flip = self.sigma * self.base._sigma_total
         with np.errstate(all="ignore"):
             # h0 = 1/w(wb); q = d log w / dv, 1 at c = 0
             h0 = np.exp(-_log_weight(wb, c))

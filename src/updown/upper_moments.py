@@ -211,7 +211,7 @@ def verify_path_agreement(f, p, alphas, *, tol=1e-10):
 
 def signed_upper_moment(f, p, alphas, *, tol=1e-10):
     """Upper-moment with the outer absolute value removed; p natural."""
-    if float(p) != int(p) or int(p) < 1:
+    if not (math.isfinite(p) and float(p) == int(p) >= 1):
         raise PreconditionError(
             f"signed upper-moments need a natural exponent, got p={p!r}")
     k = int(p)
@@ -232,9 +232,9 @@ def moment_sequence_check(f, alphas, n_moments, *, tol=1e-10):
     vec = AlphaVector(alphas)
     if any(a >= 2.0 for a in vec):
         raise DomainError("the moment-sequence equivalence needs every alpha below two")
+    if not (math.isfinite(n_moments) and n_moments == int(n_moments) >= 1):
+        raise DomainError(f"n_moments must be a whole number, at least one, got {n_moments!r}")
     n_moments = int(n_moments)
-    if n_moments < 1:
-        raise DomainError("n_moments must be at least one")
 
     # tower[k] is the base of the k-th down; chain consults the curvature
     # gate between consecutive downs

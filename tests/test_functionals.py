@@ -12,6 +12,7 @@ from updown.densities import (exponential, gzero, half_restriction,
                               power_tail, rescale, stretched_gaussian,
                               uniform)
 from updown.errors import CapabilityError, DomainError
+from updown.numerics import Interval, integrate
 from updown.transforms import down
 
 EULER = 0.5772156649015329
@@ -258,6 +259,27 @@ def test_absolute_moment_scale_degree(f, kappa, p):
     got = F.mu(rescale(f, kappa), p)
     assert got.converged
     assert got.value == pytest.approx(kappa ** -p * F.mu(f, p).value, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("f", [g21, half_restriction(g21)], ids=["sg", "half-sg"])
+@pytest.mark.parametrize("kappa", [1e-3, 1.0, 1e3, 1e4])
+def test_gaussian_moments_over_scale_range(f, kappa):
+    # rescale(f, kappa) is valid for every kappa > 0; for exp(-x^2)/sqrt(pi),
+    # <X^2> = 1/2 and <|X|> = 1/sqrt(pi), scaled by kappa^-2 and kappa^-1
+    r = rescale(f, kappa)
+    m2, s1 = F.mu(r, 2.0), F.sigma(r, 1.0)
+    assert m2.converged and s1.converged
+    assert m2.value * kappa**2 == pytest.approx(0.5, rel=1e-9, abs=0.0)
+    assert s1.value * kappa == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-9, abs=0.0)
+
+
+def test_narrow_peak_at_singular_edge_keeps_its_mass():
+    # all the mass lies within 1e-2 of the singular end: the ladder must
+    # reach it whatever tol is
+    kappa, h = 1e3, half_restriction(g21)
+    q = integrate(lambda x: kappa * h.pdf(kappa * x), Interval(0.0, math.inf, singular_lo=True))
+    assert q.converged
+    assert q.value == pytest.approx(1.0, rel=0.0, abs=1e-9)
 
 
 @given(st.floats(min_value=0.5, max_value=4.0))

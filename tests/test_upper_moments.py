@@ -180,6 +180,9 @@ def test_signed_needs_natural_exponent():
         UM.signed_upper_moment(u01, 1.5, 3.0)
     with pytest.raises(PreconditionError):
         UM.signed_upper_moment(u01, 0, 3.0)
+    for p in (math.inf, math.nan):
+        with pytest.raises(PreconditionError):
+            UM.signed_upper_moment(u01, p, 3.0)
 
 
 # ------------------------------------------------------------- validation
@@ -278,3 +281,7 @@ def test_moment_sequence_gate_and_validation():
         UM.moment_sequence_check(e1, (3.0,), 2)
     with pytest.raises(DomainError):
         UM.moment_sequence_check(e1, (-1.0,), 0)
+    # a count is whole and finite; 2.5 is not read as 2
+    for n in (2.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            UM.moment_sequence_check(e1, 1.5, n)
