@@ -94,6 +94,14 @@ def _as_interval(iv):
     return Interval(lo, hi)
 
 
+def _checked(f, x):
+    """f at abscissae x, as floats; NaN raises, naming the first such x."""
+    y = np.asarray(f(x), dtype=float)
+    if np.count_nonzero(np.isnan(y)):
+        raise IntegrandError(f"integrand returned NaN at x={x[np.isnan(y)][0]!r}")
+    return y
+
+
 def _kronrod(f, a, b, at=None):
     """GK15 Kronrod values of a batch of panels, float arrays a to b (a
     panel with a > b integrates backward, to the negated value): the one
@@ -101,14 +109,12 @@ def _kronrod(f, a, b, at=None):
     at the nodes (one row per panel) and, given abscissae at, f there from
     the same call of f. NaN raises."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    x = mid[:, None] + half[:, None] * _XK[None, :]
-    xs = x.ravel() if at is None else np.r_[x.ravel(), at]
-    y = np.asarray(f(xs), dtype=float)
-    if np.isnan(y).any():
-        raise IntegrandError(f"integrand returned NaN at x={xs[np.isnan(y)][0]!r}")
+    x = np.multiply.outer(half, _XK)
+    x += (0.5 * (b + a))[:, None]
+    xs = x.ravel() if at is None else np.concatenate([x.ravel(), at])
+    y = _checked(f, xs)
     y, f_at = y[:x.size].reshape(x.shape), y[x.size:]
-    return half * (y * _WK).sum(axis=1), half, y, f_at
+    return half * np.add.reduce(y * _WK, 1), half, y, f_at
 
 
 def _gk(f, a, b, at=None):
@@ -117,17 +123,18 @@ def _gk(f, a, b, at=None):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     ik, half, y, f_at = _kronrod(f, a, b, at)
-    ig = half * (y[:, 1::2] * _WG).sum(axis=1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        mean = ik / (b - a)
-        resasc = half * (np.abs(y - mean[:, None]) * _WK).sum(axis=1)
-        diff = np.abs(ik - ig)
-        err = np.where(
-            resasc > 0.0,
-            resasc * np.minimum(1.0, (200.0 * diff / np.where(resasc > 0, resasc, 1.0)) ** 1.5),
-            diff,
-        )
+    err = _qk_error(ik, half * np.add.reduce(y[:, 1::2] * _WG, 1), half, y, a, b)
     return (ik, err) if at is None else (ik, err, f_at)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _qk_error(ik, ig, half, y, a, b):
+    """QUADPACK's error of Kronrod values ik against Gauss values ig from
+    f's spread about its mean (resasc), under an errstate that f never
+    runs in; where resasc is 0 the ratio is inf or NaN, the error diff."""
+    resasc = half * np.add.reduce(np.abs(y - (ik / (b - a))[:, None]) * _WK, 1)
+    diff = np.abs(ik - ig)
+    return np.where(resasc > 0.0, resasc * np.minimum(1.0, (200.0 * diff / resasc) ** 1.5), diff)
 
 
 def _wrap_inf(f, edge, side):
@@ -141,19 +148,19 @@ def _wrap_inf(f, edge, side):
     values raise.
     """
     scale = max(1.0, abs(edge))
+    shift, c = edge - side * scale, side * scale
+    # above this floor s maps to finite x and dx/ds: no masking, no errstate
+    floor = scale * 2.0 ** -500 if scale < 2.0 ** 500 else INF
 
     def g(s):
+        if s.size and np.minimum.reduce(s) > floor:
+            return _checked(f, shift + c / s) * (scale / s**2)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = (edge - side * scale) + side * scale / s
-            jac = scale / s**2
+            x, jac = shift + c / s, scale / s**2
         ok = np.isfinite(x)
         y = np.zeros_like(x)
         if ok.any():
-            yi = np.asarray(f(x[ok]), dtype=float)
-            if np.isnan(yi).any():
-                bad = x[ok][np.isnan(yi)][0]
-                raise IntegrandError(f"integrand returned NaN at x={bad!r}")
-            y[ok] = yi
+            y[ok] = _checked(f, x[ok])
         return y * jac
 
     return g
@@ -244,15 +251,14 @@ def _peel(g, edge, other):
         val, err = _gk(g, [min(edge, other)], [max(edge, other)])
         return [(min(edge, other), max(edge, other), val[0], err[0])], 0.0, float(err[0])
     xs = edge + math.copysign(1.0, span) * ds
-    a = np.minimum(xs[1:], xs[:-1])
-    b = np.maximum(xs[1:], xs[:-1])
+    a, b = np.minimum(xs[1:], xs[:-1]), np.maximum(xs[1:], xs[:-1])
     # rungs for the closure in the same call, but not xs[0], the piece end
     vals, errs, w = _gk(g, a, b, xs[1:])
     w1dk, gam = _closure(w[-1], w[-2], ds[-1])
     gam = max(float(gam), _SLOW)
     with np.errstate(over="ignore"):
         implied = float(vals[-1] / np.expm1(gam * np.log(2.0)))
-    panels = list(zip(a, b, vals, errs))
+    panels = list(zip(a.tolist(), b.tolist(), vals.tolist(), errs.tolist()))
     if gam == _SLOW:
         return panels, 0.0, abs(implied)
     stub = float(w1dk) / gam
@@ -261,10 +267,7 @@ def _peel(g, edge, other):
 
 def _adaptive(g, seeds, tol, budget):
     """Worst-first refinement of seed panels; returns (value, error, used)."""
-    heap = []
-    total_val = 0.0
-    total_err = 0.0
-    count = 0
+    heap, total_val, total_err, count = [], 0.0, 0.0, 0
     for (a, b, val, err) in seeds:
         heapq.heappush(heap, (-err, count, a, b, val, err))
         count += 1
@@ -272,27 +275,25 @@ def _adaptive(g, seeds, tol, budget):
         total_err += err
     if not np.isfinite(total_val):
         return total_val, INF, len(seeds)
-    frozen_val = 0.0
-    frozen_err = 0.0
-    used = len(seeds)
+    frozen_val, frozen_err, used = 0.0, 0.0, len(seeds)
     while heap and used < budget and total_err > tol:
         _, _, a, b, val, err = heapq.heappop(heap)
         total_val -= val
         total_err -= err
-        scale = max(abs(a), abs(b), 1.0)
-        if (b - a) < 256.0 * _EPS * scale:
+        if (b - a) < 256.0 * _EPS * max(abs(a), abs(b), 1.0):
             frozen_val += val
             frozen_err += err
             continue
         m = 0.5 * (a + b)
-        v2, e2 = _gk(g, [a, m], [m, b])
-        if not np.isfinite(v2).all():
-            return total_val + frozen_val + float(v2.sum()), INF, used
-        for (aa, bb, vv, ee) in ((a, m, v2[0], e2[0]), (m, b, v2[1], e2[1])):
-            heapq.heappush(heap, (-ee, count, aa, bb, vv, ee))
-            count += 1
-        total_val += float(v2.sum())
-        total_err += float(e2.sum())
+        ends = np.array((a, m, b))
+        (v1, v2), (e1, e2) = map(np.ndarray.tolist, _gk(g, ends[:2], ends[1:]))
+        if not (math.isfinite(v1) and math.isfinite(v2)):
+            return total_val + frozen_val + (v1 + v2), INF, used
+        heapq.heappush(heap, (-e1, count, a, m, v1, e1))
+        heapq.heappush(heap, (-e2, count + 1, m, b, v2, e2))
+        count += 2
+        total_val += v1 + v2
+        total_err += e1 + e2
         used += 1
     return total_val + frozen_val, total_err + frozen_err, used
 
@@ -334,9 +335,9 @@ def _refine_panels(f, a, b, tol, rtol):
             pick = pick[np.tril(o[:, None] == o, -1).sum(1) < _BUDGET - used[o]]
             np.add.at(used, own[pick], 1)
             lo, hi = leaf[0, pick], leaf[1, pick]
-            kids = [np.r_[lo, 0.5 * (lo + hi)], np.r_[0.5 * (lo + hi), hi]]
+            kids = [np.concatenate([lo, 0.5 * (lo + hi)]), np.concatenate([0.5 * (lo + hi), hi])]
             leaf = np.hstack([np.delete(leaf, pick, 1), [*kids, *_gk(f, *kids)]])
-            own = np.r_[np.delete(own, pick), own[pick], own[pick]]
+            own = np.concatenate([np.delete(own, pick), own[pick], own[pick]])
     return mass
 
 
@@ -409,9 +410,9 @@ class _CumTable:
         # stretches below and above the table
         panel = np.searchsorted(ts, p + 0.5 * s * dk, side="right") - 1
         on = (panel >= 0) & (panel < len(ts) - 1)
-        rest = np.setdiff1d(np.arange(len(ts) - 1), panel[on])
+        rest = np.bincount(panel[on], minlength=len(ts) - 1) == 0
         m = np.zeros(len(ts) - 1)
-        m[rest] = _refine_panels(w, ts[rest], ts[rest + 1], 1e-13, 1e-13)
+        m[rest] = _refine_panels(w, ts[:-1][rest], ts[1:][rest], 1e-13, 1e-13)
         m[panel[on]] = w1dk[on] / gam[on]
         # partial sums pivoted at one node: with a divergent edge in play a
         # one-sided running total grows enormous, and differences of C near
@@ -420,8 +421,8 @@ class _CumTable:
         # searched against the nodes and the double after the last one, a
         # point's panel runs from -1 below the table to len(ts) above it;
         # ts and cums are views
-        self._edges = np.r_[ts, np.nextafter(ts[-1], INF)]
-        self._c = np.r_[cums[0] - mass_lo, cums, cums[-1] + mass_hi]
+        self._edges = np.concatenate([ts, [np.nextafter(ts[-1], INF)]])
+        self._c = np.concatenate([[cums[0] - mass_lo], cums, [cums[-1] + mass_hi]])
         self.ts, self.cums, self.below, self.above = \
             self._edges[:-1], self._c[1:-1], self._c[0], self._c[-1]
         # per stub: point, side, w1 dK, gam, dK, whether it is on the table,
@@ -601,15 +602,13 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     pieces = _pieces(f, iv, interior)
     per_tol = tol / len(pieces)
     per_budget = max(64, _BUDGET // len(pieces))
-    value = 0.0
-    err = 0.0
-    diverged = False
+    value, err, diverged = 0.0, 0.0, False
     for g, a, b, sing_lo, sing_hi in pieces:
         if sing_lo or sing_hi:
             seeds, stub_val, stub_err = _peel(g, *((a, b) if sing_lo else (b, a)))
         else:
             vals, errs = _gk(g, [a], [b])
-            seeds, stub_val, stub_err = [(a, b, vals[0], errs[0])], 0.0, 0.0
+            seeds, stub_val, stub_err = [(a, b, float(vals[0]), float(errs[0]))], 0.0, 0.0
         v, e, _ = _adaptive(g, seeds, max(per_tol - stub_err, per_tol / 4), per_budget)
         v, e = v + stub_val, e + stub_err
         value += v

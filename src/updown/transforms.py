@@ -127,12 +127,12 @@ class TransformedDensity(Density):
         """Root abscissae whose image coordinate is y, and an out-of-range mask.
 
         Solved by _chandrupatla inside the bracket table: a round of the
-        coordinate map costs 90-480 us on 64 points through one or two up
-        steps, and the solver takes about a quarter of bisection's rounds.
-        It starts from the table's values at the bracket ends, which
-        _build_brackets computed with the same coordinate call, so it spends
-        no call there. An out-of-range y lands on the nearest bracket-table
-        end.
+        coordinate map costs about 60 us on 64 points through one up step
+        and 320 us through two, and the solver takes about a quarter of
+        bisection's rounds. It starts from the table's values at the
+        bracket ends, which _build_brackets computed with the same
+        coordinate call, so it spends no call there. An out-of-range y
+        lands on the nearest bracket-table end.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         z = self._sigma_total * y

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from updown.densities import gzero, half_restriction, power_tail, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _chandrupatla,
-                             _CumTable, _double, _gk, _key, _refine_panels, integrate)
+                             _CumTable, _double, _gk, _key, _kronrod, _refine_panels,
+                             integrate)
 
 
 class TestInterval:
@@ -72,10 +73,12 @@ _PT15 = power_tail(1.5, 1.0).pdf
 
 @pytest.mark.parametrize("f,iv", [
     (_PT15, (1e12, math.inf)), (lambda x: _PT15(-x), (-math.inf, -1e12)),
+    (lambda x: _PT15(x / 1e200) / 1e200, (1e212, math.inf)),
 ])
 def test_far_offset_infinite_tails(f, iv):
     # mapped at unit scale, the mass past an edge at 1e12 sat within 1e-12
-    # of s = 0, short of the peel, and came back as 1.55e-17, converged
+    # of s = 0, short of the peel, and came back as 1.55e-17, converged.
+    # Past an edge of 2**500 the map takes its masked path
     got = integrate(f, iv)
     assert got.converged
     assert got.value == pytest.approx(1e-6, rel=1e-10)
@@ -197,6 +200,39 @@ def _recorded(f):
         return f(x)
 
     return g, seen
+
+
+def test_budget_bound_integral_counts_its_splits():
+    # the 1e10-scaled half-Gaussian on (0, inf): its absolute error never
+    # gets under tol, so after one call for the 64-panel ladder each call
+    # splits one panel until the 4096-panel budget is spent
+    f, seen = _recorded(lambda x: 1e10 * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * x * x))
+    got = integrate(f, (0.0, math.inf), tol=1e-10, rtol=1e-10)
+    assert len(seen) == 1 + (4096 - 64)
+    assert got.value == pytest.approx(1e10, rel=1e-9, abs=0.0)
+    # converged through rtol alone
+    assert got.converged and got.abs_error_estimate > 1e-10
+    assert not integrate(f, (0.0, math.inf), tol=1e-10).converged
+
+
+def test_gk_panel_values_do_not_depend_on_the_batch():
+    # a panel's value and error carry the same bits alone, in a batch and
+    # beside extra abscissae, and its value is _kronrod's: _CumTable reads
+    # partial panels value-only and trusts them to match the table's own
+    f = lambda x: np.exp(-x) * (1.5 + np.sin(7.0 * x))
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-2.0, 2.0, 97)
+    b = a + rng.uniform(-1.0, 1.0, 97)
+    val, err = _gk(f, a, b)
+    assert val.tobytes() == _kronrod(f, a, b)[0].tobytes()
+    with_at = _gk(f, a, b, np.linspace(-2.0, 2.0, 5))
+    assert (with_at[0].tobytes(), with_at[1].tobytes()) == (val.tobytes(), err.tobytes())
+    for i in range(len(a)):
+        one = _gk(f, a[i:i + 1], b[i:i + 1])
+        assert (one[0].tobytes(), one[1].tobytes()) == (val[i:i + 1].tobytes(),
+                                                        err[i:i + 1].tobytes())
+        pair = _gk(f, a[i:i + 2], b[i:i + 2])
+        assert pair[0].tobytes() == val[i:i + 2].tobytes()
 
 
 def test_refine_panels_matches_integrate_on_smooth_panels():
