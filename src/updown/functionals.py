@@ -23,9 +23,8 @@ class Quantity(NamedTuple):
     err: float
 
 
-def _from_quad(q, value=None):
-    v = q.value if value is None else value
-    return Quantity(float(v), bool(q.converged), float(q.abs_error_estimate))
+def _from_quad(q):
+    return Quantity(float(q.value), bool(q.converged), float(q.abs_error_estimate))
 
 
 def _nonneg(q):

@@ -161,7 +161,8 @@ def _wrap_inf(f, edge, side):
         y = np.zeros_like(x)
         if ok.any():
             y[ok] = _checked(f, x[ok])
-        return y * jac
+        # where f is 0, dx/ds may have overflowed: the product is 0, not NaN
+        return np.multiply(y, jac, out=y, where=y != 0.0)
 
     return g
 
@@ -246,6 +247,9 @@ def _peel(g, edge, other):
     non-integrable edge comes back unconverged.
     """
     span = other - edge
+    # 64 halvings, not the floor: functionals._nonneg reads divergence off
+    # the error this depth leaves; laid to 2**-120, mu(power_tail(2, 1), 1)
+    # comes back finite (83.2) and unconverged in place of inf
     ds = _rungs(edge, abs(span), 64)
     if len(ds) < 3:
         val, err = _gk(g, [min(edge, other)], [max(edge, other)])
@@ -265,19 +269,19 @@ def _peel(g, edge, other):
     return panels, stub, abs(stub - implied)
 
 
-def _adaptive(g, seeds, tol, budget):
-    """Worst-first refinement of seed panels; returns (value, error, used)."""
-    heap, total_val, total_err, count = [], 0.0, 0.0, 0
-    for (a, b, val, err) in seeds:
-        heapq.heappush(heap, (-err, count, a, b, val, err))
-        count += 1
+def _adaptive(seeds, tol, budget):
+    """Worst-first refinement of seed panels (a, b, value, error, g) in one
+    heap, each split through its own g; returns (value, error)."""
+    heap, total_val, total_err = [], 0.0, 0.0
+    for count, (a, b, val, err, g) in enumerate(seeds):
+        heapq.heappush(heap, (-err, count, a, b, val, err, g))
         total_val += val
         total_err += err
-    if not np.isfinite(total_val):
-        return total_val, INF, len(seeds)
-    frozen_val, frozen_err, used = 0.0, 0.0, len(seeds)
-    while heap and used < budget and total_err > tol:
-        _, _, a, b, val, err = heapq.heappop(heap)
+    if not math.isfinite(total_val):
+        return total_val, INF
+    count, frozen_val, frozen_err, room = len(seeds), 0.0, 0.0, budget - len(seeds)
+    while heap and room > 0 and total_err > tol:
+        _, _, a, b, val, err, g = heapq.heappop(heap)
         total_val -= val
         total_err -= err
         if (b - a) < 256.0 * _EPS * max(abs(a), abs(b), 1.0):
@@ -288,14 +292,14 @@ def _adaptive(g, seeds, tol, budget):
         ends = np.array((a, m, b))
         (v1, v2), (e1, e2) = map(np.ndarray.tolist, _gk(g, ends[:2], ends[1:]))
         if not (math.isfinite(v1) and math.isfinite(v2)):
-            return total_val + frozen_val + (v1 + v2), INF, used
-        heapq.heappush(heap, (-e1, count, a, m, v1, e1))
-        heapq.heappush(heap, (-e2, count + 1, m, b, v2, e2))
+            return total_val + frozen_val + (v1 + v2), INF
+        heapq.heappush(heap, (-e1, count, a, m, v1, e1, g))
+        heapq.heappush(heap, (-e2, count + 1, m, b, v2, e2, g))
         count += 2
         total_val += v1 + v2
         total_err += e1 + e2
-        used += 1
-    return total_val + frozen_val, total_err + frozen_err, used
+        room -= 1
+    return total_val + frozen_val, total_err + frozen_err
 
 
 _ROUND_LEAVES = 64  # leaves bisected per round of _refine_panels
@@ -593,28 +597,27 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     A stub exponent under 0.04 is not told apart from a divergent edge:
     its mass is left out and charged to the error estimate.
 
-    Refinement always runs to the absolute tol (or the panel budget); rtol
-    only widens the converged verdict afterwards, to max(tol, rtol*|value|).
+    The pieces' seed panels share one heap (_adaptive), worst panel first,
+    one absolute tol (less the stubs' error charges, at least tol/4) and
+    one 4096-panel budget per call. rtol only widens the converged verdict
+    afterwards: value and error finite, error <= max(tol, rtol*|value|).
     A kink not listed in interior can fool the GK15 error estimate:
     |sin(37x)| on (3.4, 3.5) comes back 2.4e-8 off with converged True.
     """
     iv = _as_interval(iv)
-    pieces = _pieces(f, iv, interior)
-    per_tol = tol / len(pieces)
-    per_budget = max(64, _BUDGET // len(pieces))
-    value, err, diverged = 0.0, 0.0, False
-    for g, a, b, sing_lo, sing_hi in pieces:
+    seeds, stub_val, stub_err = [], 0.0, 0.0
+    for g, a, b, sing_lo, sing_hi in _pieces(f, iv, interior):
         if sing_lo or sing_hi:
-            seeds, stub_val, stub_err = _peel(g, *((a, b) if sing_lo else (b, a)))
+            panels, v, e = _peel(g, *((a, b) if sing_lo else (b, a)))
         else:
             vals, errs = _gk(g, [a], [b])
-            seeds, stub_val, stub_err = [(a, b, float(vals[0]), float(errs[0]))], 0.0, 0.0
-        v, e, _ = _adaptive(g, seeds, max(per_tol - stub_err, per_tol / 4), per_budget)
-        v, e = v + stub_val, e + stub_err
-        value += v
-        err += e
-        if not (np.isfinite(v) and np.isfinite(e)):
-            diverged = True
+            panels, v, e = [(a, b, float(vals[0]), float(errs[0]))], 0.0, 0.0
+        seeds += [(*p, g) for p in panels]
+        stub_val += v
+        stub_err += e
+    value, err = _adaptive(seeds, max(tol - stub_err, tol / 4), _BUDGET)
+    value, err = value + stub_val, err + stub_err
     # a diverged value may be infinite, where rtol * |value| is undefined
-    converged = bool(not diverged and err <= max(tol, (rtol or 0.0) * abs(value)))
+    converged = bool(math.isfinite(value) and math.isfinite(err)
+                     and err <= max(tol, (rtol or 0.0) * abs(value)))
     return QuadResult(float(value), float(err), converged)

@@ -84,6 +84,18 @@ def test_far_offset_infinite_tails(f, iv):
     assert got.value == pytest.approx(1e-6, rel=1e-10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e", [1e280, 1e300])
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_far_edge_tail_where_the_map_overflows(e, side):
+    # past the edge, dx/ds overflows to inf where f has underflowed to 0;
+    # their product is 0, not NaN
+    got = integrate(lambda x: np.exp(-(side * x - e) / e) / e,
+                    (e, math.inf) if side > 0 else (-math.inf, -e))
+    assert got.converged
+    assert got.value == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
 @pytest.mark.parametrize("f,iv,want,tol", [
     (lambda x: 1.0 / np.sqrt(x), Interval(0, 1, singular_lo=True), 2.0, 1e-10),
     (lambda x: np.log(x), Interval(0, 1, singular_lo=True), -1.0, 1e-10),
@@ -213,6 +225,22 @@ def test_budget_bound_integral_counts_its_splits():
     # converged through rtol alone
     assert got.converged and got.abs_error_estimate > 1e-10
     assert not integrate(f, (0.0, math.inf), tol=1e-10).converged
+
+
+def test_budget_is_per_call_not_per_piece():
+    # the same integrand cut at 40 makes three pieces: (0, 40) with a ladder
+    # toward 40 and (40, inf), mapped to s in (0, 1) and halved, with ladders
+    # toward s = 0 and s = 1. After one call per ladder, the pieces share
+    # one heap and one 4096-panel budget; the hard piece may spend it all
+    f, seen = _recorded(lambda x: 1e10 * math.sqrt(2.0 / math.pi) * np.exp(-0.5 * x * x))
+    got = integrate(f, (0.0, math.inf), tol=1e-10, rtol=1e-10, interior=(40.0,))
+    # one call per ladder (15 nodes plus one rung per panel; toward 40 the
+    # rungs stop 3e-8 * 40 short, toward s = 0 after 64 halvings, toward
+    # s = 1 3e-8 short), then one per split until 4096 panels are in play
+    assert len(seen) == 3 + (4096 - (24 + 64 + 23))
+    assert [len(x) for x in seen[:3]] == [16 * 24, 16 * 64, 16 * 23]
+    assert got.value == pytest.approx(1e10, rel=1e-9, abs=0.0)
+    assert got.converged
 
 
 def test_gk_panel_values_do_not_depend_on_the_batch():
