@@ -256,13 +256,12 @@ class Density:
     def quantile_many(self, levels):
         """Abscissae where the cdf reaches the given mass levels.
 
-        A closed-form quantile hook answers directly; otherwise
-        _chandrupatla inverts the cdf inside the node table, where a round
-        costs a partial GK15 panel per point (about 45 us on 64 points).
-        Without a cdf hook the solver starts from the table's cums, the cdf
-        at the bracket ends. Uncached: the library's own fixed grids go
-        through _grid_quantiles, so levels chosen by a caller never enter
-        the memo.
+        A closed-form quantile hook answers directly; otherwise, cdf hook
+        or not, _chandrupatla inverts the node table from its cums, the
+        running mass at its nodes. A round costs a partial GK15 panel per
+        point (about 45 us on 64 points). Uncached: the library's own fixed
+        grids go through _grid_quantiles, so levels chosen by a caller never
+        enter the memo.
         """
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         if not np.all((levels > 0.0) & (levels < 1.0)):  # NaN fails too
@@ -270,14 +269,7 @@ class Density:
         if self._quantile is not None:
             return np.asarray(self._quantile(levels), dtype=float)
         tab = self._node_table()
-        xs, cums = tab.ts, tab.cums
-        # with an exact cdf hook the targets are the levels themselves; the
-        # numeric table still supplies the starting brackets, and without
-        # a hook its cums are the cdf at their ends
-        targets = levels if self._cdf is not None else levels * cums[-1]
-        idx = np.clip(np.searchsorted(cums, levels * cums[-1]), 1, len(xs) - 1)
-        ends = None if self._cdf is not None else (cums[idx - 1], cums[idx])
-        lo, hi = _chandrupatla(self.cdf_at, targets, xs[idx - 1], xs[idx], ends)
+        lo, hi = _chandrupatla(tab, levels * tab.cums[-1], tab.ts, tab.cums)
         return 0.5 * (lo + hi)
 
     def _grid_quantiles(self, levels):

@@ -71,7 +71,7 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
         # log of integrand over pdf; a zero exponent drops its factor
         f0, f1, f2 = f._state(x, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = (f0 / f1) * (f2 / f1)
+            r = functionals._curvature(f0, f1, f2)
             logs = (np.log(f0), np.log(np.abs(f1)), np.log(np.abs(ratio - r)))
             return sum(c * v for c, v in zip((e0 - 1.0, q, p), logs) if c != 0.0)
 
@@ -81,7 +81,7 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
         return Quantity(math.inf, False, math.inf)
 
     def fn(x, f0, f1, f2):
-        r = (f0 / f1) * (f2 / f1)
+        r = functionals._curvature(f0, f1, f2)
         y = np.exp(e0 * np.log(f0) + q * np.log(np.abs(f1))
                    + p * np.log(np.abs(ratio - r)))
         # points where the pdf or slope has underflowed to zero carry no

@@ -76,9 +76,8 @@ def mu(f, p, *, tol=1e-10):
         return Quantity(1.0, True, 0.0)
     extra = (0.0,) if f.support.lo < 0.0 < f.support.hi else ()
     force = p < 0.0 and (f.support.lo == 0.0 or f.support.hi == 0.0)
-    with np.errstate(divide="ignore"):
-        q = f.expect(lambda x, f0: np.abs(x) ** p, tol=tol,
-                     extra_interior=extra, force_singular_edges=force)
+    q = f.expect(lambda x, f0: np.abs(x) ** p, tol=tol,
+                 extra_interior=extra, force_singular_edges=force)
     return _nonneg(q)
 
 
@@ -96,17 +95,15 @@ def log_moment(f, p, *, tol=1e-10):
     """Logarithmic moment <|log|x||^p> (unrooted)."""
     p = float(p)
     cuts = [c for c in (-1.0, 0.0, 1.0) if f.support.lo < c < f.support.hi]
-    with np.errstate(divide="ignore"):
-        q = f.expect(lambda x, f0: np.abs(np.log(np.abs(x))) ** p,
-                     tol=tol, extra_interior=cuts)
+    q = f.expect(lambda x, f0: np.abs(np.log(np.abs(x))) ** p,
+                 tol=tol, extra_interior=cuts)
     return _nonneg(q)
 
 
 def mean_log_abs(f, *, tol=1e-10):
     """Signed logarithmic mean <log|x|>."""
     cuts = [c for c in (0.0,) if f.support.lo < c < f.support.hi]
-    with np.errstate(divide="ignore"):
-        q = f.expect(lambda x, f0: np.log(np.abs(x)), tol=tol, extra_interior=cuts)
+    q = f.expect(lambda x, f0: np.log(np.abs(x)), tol=tol, extra_interior=cuts)
     return _from_quad(q)
 
 
@@ -137,8 +134,7 @@ def _order_integral(f, lam, tol):
 
 def shannon(f, *, tol=1e-10):
     """Shannon entropy -<log f>."""
-    with np.errstate(divide="ignore"):
-        q = f.expect(lambda x, f0: np.log(f0), tol=tol)
+    q = f.expect(lambda x, f0: np.log(f0), tol=tol)
     return Quantity(-q.value, q.converged, q.abs_error_estimate)
 
 
@@ -220,14 +216,19 @@ def mean_log_abs_deriv(f, *, tol=1e-10):
     return _from_quad(f.expect(fn, needs=1, tol=tol))
 
 
+def _curvature(f0, f1, f2):
+    """f f''/f'^2 from the pdf state, in quotient form: f0*f2 and f1**2 can
+    underflow separately deep in a tail while the two ratios stay
+    well-scaled."""
+    return (f0 / f1) * (f2 / f1)
+
+
 def curvature_ratio(f, x):
     """Pointwise f f'' / f'^2, the scale-free curvature of the pdf."""
     x = np.asarray(x, dtype=float)
     f0, f1, f2 = f._state(x, 2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # quotient form: f0*f2 and f1**2 can underflow separately deep in
-        # a tail while the two ratios stay well-scaled
-        return (f0 / f1) * (f2 / f1)
+        return _curvature(f0, f1, f2)
 
 
 def mean_log_curvature(f, alpha, *, tol=1e-10):
@@ -241,7 +242,7 @@ def mean_log_curvature(f, alpha, *, tol=1e-10):
             f"{f.label}: log-curvature argument not positive at x={bad:.6g}")
 
     def fn(x, f0, f1, f2):
-        return np.log(alpha - (f0 / f1) * (f2 / f1))
+        return np.log(alpha - _curvature(f0, f1, f2))
 
     return _from_quad(f.expect(fn, needs=2, tol=tol))
 

@@ -251,9 +251,8 @@ def _peel(g, edge, other):
     # the error this depth leaves; laid to 2**-120, mu(power_tail(2, 1), 1)
     # comes back finite (83.2) and unconverged in place of inf
     ds = _rungs(edge, abs(span), 64)
-    if len(ds) < 3:
-        val, err = _gk(g, [min(edge, other)], [max(edge, other)])
-        return [(min(edge, other), max(edge, other), val[0], err[0])], 0.0, float(err[0])
+    if len(ds) < 3:  # the closure needs two inner rungs, floor or not
+        ds = abs(span) * 0.5 ** np.arange(3.0)
     xs = edge + math.copysign(1.0, span) * ds
     a, b = np.minimum(xs[1:], xs[:-1]), np.maximum(xs[1:], xs[:-1])
     # rungs for the closure in the same call, but not xs[0], the piece end
@@ -480,38 +479,34 @@ def _double(k):
 _NARROW = 1 << 52  # a key gap under one binade's worth of doubles
 
 
-def _chandrupatla(g, target, lo, hi, ends=None):
-    """Close brackets [lo, hi] of a vectorized monotone g on target.
+def _chandrupatla(g, target, xs, zs):
+    """Invert a vectorized increasing g on target inside its table zs = g(xs).
 
-    The solver starts from g at both ends of every open bracket: the pair
-    ends = (g(lo), g(hi)), a value per bracket, where the caller already
-    holds it, else two calls of g. An end that hits the target, or past
-    which the target lies (NaN counts as past lo), closes its bracket on
-    itself: [lo, lo] or [hi, hi]. Each round evaluates g once, on the
-    brackets still open. Inside a key gap under 2**52 a round takes
-    Chandrupatla's step (Chandrupatla 1997, Adv. Eng. Softw. 28:145):
-    inverse quadratic interpolation through both ends and the end replaced
-    last, where his test finds it monotone, else the secant. Wider gaps,
-    and any round after one that did not halve the gap, bisect the _key
-    values (the ordered bit patterns of doubles), so every bracket closes
-    within 2*64 rounds after its ends. A point with g(t) == target closes
-    its bracket on [t, t]; elsewhere the result is the adjacent pair (a, b)
-    of doubles with g(a) < target <= g(b).
+    zs holds g at the sorted nodes xs, a table the caller already has. The
+    table brackets each target (searchsorted, clipped to the first and last
+    bracket) and gives g at both ends, so g is never called there. An end
+    that hits the target, or past which the target lies (NaN counts as
+    past lo), closes its bracket on itself: [lo, lo] or [hi, hi]. Each
+    round evaluates g once, on the brackets still open. Inside a key gap
+    under 2**52 a round takes Chandrupatla's step (Chandrupatla 1997, Adv.
+    Eng. Softw. 28:145): inverse quadratic interpolation through both ends
+    and the end replaced last, where his test finds it monotone, else the
+    secant. Wider gaps, and any round after one that did not halve the gap,
+    bisect the _key values (the ordered bit patterns of doubles), so every
+    solve takes at most 2*64 rounds. A point with g(t) == target closes its
+    bracket on [t, t]; elsewhere the result is the adjacent pair (a, b) of
+    doubles with g(a) < target <= g(b).
     """
-    lo, hi, y = (np.array(v, dtype=float) for v in np.broadcast_arrays(lo, hi, target))
-    out_lo, out_hi = lo.copy(), hi.copy()
-    kl = _key(lo)
-    gap = _key(hi).view(np.uint64) - kl.view(np.uint64)
+    y = np.array(target, dtype=float, ndmin=1)
+    i = np.clip(np.searchsorted(zs, y), 1, len(xs) - 1)
+    out_lo, out_hi = xs[i - 1], xs[i]
+    kl = _key(out_lo)
+    gap = _key(out_hi).view(np.uint64) - kl.view(np.uint64)
     idx = np.nonzero(gap > 1)[0]
     if not idx.size:
         return out_lo, out_hi
-    kl, gap, xl, xh, y = kl[idx], gap[idx], lo[idx], hi[idx], y[idx]
-    if ends is not None:
-        gl, gh = (np.asarray(v, dtype=float)[idx] for v in ends)
-    else:
-        # two calls, not one on twice the points: a round costs per point,
-        # and twice the points double the transient memory of a deep stack
-        gl, gh = np.asarray(g(xl), dtype=float), np.asarray(g(xh), dtype=float)
+    i, kl, gap, xl, xh, y = i[idx], kl[idx], gap[idx], out_lo[idx], out_hi[idx], y[idx]
+    gl, gh = zs[i - 1], zs[i]
     end = np.where(~(gl < y), xl, np.where(gh <= y, xh, np.nan))
     stop = ~np.isnan(end)
     out_lo[idx[stop]] = out_hi[idx[stop]] = end[stop]
@@ -593,7 +588,8 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     Singular ends, cut points and mapped infinities are peeled (_peel): a
     ratio-2 ladder of panels, with the stub under it closed by the power
     law through its two innermost rungs. The ladder is 64 halvings deep,
-    or stops max(3e-8 |p|, 2**-120) short of its point p, whatever tol is.
+    or stops max(3e-8 |p|, 2**-120) short of its point p, whatever tol is;
+    a piece too narrow for three rungs above that floor still gets three.
     A stub exponent under 0.04 is not told apart from a divergent edge:
     its mass is left out and charged to the error estimate.
 

@@ -110,39 +110,35 @@ class TransformedDensity(Density):
 
         A coordinate heading to 0 at a support edge saturates in float at
         table-roundoff size, so only bracket-table ends clear of 1e-12 of
-        the largest |value| witness an interior crossing. The bracket around
-        it closes on an exact zero or the upper of two adjacent doubles: the
-        ladders toward zc resolve the weight that finely.
+        the largest |value| witness an interior crossing. Solved in the
+        bracket table as _invert solves any y, it closes on an exact zero
+        or the upper of two adjacent doubles: the ladders toward zc resolve
+        the weight that finely.
         """
-        z, bt = self._br_z, self._br_t
+        z = self._br_z
         floor = 1e-12 * np.max(np.abs(z))
         if not (z[0] < -floor and z[-1] > floor):
             return None
-        j = np.searchsorted(z, 0.0)
         _, zc = _chandrupatla(lambda t: self._sigma_total * self._chi(t), 0.0,
-                              bt[j - 1:j], bt[j:j + 1], (z[j - 1:j], z[j:j + 1]))
+                              self._br_t, z)
         return float(zc[0])
 
     def _invert(self, y):
         """Root abscissae whose image coordinate is y, and an out-of-range mask.
 
-        Solved by _chandrupatla inside the bracket table: a round of the
-        coordinate map costs about 60 us on 64 points through one up step
-        and 320 us through two, and the solver takes about a quarter of
-        bisection's rounds. It starts from the table's values at the
-        bracket ends, which _build_brackets computed with the same
-        coordinate call, so it spends no call there. An out-of-range y
-        lands on the nearest bracket-table end.
+        Solved by _chandrupatla on the bracket table (_br_t, _br_z), which
+        _build_brackets computed with the same coordinate call: the table
+        brackets each y and starts its solve, so no call lands on a node.
+        A round of the coordinate map costs about 60 us on 64 points through
+        one up step and 320 us through two, and the solver takes about a
+        quarter of bisection's rounds. A y outside (_br_z[0], _br_z[-1]],
+        infinite or NaN is out of range and lands on the nearest table end.
         """
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        z = self._sigma_total * y
-        bz, bt = self._br_z, self._br_t
-        idx = np.searchsorted(bz, z)
-        oob = (idx <= 0) | (idx >= len(bz)) | ~np.isfinite(z)
-        idc = np.clip(idx, 1, len(bz) - 1)
+        z = self._sigma_total * np.atleast_1d(np.asarray(y, dtype=float))
+        bz = self._br_z
         lo, hi = _chandrupatla(lambda t: self._sigma_total * self._chi(t), z,
-                               bt[idc - 1], bt[idc], (bz[idc - 1], bz[idc]))
-        return 0.5 * (lo + hi), oob
+                               self._br_t, bz)
+        return 0.5 * (lo + hi), ~((z > bz[0]) & (z <= bz[-1]))
 
     def inverse_map(self, y):
         """Base-coordinate abscissae whose image coordinate equals y."""

@@ -22,7 +22,8 @@ from updown.densities import (
     uniform,
 )
 from updown.errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
-from updown.numerics import Interval
+from updown.functionals import mu
+from updown.numerics import Interval, _CumTable
 
 
 def test_normalization_gate():
@@ -102,21 +103,17 @@ def test_closed_form_quantiles_match_mpmath(f, qf):
 @pytest.mark.parametrize("f", [
     stretched_gaussian(2.0, 1.0), gzero(1.5), half_restriction(stretched_gaussian(2.0, 1.0)),
 ], ids=lambda f: f.label)
-def test_node_table_quantiles_work_count(f):
-    # without a quantile hook the node-table cdf is inverted, at a partial
-    # GK15 panel per point and call: 14-18 calls here, 52-53 by bisection
+def test_node_table_quantiles_work_count(f, monkeypatch):
+    # without a quantile hook the node table is inverted, at a partial
+    # GK15 panel per point and read: 12-16 reads here, 52-53 by bisection
     f._node_table()
-    cdf, calls = f.cdf_at, []
-
-    def counted(x):
-        calls.append(x.size)
-        return cdf(x)
-
-    f.cdf_at = counted
+    read, calls = _CumTable.__call__, []
+    monkeypatch.setattr(_CumTable, "__call__", lambda tab, t: calls.append(t.size) or read(tab, t))
     levels = (np.arange(64) + 0.5) / 64
     q = f.quantile_many(levels)
+    monkeypatch.undo()
     assert len(calls) <= 24
-    assert np.max(np.abs(cdf(q) - levels)) < 1e-12
+    assert np.max(np.abs(f.cdf_at(q) - levels)) < 1e-12
 
 
 def test_node_table_holds_a_heavy_tail():
@@ -127,6 +124,18 @@ def test_node_table_holds_a_heavy_tail():
     levels = np.array([1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-6])
     np.testing.assert_allclose(f.cdf_at(f.quantile_many(levels)), levels, rtol=0.0, atol=1e-12)
     assert f.cdf_at(1e300) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_node_table_on_a_support_with_no_finite_point():
+    # (-inf, inf) and no interior point: the table's nodes grow both ways
+    # from 0. The logistic pdf, in a form that cannot overflow
+    f = Density(lambda x: np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))) ** 2,
+                Interval(-math.inf, math.inf), label="logistic")
+    x = np.array([-30.0, -3.0, 0.0, 0.5, 7.0, 40.0])
+    np.testing.assert_allclose(f.cdf_at(x), 1.0 / (1.0 + np.exp(-x)), rtol=0.0, atol=1e-13)
+    v = np.array([1e-9, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+    np.testing.assert_allclose(f.quantile_many(v), np.log(v / (1.0 - v)), rtol=1e-9, atol=1e-12)
+    assert mu(f, 2).value == pytest.approx(math.pi ** 2 / 3.0, rel=1e-9)
 
 
 def test_grid_quantiles_memo_is_bounded_and_private():

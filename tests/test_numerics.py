@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from updown.densities import gzero, half_restriction, power_tail, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
+from updown.functionals import _nonneg
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _chandrupatla,
                              _CumTable, _double, _gk, _key, _kronrod, _refine_panels,
                              integrate)
@@ -108,6 +109,26 @@ def test_far_edge_tail_where_the_map_overflows(e, side):
 def test_singular_endpoints(f, iv, want, tol):
     got = integrate(f, iv)
     assert got.value == pytest.approx(want, abs=tol)
+
+
+@pytest.mark.parametrize("e, w", [(1.0, 1e-8), (1.0, 3e-8), (1e3, 1e-5), (1e3, 3e-5),
+                                  (-2.0, 2e-8), (-2.0, 6e-8)])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["lo", "hi"])
+def test_singular_piece_narrower_than_four_rung_floors(e, w, side):
+    # under 4 * 3e-8 |e| wide the floor leaves fewer than three rungs; the
+    # piece still gets three and its closure. Refined as one plain panel,
+    # a node rounded onto e: inf at w = 3e-8, 2e-4 (1 - 6.5e-5) at 1e-8
+    iv = Interval(e, e + w, singular_lo=True) if side > 0 else Interval(e - w, e, singular_hi=True)
+    got = integrate(lambda x: np.abs(x - e) ** -0.5, iv)
+    assert got.converged
+    assert got.value == pytest.approx(2.0 * math.sqrt(w), rel=1e-7, abs=0.0)
+
+
+@pytest.mark.parametrize("w", [1e-8, 3e-8])
+def test_narrow_divergent_piece_reads_inf(w):
+    got = integrate(lambda x: np.abs(x - 1.0) ** -1.0, Interval(1.0, 1.0 + w, singular_lo=True))
+    assert not got.converged
+    assert _nonneg(got).value == math.inf
 
 
 def test_interior_singularity_with_cut():
@@ -466,18 +487,20 @@ _SG = stretched_gaussian(2.0, 1.0)
 def test_chandrupatla_lands_where_bisect_does(g, lo, hi):
     # on monotone g the pair is _bisect's, bit for bit, unless the solver
     # hit g(t) == target exactly: common where g compresses the doubles,
-    # as the cdf does near 1; x**3 also hits at 0. Brackets come from a
-    # node table, as in image inversion. The node-table cdfs are the roots
-    # whose quantiles this solver inverts; gzero's right half runs so flat
-    # in doubles that nearly every target is a hit, so its left half is used
+    # as the cdf does near 1; x**3 also hits at 0. The solver inverts a
+    # table of g on 33 nodes, as in image inversion. The node-table cdfs are
+    # the roots whose quantiles this solver inverts; gzero's right half runs
+    # so flat in doubles that nearly every target is a hit, so its left
+    # half is used
     rng = np.random.default_rng(3)
     target = np.concatenate([rng.uniform(g(lo), g(hi), 198), [0.0, g(hi) * (1 - 1e-15)]])
     nodes = np.linspace(lo, hi, 33)
-    i = np.clip(np.searchsorted(g(nodes), target), 1, 32)
+    table = g(nodes)
+    i = np.clip(np.searchsorted(table, target), 1, 32)
     h, bisect_calls = _counted(g)
     want = _bisect(h, target, nodes[i - 1], nodes[i])
     h, calls = _counted(g)
-    a, b = _chandrupatla(h, target, nodes[i - 1], nodes[i])
+    a, b = _chandrupatla(h, target, nodes, table)
     same = (a == want[0]) & (b == want[1])
     hit = (a == b) & (g(a) == target)
     assert np.all(same | hit)
@@ -491,7 +514,7 @@ def test_chandrupatla_closes_brackets_that_miss_on_the_nearest_end():
     # image inversion, whose cdf relies on landing on the nearest edge
     target = np.array([-5.0, 100.0, np.nan, np.inf, -np.inf])
     lo, hi = np.full(5, -1.0), np.full(5, 2.0)
-    a, b = _chandrupatla(np.expm1, target, lo, hi)
+    a, b = _chandrupatla(np.expm1, target, np.array([-1.0, 2.0]), np.expm1([-1.0, 2.0]))
     want = _bisect(np.expm1, target, lo, hi)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, [-1.0, 2.0, -1.0, 2.0, -1.0])
@@ -500,31 +523,40 @@ def test_chandrupatla_closes_brackets_that_miss_on_the_nearest_end():
 
 
 def test_chandrupatla_closes_on_exact_hits_and_staircases():
-    # a query at a bracket end, as when a probe point is a bracket-table
-    # node, stops on that end; a staircase and a jump defeat interpolation
+    # a query at a table node, as when a probe point is a bracket-table
+    # node, stops on that node; a staircase and a jump defeat interpolation
     # and still close, within two rounds per halving of the key gap (the
     # jump took 43,462 rounds without the halving rule)
     ident, calls = _counted(lambda x: x)
-    a, b = _chandrupatla(ident, np.array([0.5, 0.25, 0.3]),
-                         np.array([0.25, 0.25, 0.25]), np.array([0.5, 0.5, 0.5]))
+    nodes = np.array([0.25, 0.5])
+    a, b = _chandrupatla(ident, np.array([0.5, 0.25, 0.3]), nodes, nodes)
     np.testing.assert_array_equal(a, [0.5, 0.25, 0.3])
     np.testing.assert_array_equal(b, a)
     assert len(calls) <= 2 * 64
-    stairs, calls = _counted(lambda x: np.floor(8.0 * x) / 8.0)
-    a, b = _chandrupatla(stairs, np.array([0.3, 0.3, 0.25]), np.array([0.0, -1e300, 0.0]),
-                         np.array([1.0, 1e300, 1.0]))
+    step = lambda x: np.floor(8.0 * x) / 8.0
+    stairs, calls = _counted(step)
+    nodes = np.array([0.0, 1.0])
+    a, b = _chandrupatla(stairs, np.array([0.3, 0.25]), nodes, step(nodes))
     assert len(calls) <= 2 * 64
-    np.testing.assert_array_equal(b[:2], [0.375, 0.375])
-    np.testing.assert_array_equal(a[:2], np.nextafter(0.375, 0.0))
+    assert b[0] == 0.375 and a[0] == np.nextafter(0.375, 0.0)
     # 0.25 is a step value: any point of its flat run is a hit
-    assert a[2] == b[2] and stairs(a[2:]) == 0.25
-    jump, calls = _counted(lambda x: x + 1e6 * (x > 0.7))
-    a, b = _chandrupatla(jump, np.array([100.0]), np.array([0.5]), np.array([1.0]))
+    assert a[1] == b[1] and stairs(a[1:]) == 0.25
+    # a bracket across nearly all doubles, on its own solve
+    stairs, calls = _counted(step)
+    nodes = np.array([-1e300, 1e300])
+    a, b = _chandrupatla(stairs, np.array([0.3]), nodes, step(nodes))
+    assert len(calls) <= 2 * 64
+    assert b[0] == 0.375 and a[0] == np.nextafter(0.375, 0.0)
+    leap = lambda x: x + 1e6 * (x > 0.7)
+    jump, calls = _counted(leap)
+    nodes = np.array([0.5, 1.0])
+    a, b = _chandrupatla(jump, np.array([100.0]), nodes, leap(nodes))
     assert len(calls) <= 2 * 64
     assert a[0] == 0.7 and b[0] == np.nextafter(0.7, 1.0)
 
 
 def test_chandrupatla_empty_batch_makes_no_call():
     g, calls = _counted(lambda x: x)
-    a, b = _chandrupatla(g, 0.0, np.empty(0), np.empty(0))
+    nodes = np.array([0.0, 1.0])
+    a, b = _chandrupatla(g, np.empty(0), nodes, nodes)
     assert a.size == b.size == 0 and not calls

@@ -613,13 +613,12 @@ def test_up_layer_reads_zero_and_orientation_off_its_base(make, zc, sigma):
     assert (g.zc, g.sigma) == (zc and float.fromhex(zc), sigma)
 
 
-def _solve_counted(run, seeded, monkeypatch):
-    """run() with the transforms solver seeded or not; (result, g calls)."""
+def _solve_counted(run, monkeypatch):
+    """run() with the transforms solver's g counted; (result, g calls)."""
     solve, calls = numerics._chandrupatla, []
 
-    def solver(g, target, lo, hi, ends):
-        counted = lambda t: calls.append(t) or g(t)
-        return solve(counted, target, lo, hi, ends if seeded else None)
+    def solver(g, *table):
+        return solve(lambda t: calls.append(t) or g(t), *table)
 
     monkeypatch.setattr(transforms, "_chandrupatla", solver)
     return run(), len(calls)
@@ -634,26 +633,30 @@ def _solve_counted(run, seeded, monkeypatch):
     (lambda: (lambda g: g.reseat(1.0, -g.median()))(up(g21, 3.0)), True),
 ], ids=["up3-e1", "up3-up3-u01", "down3-up3-u01", "reseat", "straddle-sg21"])
 def test_seeded_solves_match_unseeded(make, straddles, monkeypatch):
-    # the bracket table holds the solver's g at every bracket end, computed
-    # by the same coordinate call, so a seeded solve takes the unseeded
-    # one's rounds bit for bit and skips its two end calls
+    # the bracket table holds the solver's g at every node, bit for bit,
+    # so a solve seeded from it starts where one that called g there would
     img = make()
-    bz = img._br_z
+    bz, bt, sigma = img._br_z, img._br_t, img._sigma_total
     assert (bz[0] < 0.0 < bz[-1]) == straddles
+    assert (sigma * img._chi(bt)).tobytes() == bz.tobytes()
+    # at a node the solve lands on it with no coordinate call; a bracket of
+    # two adjacent doubles stays open, and its midpoint may round down
+    (t, oob), n = _solve_counted(lambda: img._invert(sigma * bz), monkeypatch)
+    assert n == 0 and not oob[1:].any() and oob[0]
+    i = np.nonzero(t != bt)[0]
+    assert np.all(np.nextafter(bt[i - 1], np.inf) == bt[i]) and np.all(t[i] == bt[i - 1])
     # in range, beyond both bracket-table ends, infinite and NaN
     ends = bz[[0, -1]]
-    y = np.r_[img.quantiles(32), img._sigma_total * (ends + [-1.0, 1.0] * (1.0 + abs(ends))),
+    y = np.r_[img.quantiles(32), sigma * (ends + [-1.0, 1.0] * (1.0 + abs(ends))),
               -np.inf, np.inf, np.nan]
-    (t0, oob0), n0 = _solve_counted(lambda: img._invert(y), False, monkeypatch)
-    (t1, oob1), n1 = _solve_counted(lambda: img._invert(y), True, monkeypatch)
-    assert t1.tobytes() == t0.tobytes()
-    np.testing.assert_array_equal(oob1, oob0)
-    assert not oob0[:32].any() and oob0[32:].all()
-    assert n0 - n1 == 2
+    _, oob = img._invert(y)
+    assert not oob[:32].any() and oob[32:].all()
+    idx = np.searchsorted(bz, sigma * y)
+    np.testing.assert_array_equal(oob, (idx <= 0) | (idx >= len(bz)) | ~np.isfinite(y))
     if straddles:
-        z0, n0 = _solve_counted(img._zero, False, monkeypatch)
-        z1, n1 = _solve_counted(img._zero, True, monkeypatch)
-        assert (z1, n0 - n1) == (z0, 2)
+        zc = img._zero()
+        z = sigma * img._chi(np.array([zc, np.nextafter(zc, -np.inf)]))
+        assert z[0] == 0.0 or (z[0] > 0.0 and z[1] < 0.0)
 
 
 @pytest.mark.parametrize("make, alpha", [
