@@ -3,9 +3,10 @@
 A Density wraps a vectorized pdf on an open extended-real interval, together
 with optional derivative callables d1..d3, an optional closed-form cdf and
 quantile, and a list of interior abscissae where the pdf or a derivative is
-kinked or singular. Construction verifies unit mass. Expectations are
-computed by adaptive quadrature over the support with cuts at the interior
-points.
+kinked or singular. Constructing a root density verifies unit mass; an
+image (transforms, affine_image and rescale included) preserves its root's
+mass by construction. Expectations are computed by adaptive quadrature
+over the support with cuts at the interior points.
 
 The cumulative node table and the quantiles at the library's fixed level
 grids (the median, quantiles(n), the tail levels of the condensation test
@@ -364,49 +365,19 @@ def _weighted_pdf(f, logw):
 def affine_image(f, scale, shift=0.0, label=None):
     """Density of (X - shift)/scale when X has density f.
 
-    The image pdf is |scale| f(scale y + shift). A negative scale reflects
-    the support and swaps edge flags.
+    The image pdf is |scale| f(scale y + shift); a negative scale reflects
+    the support. It is one affine step (transforms._AffineImage) on top of
+    f, read in the coordinates of f's root, so it runs no quadrature at
+    the new scale and keeps every derivative order of f.
     """
-    scale = float(scale)
-    shift = float(shift)
-    if scale == 0.0 or not math.isfinite(scale) or not math.isfinite(shift):
-        raise DomainError(f"affine map needs finite nonzero scale, got {scale}, {shift}")
-    s = f.support
-    a = (s.lo - shift) / scale
-    b = (s.hi - shift) / scale
-    if scale > 0:
-        sup = Interval(a, b, singular_lo=s.singular_lo, singular_hi=s.singular_hi)
-    else:
-        sup = Interval(b, a, singular_lo=s.singular_hi, singular_hi=s.singular_lo)
-    aj = abs(scale)
-
-    def mk(d, k):
-        if d is None:
-            return None
-        return lambda y: aj * scale ** k * d(scale * np.asarray(y, dtype=float) + shift)
-
-    cdf = quantile = None
-    if f._cdf is not None:
-        if scale > 0:
-            cdf = lambda y: f._cdf(scale * np.asarray(y, dtype=float) + shift)
-        else:
-            cdf = lambda y: 1.0 - f._cdf(scale * np.asarray(y, dtype=float) + shift)
-    if f._quantile is not None:
-        if scale > 0:
-            quantile = lambda v: (f._quantile(v) - shift) / scale
-        else:
-            quantile = lambda v: (f._quantile(1.0 - v) - shift) / scale
-    return Density(
-        lambda y: aj * f.pdf(scale * np.asarray(y, dtype=float) + shift),
-        sup,
-        d1=mk(f.d1, 1), d2=mk(f.d2, 2), d3=mk(f.d3, 3),
-        label=label or f"affine({f.label},{scale:g},{shift:g})",
-        interior_points=tuple((p - shift) / scale for p in f.interior_points),
-        cdf=cdf, quantile=quantile)
+    from .transforms import _AffineImage  # transforms imports this module
+    scale, shift = float(scale), float(shift)
+    return _AffineImage(f, scale, shift, label or f"affine({f.label},{scale:g},{shift:g})")
 
 
 def rescale(f, kappa):
-    """Mass-preserving dilation: pdf kappa f(kappa x)."""
+    """Mass-preserving dilation, the law of X/kappa: pdf kappa f(kappa x).
+    An affine step on f, so exact at any kappa > 0 and as cheap as f."""
     if not (kappa > 0.0 and math.isfinite(kappa)):
         raise DomainError(f"rescale needs kappa > 0, got {kappa}")
     return affine_image(f, kappa, 0.0, label=f"rescale({f.label},{kappa:g})")

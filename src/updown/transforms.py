@@ -1,6 +1,9 @@
-"""Density images under the down and up changes of variable.
+"""Density images under the down and up changes of variable, and affine maps.
 
-Every image is its base density plus one step. The down step sends a
+Every image is its base density plus one step, of one of three kinds. The
+affine step is the law of (X - shift)/scale: it divides the coordinate and
+scales the pdf state, so a rescaled density is read in its root's
+coordinates and no quadrature runs at the new scale. The down step sends a
 strictly monotone density f through the canonical coordinate
 s = f**(2-alpha)/(alpha-2) (s = -log f at alpha = 2) and carries the pdf
 to f**alpha/|f'|; it consumes one derivative order. The up step integrates
@@ -20,7 +23,6 @@ fewer rounds pay, and it starts from the coordinate the table holds at
 each bracket end.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -44,7 +46,7 @@ def _log_weight(v, c):
 
 
 class TransformedDensity(Density):
-    """A density produced by one down or up step on a base density.
+    """A density produced by one down, up or affine step on a base density.
 
     The base is a root density or another image, so an image is a stack of
     steps over its root. The forward map (_chi) and the image pdf state up
@@ -52,24 +54,28 @@ class TransformedDensity(Density):
     at root abscissae, so all quadrature happens in the root's coordinates;
     an image-space query (_state) inverts once and pushes once for all the
     orders it returns. The exposed fields are base (the immediate input
-    density), root, kind and alpha of this step, and chain, the full
-    (kind, alpha) provenance. up and down build the two kinds.
+    density), root, kind and the step's parameter (alpha of a down or up
+    step, scale and shift of an affine one), and chain, the full
+    (kind, parameter) provenance. up, down and affine_image build the three
+    kinds.
     """
 
-    def __init__(self, base, alpha):
+    def __init__(self, base, param):
         self.base = base
         self.root = getattr(base, "root", base)
-        self.alpha = float(alpha)
-        self.chain = getattr(base, "chain", ()) + ((self.kind, self.alpha),)
+        self.chain = getattr(base, "chain", ()) + ((self.kind, param),)
 
     def _finish(self, label=None):
         """Brackets, image support and Density fields for the stack."""
         self._build_brackets()
-        order = min(self.base.order + (1 if self.kind == "up" else -1), 2)
+        # a down step consumes an order and an up step restores one, to at
+        # most d2; an affine step keeps every order of its base
+        order = self.base.order if self.kind == "affine" else \
+            min(self.base.order + (1 if self.kind == "up" else -1), 2)
         img = [lambda y, j=j: self._state(y, j)[j] for j in range(order + 1)]
+        img += [None] * (3 - order)
         super().__init__(img[0], self._image_support(),
-                         d1=img[1] if order >= 1 else None,
-                         d2=img[2] if order >= 2 else None,
+                         d1=img[1], d2=img[2], d3=img[3],
                          label=label or f"{self.kind}({self.base.label},{self.alpha:g})",
                          interior_points=self._image_cuts(),
                          cdf=self._cdf_img,
@@ -227,33 +233,12 @@ class TransformedDensity(Density):
         return self._chi(self.root.quantile_many(rl))
 
     def reseat(self, scale, shift):
-        """Same transform stack with the image coordinate sent to
-        scale * u + shift.
-
-        An up anchor is a free constant, so the remap is absorbed into the
-        copy's orientation sign and anchor value and evaluation stays on
-        the forward-push path; wrapping in a generic affine view instead
-        would force every pdf query through bracket inversion, which is
-        ruinous for stacked transforms. A down coordinate has no free
-        constant, and |scale| != 1 would rescale the tabulated weight
-        masses, so both are rejected.
-        """
+        """The law of scale * U + shift when U has this density, for any
+        finite nonzero scale: one affine step on top of this image."""
         scale, shift = float(scale), float(shift)
-        if scale not in (1.0, -1.0):
-            raise DomainError(f"reseat scale must be +1 or -1, got {scale:g}")
-        if self.kind != "up":
-            raise CapabilityError(
-                f"{self.label}: only an up image can be reseated")
-        # _finish rebuilds every derived field; Density.__init__ drops the
-        # node table and quantile memo the copy shares with self
-        out = copy.copy(self)
-        out.sigma = scale * self.sigma
-        out.c_anchor = self.c_anchor + out.sigma * shift
-        a, b = self.u_support
-        out.u_support = (a + shift, b + shift) if scale > 0 else \
-            (shift - b, shift - a)
-        out._finish(f"reseat({self.label})")
-        return out
+        if scale == 0.0:
+            raise DomainError(f"{self.label}: reseat needs a nonzero scale")
+        return _AffineImage(self, 1.0 / scale, -shift / scale, f"reseat({self.label})")
 
 
 class _DownImage(TransformedDensity):
@@ -262,7 +247,8 @@ class _DownImage(TransformedDensity):
     kind = "down"
 
     def __init__(self, base, alpha):
-        super().__init__(base, alpha)
+        self.alpha = float(alpha)
+        super().__init__(base, self.alpha)
         v = [base.edge_value("lo"), base.edge_value("hi")]
         with np.errstate(divide="ignore", over="ignore"):
             self.u_support = tuple(sorted(_down_coord(np.log(v), self.alpha).tolist()))
@@ -332,7 +318,8 @@ class _UpImage(TransformedDensity):
     kind = "up"
 
     def __init__(self, base, alpha):
-        super().__init__(base, alpha)
+        self.alpha = float(alpha)
+        super().__init__(base, self.alpha)
         self.c = self.alpha - 2.0
         self.sigma = base._sigma_total
         self.zc = None if self.c == 0.0 else base._zero()
@@ -411,19 +398,57 @@ class _UpImage(TransformedDensity):
         wb = self.base._chi(t)
         st = self.base._push(t, needs - 1) if needs >= 1 else ()
         c = self.c
-        # odd derivatives are odd under a coordinate reflection; flip is -1
-        # exactly when a reseat turned sigma against the base's orientation
-        flip = self.sigma * self.base._sigma_total
         with np.errstate(all="ignore"):
             # h0 = 1/w(wb); q = d log w / dv, 1 at c = 0
             h0 = np.exp(-_log_weight(wb, c))
             q = 1.0 if c == 0.0 else 1.0 / (c * wb)
             out = [h0]
             if needs >= 1:
-                out.append(flip * h0 * h0 * q / st[0])
+                out.append(h0 * h0 * q / st[0])
             if needs >= 2:
                 out.append(h0 ** 3 * q * ((2.0 + c) * q / st[0] ** 2 + st[1] / st[0] ** 3))
         return out
+
+
+class _AffineImage(TransformedDensity):
+    """The law of (X - shift)/scale when X has its base's law.
+
+    The coordinate divides the base's and the pdf state of order k gains
+    the factor |scale| * scale**k, so every derivative order of the base
+    passes through. Over a root the inverse is closed form; over an image
+    it is the inherited bracket solve, whose table holds this step's own
+    coordinate bit for bit.
+    """
+
+    kind = "affine"
+
+    def __init__(self, base, scale, shift, label):
+        if scale == 0.0 or not math.isfinite(scale) or not math.isfinite(shift):
+            raise DomainError(f"affine map needs finite nonzero scale, got {scale}, {shift}")
+        self.scale, self.shift = scale, shift
+        super().__init__(base, (scale, shift))
+        s = base.support
+        self.u_support = tuple(sorted(((s.lo - shift) / scale, (s.hi - shift) / scale)))
+        self._finish(label)
+
+    def _chi(self, t):
+        return (self.base._chi(t) - self.shift) / self.scale
+
+    def _push(self, t, needs):
+        a = abs(self.scale)
+        return [a * self.scale ** k * v for k, v in enumerate(self.base._push(t, needs))]
+
+    def _edge_limit(self, side):
+        if self.scale < 0.0:
+            side = "hi" if side == "lo" else "lo"
+        return abs(self.scale) * self.base.edge_value(side)
+
+    def _invert(self, y):
+        if self.base is not self.root:
+            return super()._invert(y)
+        lo, hi = self.root.support.lo, self.root.support.hi
+        x = self.scale * np.atleast_1d(np.asarray(y, dtype=float)) + self.shift
+        return np.clip(x, lo, hi), ~((x > lo) & (x < hi))
 
 
 # -- public operations --------------------------------------------------------
@@ -507,10 +532,12 @@ def chain(f, ops):
 def _rigid_fit(raw, target, y):
     """Best rigid placement of raw onto target, judged at target abscissae y.
 
-    The candidates are both orientations, each with the shifts that match
+    A down step forgets location and orientation but not scale, so the
+    candidates are the scales +1 and -1, each with the shifts that match
     a finite support edge and the one that matches medians. Returns
-    (deviation, scale, shift): raw.reseat(scale, shift) is the placed copy
-    and deviation its largest absolute pdf gap from target at y.
+    (deviation, scale, shift): raw.reseat(scale, shift), an affine step
+    on raw, is the placed copy and deviation its largest absolute pdf gap
+    from target at y.
     """
     ts, rs = target.support, raw.support
     med = target.median(), raw.median()

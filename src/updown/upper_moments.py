@@ -248,9 +248,8 @@ def moment_sequence_check(f, alphas, n_moments, *, tol=1e-10):
             lifted = up(recon, vec[k])
         except (DomainError, PreconditionError, CapabilityError) as e:
             raise TransformChainError(k, str(e)) from e
-        # down forgets location and orientation; reseat keeps the result on
-        # the transform fast path, where an affine wrapper would push every
-        # later pdf query through bracket inversion
+        # down forgets location and orientation; reseat puts them back as
+        # an affine step, which the next up reads like any other base
         _, scale, shift = _rigid_fit(
             lifted, tower[k], tower[k].quantile_many(np.linspace(0.06, 0.94, 23)))
         recon = lifted.reseat(scale, shift)

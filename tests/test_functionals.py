@@ -13,7 +13,7 @@ from updown.densities import (exponential, gzero, half_restriction,
                               uniform)
 from updown.errors import CapabilityError, DomainError
 from updown.numerics import Interval, integrate
-from updown.transforms import down
+from updown.transforms import down, up
 
 EULER = 0.5772156649015329
 
@@ -259,6 +259,42 @@ def test_absolute_moment_scale_degree(f, kappa, p):
     got = F.mu(rescale(f, kappa), p)
     assert got.converged
     assert got.value == pytest.approx(kappa ** -p * F.mu(f, p).value, rel=1e-9, abs=0.0)
+
+
+@given(st.floats(min_value=-6.0, max_value=6.0))
+@settings(max_examples=20, deadline=None)
+def test_rescaled_second_moment_is_exact_at_any_scale(log_kappa):
+    # rescale is read in its root's coordinates: <(X/kappa)^2> = 2/kappa^2
+    # for the unit exponential, with no quadrature at scale kappa
+    kappa = 10.0 ** log_kappa
+    got = F.mu(rescale(e1, kappa), 2.0)
+    assert got.converged
+    assert got.value * kappa**2 == pytest.approx(2.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kappa", [6.0, 1e3, 1e6])
+def test_rescaled_negative_moment(kappa):
+    # <|X/kappa|^-1/2> = sqrt(kappa) Gamma(1/2) for the unit exponential
+    got = F.mu(rescale(e1, kappa), -0.5)
+    assert got.converged
+    assert got.value == pytest.approx(math.sqrt(kappa * math.pi), rel=1e-9, abs=0.0)
+
+
+def test_rescaled_image_moment_costs_what_the_image_costs():
+    # the second moment of up(e1, 3) is 17/27; rescaled by 2 it is read
+    # through the same pullback, so in at most twice the root-pdf points
+    root = exponential(1.0, 0.0)
+    img = up(root, 3.0)
+    scaled = rescale(img, 2.0)
+    pdf, points = root.pdf, []
+    root.pdf = lambda x: points.append(np.size(x)) or pdf(x)
+    own = F.mu(img, 2.0)
+    n_own = sum(points)
+    points.clear()
+    got = F.mu(scaled, 2.0)
+    assert own.converged and got.converged
+    assert got.value * 4.0 == pytest.approx(17.0 / 27.0, rel=1e-13, abs=0.0)
+    assert sum(points) <= 2 * n_own
 
 
 @pytest.mark.parametrize("f", [g21, half_restriction(g21)], ids=["sg", "half-sg"])

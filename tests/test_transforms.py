@@ -17,7 +17,7 @@ import pytest
 from updown import densities, numerics, transforms
 from updown import functionals as F
 from updown.densities import (Density, affine_image, exponential, gzero,
-                              half_restriction, power_tail,
+                              half_restriction, power_tail, rescale,
                               stretched_gaussian, uniform)
 from updown.down_fisher import order_minimizer
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
@@ -832,14 +832,43 @@ def test_integral_beyond_the_image_order_names_the_image():
         g.integral(lambda y, h, h1, h2: h, needs=2)
 
 
-def test_reseat_rejects_rescale_and_down_tops():
+@pytest.mark.parametrize("make", [
+    lambda: affine_image(e1, 0.0),
+    lambda: affine_image(e1, math.inf),
+    lambda: affine_image(e1, 1.0, math.nan),
+    lambda: u3u01.reseat(0.0, 0.0),
+    lambda: d3e1.reseat(math.inf, 0.0),
+], ids=["affine-zero", "affine-inf", "affine-nan-shift", "reseat-zero", "reseat-inf"])
+def test_affine_steps_need_a_finite_nonzero_scale(make):
     with pytest.raises(DomainError):
-        u3u01.reseat(2.0, 0.0)
-    with pytest.raises(CapabilityError):
-        d3e1.reseat(1.0, 1.0)
+        make()
+
+
+@pytest.mark.parametrize("make, lo, hi, pdf", [
+    # 2U + 0.1 for U with pdf (1 - 2u)**-1/2 on (0, 1/2)
+    (lambda: u3u01.reseat(2.0, 0.1), 0.1, 1.1, lambda v: 0.5 * (1.1 - v) ** -0.5),
+    # -U/2: the reflection with a scale
+    (lambda: u3u01.reseat(-0.5, 0.0), -0.25, 0.0, lambda v: 2.0 * (1.0 + 4.0 * v) ** -0.5),
+    # 3S - 1 for S with pdf s**-2 on (1, inf)
+    (lambda: d3e1.reseat(3.0, -1.0), 2.0, math.inf, lambda v: 3.0 * (v + 1.0) ** -2),
+], ids=["up-scale2", "up-scale-half-reflected", "down-scale3"])
+def test_reseat_scales_up_and_down_images(make, lo, hi, pdf):
+    r = make()
+    assert (r.support.lo, r.support.hi) == pytest.approx((lo, hi), rel=1e-12, abs=1e-12)
+    v = r.quantile_many(np.array([0.05, 0.3, 0.6, 0.9]))
+    np.testing.assert_allclose(r.pdf(v), pdf(v), rtol=1e-12)
+    assert mass_of(r) == pytest.approx(1.0, abs=1e-9)
 
 
 # ------------------------------------------------------------- rescaling
+
+def test_rescale_keeps_every_derivative_order():
+    # an affine step passes d3 through, so a down step on top loses only
+    # its own order
+    r = rescale(e1, 2.0)
+    assert r.order == 3
+    assert down(r, 3.0).order == down(e1, 3.0).order
+
 
 def test_scaling_laws():
     for f in (e1, pt31):
