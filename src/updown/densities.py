@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, Interval, _chandrupatla, _CumTable, integrate
+from .numerics import INF, Interval, _chandrupatla, _CumTable, _double, _key, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -117,9 +117,12 @@ class Density:
                  force_singular_edges=False):
         """Integral of fn(x, f, [f', f'', f''']) over the support.
 
-        fn supplies the whole integrand (no implicit pdf weight). Regions
-        where the pdf has underflowed to exactly 0 carry no mass and are
-        dropped; divergent integrals come back flagged non-convergent.
+        fn supplies the whole integrand (no implicit pdf weight) and must be
+        elementwise: it is called only at the quadrature points where the
+        pdf is nonzero, possibly on a subset of a batch, and not at all
+        when the pdf is 0 at every point. Where the pdf has underflowed to
+        exactly 0 the integrand is 0: those regions carry no mass.
+        Divergent integrals come back flagged non-convergent.
         force_singular_edges marks finite support edges singular, for
         integrands that blow up where the pdf itself does not.
 
@@ -128,8 +131,7 @@ class Density:
         integral may sum to inf wraps the whole call.
         """
 
-        def integrand(x):
-            vals = self._state(x, needs)
+        def values(x, vals):
             with np.errstate(all="ignore"):
                 y = np.asarray(fn(x, *vals), dtype=float)
             # Past the point where the pdf (or products of its derivatives)
@@ -137,8 +139,17 @@ class Density:
             # integrand carries no weighable mass. Genuine divergences blow
             # up at ordinary magnitudes long before f reaches 1e-160, so
             # zeroing non-finite values out there cannot hide one.
-            bad = (vals[0] == 0.0) | (~np.isfinite(y) & (vals[0] < 1e-160))
-            return np.where(bad, 0.0, y)
+            return np.where(~np.isfinite(y) & (vals[0] < 1e-160), 0.0, y)
+
+        def integrand(x):
+            vals = self._state(x, needs)
+            live = np.flatnonzero(vals[0])
+            if live.size == x.size:
+                return values(x, vals)
+            y = np.zeros_like(x)
+            if live.size:
+                y[live] = values(x[live], [v[live] for v in vals])
+            return y
 
         iv = self.support
         if force_singular_edges:
@@ -204,13 +215,18 @@ class Density:
     def _node_table(self):
         """The cumulative mass table (a _CumTable), built once on demand.
 
-        Fixed nodes grade toward each edge and interior point; each
-        infinite end then walks on by factors of 4 until the pdf is
-        subnormal (at most 400 steps, |x| <= 1e290). Before that a heavy
-        tail can hold mass the table would miss; past it no panel meets
-        the table's relative bound, as a subnormal pdf rounds to 1e-11
-        relative near 3e-313. The table lays ladders toward the singular
-        edges and the interior points.
+        Fixed nodes grade toward each edge and interior point, and each
+        infinite end walks on past them by factors of 4 (400 steps, to
+        |x| <= 1e290). One rule then ends fixed and walked nodes alike: an
+        infinite end stops at the double where the pdf turns subnormal for
+        good, found by bisecting the doubles between the last node whose
+        pdf is normal and the next. A pdf that is subnormal at some node
+        and normal again at a later one keeps every node out to its last
+        onset. Before that a heavy tail can hold mass the table would miss;
+        past it the pdf carries no mass that rounds into the table (a
+        subnormal pdf rounds to 1e-11 relative near 3e-313), and a panel
+        across the step to 0 only spends refinement. The table lays
+        ladders toward the singular edges and the interior points.
         """
         if self._table is not None:
             return self._table
@@ -235,11 +251,29 @@ class Density:
                 x0 = xs[-1] if s > 0 else xs[0]
                 o = near if math.isfinite(near) else 0.0
                 v = o + s * max(abs(x0 - o), 1.0) * 4.0 ** np.arange(1.0, 401.0)
-                v = np.r_[x0, v[np.abs(v) <= 1e290]]
-                with np.errstate(all="ignore"):
-                    sub = np.nonzero(self.pdf(v) < np.finfo(float).tiny)[0]
-                walks.append(v[1:sub[0] + 1] if sub.size else v[1:])
+                walks.append(v[np.abs(v) <= 1e290])
         xs = np.unique(np.concatenate(walks))
+
+        def normal(x):
+            with np.errstate(all="ignore"):
+                return self.pdf(x) >= np.finfo(float).tiny
+
+        def onset(a, b):
+            # bisect the doubles' keys, keeping the pdf normal at a and
+            # subnormal at b, until b is the double next to a
+            ka, kb = int(_key(a)), int(_key(b))
+            while abs(kb - ka) > 1:
+                m = (ka + kb) // 2
+                ka, kb = (m, kb) if normal(_double(np.array([m])))[0] else (ka, m)
+            return _double(np.array([kb]))
+
+        keep = np.flatnonzero(normal(xs))
+        if keep.size:
+            i, j = keep[0], keep[-1]
+            if math.isinf(hi) and j + 1 < xs.size:
+                xs = np.concatenate([xs[:j + 1], onset(xs[j], xs[j + 1])])
+            if math.isinf(lo) and i > 0:
+                xs = np.concatenate([onset(xs[i], xs[i - 1]), xs[i:]])
         sup = self.support
         ends = [(p, s) for p in self.interior_points for s in (-1.0, 1.0)]
         ends += [(p, s) for p, s, sing in ((lo, 1.0, sup.singular_lo),

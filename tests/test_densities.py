@@ -24,6 +24,7 @@ from updown.densities import (
 from updown.errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
 from updown.functionals import mu
 from updown.numerics import Interval, _CumTable
+from updown.transforms import up
 
 
 def test_normalization_gate():
@@ -136,6 +137,51 @@ def test_node_table_on_a_support_with_no_finite_point():
     v = np.array([1e-9, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
     np.testing.assert_allclose(f.quantile_many(v), np.log(v / (1.0 - v)), rtol=1e-9, atol=1e-12)
     assert mu(f, 2).value == pytest.approx(math.pi ** 2 / 3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("f, side", [
+    (exponential(1.0, 0.0), "hi"), (exponential(2.0, 1.0), "hi"),
+    (stretched_gaussian(2.0, 1.0), "lo"), (stretched_gaussian(2.0, 1.0), "hi"),
+    (half_restriction(stretched_gaussian(2.0, 1.0)), "hi"), (power_tail(2.0, 1.0), "hi"),
+], ids=lambda v: v if isinstance(v, str) else v.label)
+def test_node_table_ends_at_the_subnormal_onset(f, side):
+    # an infinite end is the first double past the bulk with a subnormal
+    # pdf: exponential(1) ends at 708.4, not at its fixed node 2**41
+    ts = f._node_table().ts
+    end, bulk = (ts[-1], -math.inf) if side == "hi" else (ts[0], math.inf)
+    tiny = np.finfo(float).tiny
+    assert f.pdf(end) < tiny <= f.pdf(np.nextafter(end, bulk))
+
+
+def test_node_table_keeps_mass_past_a_gap():
+    # the pdf is 0 across (745, 1500) and normal again past 1500: the
+    # table ends at the last onset, near 2207.7, not in the gap
+    def pdf(x):
+        with np.errstate(over="ignore"):
+            return 0.5 * np.exp(-x) + np.where(x > 1500.0, 0.5 * np.exp(-(x - 1500.0)), 0.0)
+
+    f = Density(pdf, Interval(0.0, math.inf), interior_points=(1500.0,), label="gap")
+    ts = f._node_table().ts
+    assert np.any(f.pdf(ts) == 0.0) and ts[-1] > 2200.0
+    assert f.cdf_at(1600.0) == pytest.approx(1.0, abs=1e-12)
+    assert f.quantile_many(0.75)[0] == pytest.approx(1500.0 + math.log(2.0), abs=1e-12)
+
+
+def test_integral_calls_fn_only_where_the_pdf_is_nonzero():
+    # the ladder toward a mapped infinite end runs far past the pdf's
+    # underflow; fn, for an image the whole pullback, skips those points
+    for f in (exponential(1.0), up(exponential(1.0), 3.0)):
+        seen = []
+
+        def spy(x, f0):
+            seen.append((x.size, float(np.min(f0, initial=np.inf))))
+            return x * f0
+
+        assert f.integral(spy).converged
+        sizes, lows = np.array(seen).T
+        assert np.all(sizes > 0) and np.all(lows > 0.0)
+    # skipping the zero-pdf points moves no bit of a nested image's moment
+    assert mu(up(up(exponential(1.0), 1.5), 1.5), 1).value.hex() == "0x1.1a31ee2bda6b1p+38"
 
 
 def test_grid_quantiles_memo_is_bounded_and_private():

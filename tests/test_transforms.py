@@ -25,6 +25,7 @@ from updown.errors import (AccuracyError, CapabilityError, DomainError,
 from updown.numerics import _CumTable, integrate
 from updown.transforms import (_rigid_fit, chain, down, down_applicable, up,
                                verify_inversion, verify_scaling)
+from updown.upper_moments import moment_sequence_check
 
 EULER = 0.5772156649015329
 
@@ -398,6 +399,37 @@ def test_nested_up_build_gk_points(monkeypatch):
     monkeypatch.setattr(numerics, "_kronrod", counted)
     up(up(f, 1.5), 1.5)
     assert 0 < n[0] < 400_000
+
+
+def _count_gk_points(monkeypatch):
+    """A one-item list that counts the GK15 points spent from here on."""
+    n, kronrod = [0], numerics._kronrod
+
+    def counted(w, a, b, at=None):
+        n[0] += 15 * np.size(a) + (0 if at is None else np.size(at))
+        return kronrod(w, a, b, at)
+
+    monkeypatch.setattr(numerics, "_kronrod", counted)
+    return n
+
+
+def test_up_table_spends_nothing_past_the_root_underflow(monkeypatch):
+    # the weight times the pdf is 1 up to x = 745, where the pdf falls to
+    # 0; while the node table ran on to 2**41, the panel [512, 1024] held
+    # that step, and the build spent 134,014 points
+    f = exponential(1.0)
+    f._node_table()
+    n = _count_gk_points(monkeypatch)
+    up(f, 2.0)
+    assert 0 < n[0] <= 16_384
+
+
+def test_moment_sequence_check_work_count(monkeypatch):
+    # 799,510 points while integrands and up tables still ran past the
+    # root pdf's underflow
+    n = _count_gk_points(monkeypatch)
+    moment_sequence_check(exponential(1.0), (1.5, 1.5), 2)
+    assert 0 < n[0] <= 640_000
 
 
 @pytest.mark.parametrize("make", [
