@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, Interval, _chandrupatla, _CumTable, _double, _key, integrate
+from .numerics import INF, _SLOW, Interval, _chandrupatla, _CumTable, _double, _key, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -360,9 +360,10 @@ def _condensation_diverges(f, side, logw):
 
     The mass past the 2**-j tail quantile is comparable to 2**-j times the
     weight there, so the series behavior of those terms decides
-    convergence; logw maps abscissae to log w. Computed in logs: pdf
-    underflow can make a divergent tail look finite to direct quadrature
-    (weight growth cancels pdf decay beyond the float horizon).
+    convergence; logw maps abscissae to log w. Terms that decay slower than
+    2**-_SLOW a level, the bound of numerics' stub exponents, diverge.
+    Computed in logs: pdf underflow can make a divergent tail look finite to
+    direct quadrature (weight growth cancels pdf decay past the float horizon).
     """
     js, t = _tail_quantiles(f, side)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -372,7 +373,7 @@ def _condensation_diverges(f, side, logw):
     la = np.where(np.isneginf(la), -1e6, la)
     d = np.sort(np.diff(la[-12:]))
     slope = float((d[(d.size - 1) // 2] + d[d.size // 2]) / 2.0)  # the median
-    return bool(slope > -0.05 * math.log(2.0))
+    return bool(slope > -_SLOW * math.log(2.0))
 
 
 def _weighted_pdf(f, logw):

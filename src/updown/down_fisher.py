@@ -23,7 +23,7 @@ import numpy as np
 from . import functionals
 from .densities import _condensation_diverges, uniform
 from .errors import CapabilityError, PreconditionError
-from .functionals import Quantity, _nonneg, _pow, _zero_slope
+from .functionals import Quantity, _from_quad, _pow, _zero_slope
 from .transforms import chain, down
 
 __all__ = [
@@ -75,8 +75,7 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
             logs = (np.log(f0), np.log(np.abs(f1)), np.log(np.abs(ratio - r)))
             return sum(c * v for c, v in zip((e0 - 1.0, q, p), logs) if c != 0.0)
 
-    # checked up front: a divergence carried past the pdf's underflow is
-    # invisible to quadrature, and a non-integrable edge grinds refinement
+    # checked up front: quadrature cannot see a divergence past the pdf's underflow
     if any(_condensation_diverges(f, side, logw) for side in ("lo", "hi")):
         return Quantity(math.inf, False, math.inf)
 
@@ -90,8 +89,7 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
         good = (f0 > 0.0) & (f1 != 0.0) & np.isfinite(f0) & np.isfinite(f1)
         return np.where(good, y, 0.0)
 
-    return _nonneg(f.integral(fn, needs=2, tol=tol,
-                              force_singular_edges=True))
+    return _from_quad(f.integral(fn, needs=2, tol=tol, force_singular_edges=True))
 
 
 def verify_fisher_relation(f, p, lam, alpha, *, tol=1e-10):

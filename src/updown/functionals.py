@@ -27,15 +27,6 @@ def _from_quad(q):
     return Quantity(float(q.value), bool(q.converged), float(q.abs_error_estimate))
 
 
-def _nonneg(q):
-    """Divergent nonnegative integrals become +inf, not a junk estimate."""
-    if q.converged:
-        return _from_quad(q)
-    if not math.isfinite(q.value) or q.abs_error_estimate > 0.5 * abs(q.value):
-        return Quantity(INF, False, INF)
-    return _from_quad(q)
-
-
 def _pow(q, expo):
     """Power of a nonnegative Quantity with linearized error."""
     v, c, e = q
@@ -78,7 +69,7 @@ def mu(f, p, *, tol=1e-10):
     force = p < 0.0 and (f.support.lo == 0.0 or f.support.hi == 0.0)
     q = f.expect(lambda x, f0: np.abs(x) ** p, tol=tol,
                  extra_interior=extra, force_singular_edges=force)
-    return _nonneg(q)
+    return _from_quad(q)
 
 
 def sigma(f, p, *, tol=1e-10):
@@ -97,7 +88,7 @@ def log_moment(f, p, *, tol=1e-10):
     cuts = [c for c in (-1.0, 0.0, 1.0) if f.support.lo < c < f.support.hi]
     q = f.expect(lambda x, f0: np.abs(np.log(np.abs(x))) ** p,
                  tol=tol, extra_interior=cuts)
-    return _nonneg(q)
+    return _from_quad(q)
 
 
 def mean_log_abs(f, *, tol=1e-10):
@@ -116,7 +107,7 @@ def exp_moment(f, p, *, tol=1e-10):
     # stays tame; summing in log space keeps the integrand finite
     with np.errstate(divide="ignore", over="ignore"):
         q = f.integral(lambda x, f0: np.exp(-p * x + np.log(f0)), tol=tol)
-    return _pow(_nonneg(q), 1.0 / p)
+    return _pow(_from_quad(q), 1.0 / p)
 
 
 def mean(f, *, tol=1e-10):
@@ -128,8 +119,7 @@ def _order_integral(f, lam, tol):
     # int f^lam, in log space so denormal pdf values cannot turn a power
     # into 0 * inf
     with np.errstate(divide="ignore", over="ignore"):
-        return _nonneg(f.integral(lambda x, f0: np.exp(lam * np.log(f0)),
-                                  tol=tol))
+        return _from_quad(f.integral(lambda x, f0: np.exp(lam * np.log(f0)), tol=tol))
 
 
 def shannon(f, *, tol=1e-10):
@@ -180,7 +170,7 @@ def fisher(f, p, lam, *, tol=1e-10):
         return np.exp(p * np.log(np.abs(f1))
                       + (p * (lam - 2.0) + 1.0) * np.log(f0))
 
-    return _nonneg(f.integral(fn, needs=1, tol=tol))
+    return _from_quad(f.integral(fn, needs=1, tol=tol))
 
 
 def phi(f, p, lam, *, tol=1e-10):

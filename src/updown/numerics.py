@@ -201,7 +201,8 @@ def _pieces(f, iv, interior):
 # A stub exponent under _SLOW counts as unbounded: the ladder cannot tell
 # it from a divergent one (1/(d log(1/d)) measures 1/log(1/d), 0.023 at
 # d = 2**-64). The tail of power_tail(1.03, 1) measures 0.03 and stays
-# unconverged; that of power_tail(1.05, 1) measures 0.05 and closes
+# unconverged; that of power_tail(1.05, 1) measures 0.05 and closes. The
+# condensation test holds tail slopes, in units of log 2, to the same bound
 _SLOW = 0.04
 
 
@@ -242,14 +243,15 @@ def _peel(g, edge, other):
     Returns the panels as seeds for adaptive refinement plus the value and
     error charge of the stub next to the edge, closed by _closure at the
     innermost rung. The charge is the gap to the stub that the innermost
-    panel's mass implies under the same exponent. A stub no faster than
-    _SLOW adds nothing and charges the mass it would hold at _SLOW, so a
-    non-integrable edge comes back unconverged.
+    panel's mass implies under the same exponent. An exponent <= 0 diverges
+    at any depth: the stub is +-inf, signed like the innermost rung, and its
+    charge inf. One in (0, _SLOW) adds nothing and charges the mass it would
+    hold at _SLOW.
     """
     span = other - edge
-    # 64 halvings, not the floor: functionals._nonneg reads divergence off
-    # the error this depth leaves; laid to 2**-120, mu(power_tail(2, 1), 1)
-    # comes back finite (83.2) and unconverged in place of inf
+    # 64 halvings, not the floor: deeper rungs reach image abscissae where
+    # TransformedDensity.integral's fr/h0 overflows, and
+    # up(uniform(0, 1), 1.9) then reads mass inf in place of 1
     ds = _rungs(edge, abs(span), 64)
     if len(ds) < 3:  # the closure needs two inner rungs, floor or not
         ds = abs(span) * 0.5 ** np.arange(3.0)
@@ -258,10 +260,12 @@ def _peel(g, edge, other):
     # rungs for the closure in the same call, but not xs[0], the piece end
     vals, errs, w = _gk(g, a, b, xs[1:])
     w1dk, gam = _closure(w[-1], w[-2], ds[-1])
+    panels = list(zip(a.tolist(), b.tolist(), vals.tolist(), errs.tolist()))
+    if gam <= 0.0:
+        return panels, math.copysign(INF, w1dk), INF
     gam = max(float(gam), _SLOW)
     with np.errstate(over="ignore"):
         implied = float(vals[-1] / np.expm1(gam * np.log(2.0)))
-    panels = list(zip(a.tolist(), b.tolist(), vals.tolist(), errs.tolist()))
     if gam == _SLOW:
         return panels, 0.0, abs(implied)
     stub = float(w1dk) / gam
@@ -590,8 +594,9 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
     law through its two innermost rungs. The ladder is 64 halvings deep,
     or stops max(3e-8 |p|, 2**-120) short of its point p, whatever tol is;
     a piece too narrow for three rungs above that floor still gets three.
-    A stub exponent under 0.04 is not told apart from a divergent edge:
-    its mass is left out and charged to the error estimate.
+    A stub exponent <= 0 diverges at any depth: the call returns at once,
+    refining nothing, with the stubs' sum (NaN if both signs diverge) and
+    error inf. One in (0, 0.04) is left out and charged to the error.
 
     The pieces' seed panels share one heap (_adaptive), worst panel first,
     one absolute tol (less the stubs' error charges, at least tol/4) and
@@ -611,6 +616,8 @@ def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):
         seeds += [(*p, g) for p in panels]
         stub_val += v
         stub_err += e
+    if not math.isfinite(stub_val):  # a stub diverged: no refinement mends it
+        return QuadResult(stub_val, INF, False)
     value, err = _adaptive(seeds, max(tol - stub_err, tol / 4), _BUDGET)
     value, err = value + stub_val, err + stub_err
     # a diverged value may be infinite, where rtol * |value| is undefined

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from updown import functionals
+from updown import functionals, numerics
 from updown.down_fisher import (down_fisher, down_order_check,
                                 order_minimizer, shannon_down_check,
                                 verify_fisher_relation)
@@ -142,6 +142,20 @@ def test_order_vacuous_when_measures_diverge():
     # blow up there, so no inequality claim is made
     oc = down_order_check(g21, 2.0, 1.0, 1.0, 2.0)
     assert oc.vacuous
+
+
+def test_vacuous_order_answers_without_refining(monkeypatch):
+    # the divergent measures of g21 answer on their ladders' exponents; the
+    # check spent 7,927 _kronrod calls while refinement ran on
+    calls, kronrod = [0], numerics._kronrod
+
+    def counted(*args):
+        calls[0] += 1
+        return kronrod(*args)
+
+    monkeypatch.setattr(numerics, "_kronrod", counted)
+    assert down_order_check(stretched_gaussian(2.0, 1.0), 2.0, 1.0, 1.0, 2.0).vacuous
+    assert 0 < calls[0] <= 200
 
 
 def test_order_preconditions():

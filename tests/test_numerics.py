@@ -6,9 +6,10 @@ import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
+from updown import numerics
 from updown.densities import gzero, half_restriction, power_tail, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
-from updown.functionals import _nonneg
+from updown.functionals import mu
 from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _chandrupatla,
                              _CumTable, _double, _gk, _key, _kronrod, _refine_panels,
                              integrate)
@@ -128,7 +129,7 @@ def test_singular_piece_narrower_than_four_rung_floors(e, w, side):
 def test_narrow_divergent_piece_reads_inf(w):
     got = integrate(lambda x: np.abs(x - 1.0) ** -1.0, Interval(1.0, 1.0 + w, singular_lo=True))
     assert not got.converged
-    assert _nonneg(got).value == math.inf
+    assert got.value == math.inf
 
 
 def test_interior_singularity_with_cut():
@@ -151,6 +152,35 @@ def test_interior_kink():
 ])
 def test_divergent_integrals_are_flagged_not_raised(f, iv):
     got = integrate(f, iv)
+    assert not got.converged
+
+
+_DIVERGENT = {
+    "singular_lo": (lambda x: 1.0 / x, Interval(0.0, 1.0, singular_lo=True), math.inf),
+    "singular_hi": (lambda x: 1.0 / (1.0 - x), Interval(0.0, 1.0, singular_hi=True), math.inf),
+    "infinite": (lambda x: 1.0 / x, (1.0, math.inf), math.inf),
+    "negative": (lambda x: -1.0 / x, Interval(0.0, 1.0, singular_lo=True), -math.inf),
+}
+
+
+@pytest.mark.parametrize("floor", [False, True], ids=["64-halvings", "floor"])
+@pytest.mark.parametrize("case", [*_DIVERGENT, "mu-power-tail"])
+def test_divergence_verdict_does_not_depend_on_ladder_depth(case, floor, monkeypatch):
+    # the closure exponent is <= 0 at any depth, and the ladder's one call
+    # finds it; the error-to-value ratio of a refined sum is not: 1/x on
+    # (0, 1) summed to 44.36 in 31 calls, and to 83.18 at the 2**-120 floor
+    if floor:
+        rungs = numerics._rungs
+        monkeypatch.setattr(numerics, "_rungs", lambda p, d0, n=None: rungs(p, d0))
+    if case == "mu-power-tail":
+        got, want = mu(power_tail(2.0, 1.0), 1.0), math.inf
+    else:
+        f, iv, want = _DIVERGENT[case]
+        f, seen = _recorded(f)
+        got = integrate(f, iv)
+        assert len(seen) == 1
+        assert got.abs_error_estimate == math.inf
+    assert got.value == want
     assert not got.converged
 
 
