@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, _SLOW, Interval, _chandrupatla, _CumTable, _double, _key, integrate
+from .numerics import INF, _SLOW, Interval, _chandrupatla, _CumTable, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -219,7 +219,7 @@ class Density:
         infinite end walks on past them by factors of 4 (400 steps, to
         |x| <= 1e290). One rule then ends fixed and walked nodes alike: an
         infinite end stops at the double where the pdf turns subnormal for
-        good, found by bisecting the doubles between the last node whose
+        good, found by one _chandrupatla solve between the last node whose
         pdf is normal and the next. A pdf that is subnormal at some node
         and normal again at a later one keeps every node out to its last
         onset. Before that a heavy tail can hold mass the table would miss;
@@ -259,13 +259,13 @@ class Density:
                 return self.pdf(x) >= np.finfo(float).tiny
 
         def onset(a, b):
-            # bisect the doubles' keys, keeping the pdf normal at a and
-            # subnormal at b, until b is the double next to a
-            ka, kb = int(_key(a)), int(_key(b))
-            while abs(kb - ka) > 1:
-                m = (ka + kb) // 2
-                ka, kb = (m, kb) if normal(_double(np.array([m])))[0] else (ka, m)
-            return _double(np.array([kb]))
+            # the first double from a toward b whose pdf is subnormal: g is
+            # 0 on a's side and 1 on b's, rising with x; the solve closes on
+            # the adjacent pair across 0.5, and the onset is its end on b's side
+            up = bool(a < b)
+            pair = _chandrupatla(lambda x: (normal(x) != up).astype(float), 0.5,
+                                 np.sort([a, b]), np.array([0.0, 1.0]))
+            return pair[up]
 
         keep = np.flatnonzero(normal(xs))
         if keep.size:

@@ -488,13 +488,15 @@ def _chandrupatla(g, target, xs, zs):
 
     zs holds g at the sorted nodes xs, a table the caller already has. The
     table brackets each target (searchsorted, clipped to the first and last
-    bracket) and gives g at both ends, so g is never called there. An end
-    that hits the target, or past which the target lies (NaN counts as
-    past lo), closes its bracket on itself: [lo, lo] or [hi, hi]. Each
-    round evaluates g once, on the brackets still open. Inside a key gap
-    under 2**52 a round takes Chandrupatla's step (Chandrupatla 1997, Adv.
-    Eng. Softw. 28:145): inverse quadratic interpolation through both ends
-    and the end replaced last, where his test finds it monotone, else the
+    bracket) and gives g at both ends, so g is never called there. A
+    bracket of two adjacent doubles stays as the table gives it. An end of
+    any other that hits the target, or past which the target lies (NaN
+    counts as past lo), closes its bracket on itself: [lo, lo] or [hi, hi].
+    Every bracket keeps its slot through the solve, and each round
+    evaluates g once, on the brackets still open. Inside a key gap under
+    2**52 a round takes Chandrupatla's step (Chandrupatla 1997, Adv. Eng.
+    Softw. 28:145): inverse quadratic interpolation through both ends and
+    the end replaced last, where his test finds it monotone, else the
     secant. Wider gaps, and any round after one that did not halve the gap,
     bisect the _key values (the ordered bit patterns of doubles), so every
     solve takes at most 2*64 rounds. A point with g(t) == target closes its
@@ -503,59 +505,45 @@ def _chandrupatla(g, target, xs, zs):
     """
     y = np.array(target, dtype=float, ndmin=1)
     i = np.clip(np.searchsorted(zs, y), 1, len(xs) - 1)
-    out_lo, out_hi = xs[i - 1], xs[i]
-    kl = _key(out_lo)
-    gap = _key(out_hi).view(np.uint64) - kl.view(np.uint64)
-    idx = np.nonzero(gap > 1)[0]
-    if not idx.size:
-        return out_lo, out_hi
-    i, kl, gap, xl, xh, y = i[idx], kl[idx], gap[idx], out_lo[idx], out_hi[idx], y[idx]
-    gl, gh = zs[i - 1], zs[i]
-    end = np.where(~(gl < y), xl, np.where(gh <= y, xh, np.nan))
-    stop = ~np.isnan(end)
-    out_lo[idx[stop]] = out_hi[idx[stop]] = end[stop]
-    keep = ~stop
-    idx = idx[keep]
-    if not idx.size:
-        return out_lo, out_hi
-    # Open-bracket state, stacked so that closing brackets costs three
-    # compactions, not one per quantity. s: (x, g - y) of the end moved last
-    # (a), of the other end (b) and of the end a replaced (c), then y.
-    # k: key of lo, key gap. flags: a is the lo end, the last round halved
-    # the gap. done collects (key of lo, key gap) per bracket as it closes
+    lo, hi, gl, gh = xs[i - 1], xs[i], zs[i - 1], zs[i]
+    kl = _key(lo).view(np.uint64)
+    gap = _key(hi).view(np.uint64) - kl
+    # a bracket the solve leaves alone answers with its nodes, -0.0 included
+    wide = gap > 1
+    on_lo, on_hi = wide & ~(gl < y), wide & (gl < y) & (gh <= y)
+    lo[on_hi], hi[on_lo] = hi[on_hi], lo[on_lo]
+    solve = wide & ~(on_lo | on_hi)
+    # Per bracket: (x, g - y) of the end moved last (a), of the other end
+    # (b) and of the end a replaced (c); a_lo: a is the lo end; halved: the
+    # last round halved the key gap. Slots of closed brackets keep only
+    # their keys: key of lo, key gap
     with np.errstate(all="ignore"):
-        s = np.vstack([xl, gl - y, xh, gh - y, np.full((2, y.size), np.nan), y])[:, keep]
-    k = np.vstack([kl.view(np.uint64), gap])[:, keep]
-    flags = np.ones((2, idx.size), dtype=bool)
-    pos, done = np.arange(idx.size), np.empty((2, idx.size), dtype=np.uint64)
-    gx = None
+        xa, fa, xb, fb = lo, gl - y, hi, gh - y
+    xc = fc = np.full(y.size, np.nan)
+    a_lo = halved = np.ones(y.size, dtype=bool)
+    live, gx = solve.copy(), None
     while True:
         # one errstate per round, never around g: its own warnings stand
         with np.errstate(all="ignore"):
             if gx is not None:
-                below = gx < y
+                below, hit = gx < y, gx == y
                 # x replaces the end on its side: a's (c takes a, b stays) or
                 # b's (c takes b, b takes a); x is the new a
-                abc[1:] = np.where(below == flags[0], abc[1::-1], abc[:2])
-                abc[0] = x, gx - y
-                hit = gx == y
+                keep_b = below == a_lo
+                xc, fc = np.where(keep_b, xa, xb), np.where(keep_b, fa, fb)
+                xb, fb = np.where(keep_b, xb, xa), np.where(keep_b, fb, fa)
+                xa, fa = x, gx - y
                 left = np.where(below, gap - step, step)
-                flags[0], flags[1] = below, left <= gap - half
+                a_lo, halved = below, left <= gap - half
                 left[hit] = 0
-                k[0], k[1] = np.where(below | hit, kx, kl), left
-                stop = k[1] <= 1
-                if np.count_nonzero(stop):
-                    done[:, pos[stop]] = k[:, stop]
-                    keep = ~stop
-                    if not np.count_nonzero(keep):
-                        break
-                    pos, s, k, flags = pos[keep], s[:, keep], k[:, keep], flags[:, keep]
-            kl, gap = k
+                kl = np.where(live & (below | hit), kx, kl)
+                gap = np.where(live, left, gap)
+                live &= gap > 1
+            if not np.count_nonzero(live):
+                break
             half = gap >> 1
-            abc, y = s[:6].reshape(3, 2, -1), s[6]
-            (xa, fa), (xb, fb), (xc, fc) = abc
             step = half
-            fit = (gap < _NARROW) & flags[1]
+            fit = live & (gap < _NARROW) & halved
             if np.count_nonzero(fit):
                 xi = (xa - xb) / (xc - xb)
                 dab, dcb, dx = fa - fb, fc - fb, xb - xa
@@ -575,10 +563,11 @@ def _chandrupatla(g, target, xs, zs):
                 step = np.where(fit, off.view(np.uint64), half)
             kx = kl + step
             x = _double(kx.view(np.int64))
-        gx = np.asarray(g(x), dtype=float)
-    out_lo[idx] = _double(done[0].view(np.int64))
-    out_hi[idx] = _double((done[0] + done[1]).view(np.int64))
-    return out_lo, out_hi
+        gx = np.full(y.size, np.nan)
+        gx[live] = g(x[live])
+    lo[solve] = _double(kl[solve].view(np.int64))
+    hi[solve] = _double((kl + gap)[solve].view(np.int64))
+    return lo, hi
 
 
 def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):

@@ -227,9 +227,17 @@ class TransformedDensity(Density):
                                   force_singular_edges=True)
 
     def quantile_many(self, levels):
-        # the root rejects levels outside (0, 1), NaN included
+        """Density.quantile_many read off the root's quantiles. Where the
+        coordinate decreases a level v reads the root at 1 - v, good only to
+        2**-53 absolute: 1e-16 is solved as 1.11e-16, and a v whose 1 - v
+        rounds to 1 raises AccuracyError."""
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         rl = levels if self._sigma_total > 0 else 1.0 - levels
+        lost = levels[rl == 1.0]
+        # a level outside (0, 1), NaN included, is the root's DomainError
+        if lost.size and np.all((levels > 0.0) & (levels < 1.0)):
+            raise AccuracyError(f"{self.label}: quantile level {float(lost[0])!r} is lost "
+                                "in 1 - level, which holds a level to 2**-53 absolute")
         return self._chi(self.root.quantile_many(rl))
 
     def reseat(self, scale, shift):

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -590,3 +591,64 @@ def test_chandrupatla_empty_batch_makes_no_call():
     nodes = np.array([0.0, 1.0])
     a, b = _chandrupatla(g, np.empty(0), nodes, nodes)
     assert a.size == b.size == 0 and not calls
+
+
+def _tiers(x):
+    # increasing, in three regions: linear on [0, 1], a staircase of
+    # eighths on (1, 2] and a cube on (2, 4]
+    return np.where(x <= 1.0, x, np.where(x <= 2.0, 1.0 + np.floor(8.0 * (x - 1.0)) / 8.0,
+                                          2.0 + (x - 2.0) ** 3))
+
+
+def test_chandrupatla_calls_g_on_the_open_brackets_only():
+    # brackets that close in different rounds: an exact hit inside
+    # [0.25, 0.75], a target past the last node (closed on its end, no
+    # round), a bracket of two adjacent doubles (no round), a staircase and
+    # a smooth target. Each round's g call holds exactly the brackets still
+    # open, in batch order, at the points their own solves would take
+    nodes = np.array([0.0, 0.25, 0.75, 1.0, 2.0, 3.0, np.nextafter(3.0, 4.0), 4.0])
+    table = _tiers(nodes)
+    target = np.array([0.5, 20.0, 3.0 + 2.0 ** -51, 1.3, 2.7])
+    assert table[5] < target[2] < table[6]
+    seen = []
+    a, b = _chandrupatla(lambda x: seen.append(x.copy()) or _tiers(x), target, nodes, table)
+    solo = []
+    for j, y in enumerate(target):
+        alone = []
+        aj, bj = _chandrupatla(lambda x: alone.append(x.copy()) or _tiers(x), y, nodes, table)
+        assert (aj[0], bj[0]) == (a[j], b[j])
+        solo.append(alone)
+    rounds = [len(s) for s in solo]
+    assert len(set(rounds)) >= 4 and rounds[1] == rounds[2] == 0
+    assert [x.size for x in seen] == [sum(r > k for r in rounds) for k in range(max(rounds))]
+    for k, x in enumerate(seen):
+        np.testing.assert_array_equal(x, [s[k][0] for s in solo if len(s) > k])
+    assert a[0] == b[0] == 0.5
+    assert a[1] == b[1] == 4.0
+    assert (a[2], b[2]) == (3.0, nodes[6])
+    assert b[3] == 1.375 and a[3] == np.nextafter(1.375, 0.0)
+    assert _tiers(a[4:]) < 2.7 <= _tiers(b[4:]) and b[4] == np.nextafter(a[4], 4.0)
+
+
+def test_chandrupatla_answers_unsolved_brackets_with_their_nodes():
+    # a bracket of adjacent doubles stays open even where the target hits
+    # its upper node, and an end closure returns the node itself, so the
+    # sign of a -0.0 node survives
+    g, calls = _counted(lambda x: x)
+    nodes = np.array([-1.0, -0.0, 5e-324, 1.0])
+    a, b = _chandrupatla(g, np.array([5e-324, 0.0]), nodes, nodes)
+    assert not calls
+    assert (a[0], b[0]) == (0.0, 5e-324) and math.copysign(1.0, a[0]) == -1.0
+    assert a[1] == b[1] == 0.0 and np.all(np.signbit([a[1], b[1]]))
+
+
+def test_chandrupatla_leaves_g_its_own_warnings():
+    # the solver's errstate never wraps g: log of the negative points that
+    # bisecting [-1, 0.5] probes warns as it would outside the solver, while
+    # the other bracket of the batch stays clear of them
+    nodes = np.array([-1.0, 0.5, 2.0])
+    table = np.array([-np.inf, math.log(0.5), math.log(2.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="invalid value encountered in log"):
+            _chandrupatla(np.log, np.array([-5.0, 0.0]), nodes, table)

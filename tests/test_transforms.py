@@ -472,6 +472,25 @@ def test_nan_quantile_level_is_a_domain_error(make):
         make().quantile_many(np.array([0.5, math.nan]))
 
 
+@pytest.mark.parametrize("make", [lambda: up(exponential(1.0), 3.0),
+                                  lambda: up(uniform(0.0, 1.0), 3.0)],
+                         ids=["exp", "uniform"])
+def test_flipped_quantile_levels_resolve_to_2_53(make):
+    # a decreasing coordinate reads the root at 1 - v: 1e-16 is solved as
+    # 2**-53 = 1.11e-16, and a level whose 1 - v rounds to 1 is valid but
+    # lost, not a level outside (0, 1)
+    img = make()
+    assert img._sigma_total < 0.0
+    assert img.quantile_many([1e-16]).tobytes() == img.quantile_many([2.0 ** -53]).tobytes()
+    with pytest.raises(AccuracyError, match=r"1e-17 .*2\*\*-53 absolute"):
+        img.quantile_many([0.5, 1e-17])
+    with pytest.raises(AccuracyError, match=r"5\.551115123125783e-17"):
+        img.quantile_many([2.0 ** -54])
+    for bad in ([0.0], [1.0], [-0.5], [1e-17, 1.5], [1e-17, math.nan]):
+        with pytest.raises(DomainError, match="inside"):
+            img.quantile_many(bad)
+
+
 def test_second_up_build_reuses_root_quantile_grids():
     # every fixed quantile grid an up build reads (orientation, table
     # nodes, median pivot and anchor, tail tests, brackets, probe) is
