@@ -115,11 +115,19 @@ def mean(f, *, tol=1e-10):
     return _from_quad(f.expect(lambda x, f0: x, tol=tol))
 
 
-def _order_integral(f, lam, tol):
-    # int f^lam, in log space so denormal pdf values cannot turn a power
-    # into 0 * inf
+def _log_order_integral(f, lam, tol):
+    """log int f^lam, formed as lam L + log int exp(lam (log f - L)) with L
+    the log of the largest finite pdf value on the 64-point quantile grid:
+    f^lam over- or underflows at a large lam or a far scale where its log
+    does not. The error is inf wherever the log is not finite."""
+    with np.errstate(divide="ignore"):
+        lf = np.log(f.pdf(f.quantiles(64)))
+    top = float(np.max(lf[np.isfinite(lf)]))
     with np.errstate(divide="ignore", over="ignore"):
-        return _from_quad(f.integral(lambda x, f0: np.exp(lam * np.log(f0)), tol=tol))
+        q = _from_quad(f.integral(lambda x, f0: np.exp(lam * (np.log(f0) - top)),
+                                  tol=tol))
+        v = lam * top + float(np.log(q.value))
+    return Quantity(v, q.converged, q.err / q.value if math.isfinite(v) else INF)
 
 
 def shannon(f, *, tol=1e-10):
@@ -133,13 +141,8 @@ def renyi(f, lam, *, tol=1e-10):
     lam = float(lam)
     if abs(lam - 1.0) < _SNAP:
         return shannon(f, tol=tol)
-    q = _order_integral(f, lam, tol)
-    if q.value == INF:
-        return Quantity(INF / (1.0 - lam), q.converged, INF)
-    if q.value == 0.0:
-        return Quantity(-INF / (1.0 - lam), q.converged, INF)
-    return Quantity(math.log(q.value) / (1.0 - lam), q.converged,
-                    q.err / q.value / abs(1.0 - lam))
+    v, c, e = _log_order_integral(f, lam, tol)
+    return Quantity(v / (1.0 - lam), c, e / abs(1.0 - lam))
 
 
 def tsallis(f, lam, *, tol=1e-10):
@@ -147,9 +150,8 @@ def tsallis(f, lam, *, tol=1e-10):
     lam = float(lam)
     if abs(lam - 1.0) < _SNAP:
         return shannon(f, tol=tol)
-    q = _order_integral(f, lam, tol)
-    return Quantity((q.value - 1.0) / (1.0 - lam), q.converged,
-                    q.err / abs(1.0 - lam))
+    v, c, e = _exp(_log_order_integral(f, lam, tol))
+    return Quantity((v - 1.0) / (1.0 - lam), c, e / abs(1.0 - lam))
 
 
 def renyi_power(f, lam, *, tol=1e-10):
@@ -157,7 +159,7 @@ def renyi_power(f, lam, *, tol=1e-10):
     lam = float(lam)
     if abs(lam - 1.0) < _SNAP:
         return _exp(shannon(f, tol=tol))
-    return _pow(_order_integral(f, lam, tol), 1.0 / (1.0 - lam))
+    return _exp(_log_order_integral(f, lam, tol), 1.0 / (1.0 - lam))
 
 
 def fisher(f, p, lam, *, tol=1e-10):

@@ -243,10 +243,11 @@ def _peel(g, edge, other):
     Returns the panels as seeds for adaptive refinement plus the value and
     error charge of the stub next to the edge, closed by _closure at the
     innermost rung. The charge is the gap to the stub that the innermost
-    panel's mass implies under the same exponent. An exponent <= 0 diverges
-    at any depth: the stub is +-inf, signed like the innermost rung, and its
-    charge inf. One in (0, _SLOW) adds nothing and charges the mass it would
-    hold at _SLOW.
+    panel's mass implies under the same exponent. An exponent <= 0
+    diverges at any depth, and so does one within 64 eps of 0, the
+    rounding of 1 + log2(w2/w1) on an x**-1 stub: the stub is +-inf,
+    signed like the innermost rung, and its charge inf. One in (0, _SLOW)
+    adds nothing and charges the mass it would hold at _SLOW.
     """
     span = other - edge
     # 64 halvings, not the floor: deeper rungs reach image abscissae where
@@ -261,7 +262,7 @@ def _peel(g, edge, other):
     vals, errs, w = _gk(g, a, b, xs[1:])
     w1dk, gam = _closure(w[-1], w[-2], ds[-1])
     panels = list(zip(a.tolist(), b.tolist(), vals.tolist(), errs.tolist()))
-    if gam <= 0.0:
+    if gam <= 64.0 * _EPS:
         return panels, math.copysign(INF, w1dk), INF
     gam = max(float(gam), _SLOW)
     with np.errstate(over="ignore"):

@@ -53,7 +53,8 @@ class TransformedDensity(Density):
     to a derivative order (_push) are closed-form reads down the base chain
     at root abscissae, so all quadrature happens in the root's coordinates;
     an image-space query (_state) inverts once and pushes once for all the
-    orders it returns. The exposed fields are base (the immediate input
+    orders it returns. Every step kind inverts through _invert on its own
+    bracket table. The exposed fields are base (the immediate input
     density), root, kind and the step's parameter (alpha of a down or up
     step, scale and shift of an affine one), and chain, the full
     (kind, parameter) provenance. up, down and affine_image build the three
@@ -336,7 +337,6 @@ class _UpImage(TransformedDensity):
                 f"up(alpha={self.alpha:g}): the coordinate weight is not "
                 f"integrable across the interior zero at {self.zc:.6g}")
         self._build_table()
-        self._set_anchor()
         self._finish()
 
     def _logw(self, t):
@@ -361,30 +361,24 @@ class _UpImage(TransformedDensity):
             r = integrate(w_root, Interval(*sorted((end, float(node)))), tol=1e-13)
             return r.value if r.converged and math.isfinite(r.value) else INF
 
-        # C pivots at the anchor end where its mass is finite, so that u
-        # there is a sum of masses of one sign; else at the root median
+        # the anchor is the end sigma points to where the mass beyond it is
+        # finite, else the root median. C pivots there: 0.0 at that end node,
+        # so u sums masses of one sign and table.above or .below is the mass
         m_lo, m_hi = mass("lo", lo, ts[0]), mass("hi", hi, ts[-1])
-        m_anchor, pivot = (m_hi, INF) if self.sigma > 0 else (m_lo, -INF)
-        if not math.isfinite(m_anchor):
-            pivot = float(root.median())
-        self.table = _CumTable(w_root, ts, ends, pivot=pivot, mass_lo=m_lo, mass_hi=m_hi)
-        if not self.table.cums.any():
+        to_hi = self.sigma > 0
+        canonical = math.isfinite(m_hi if to_hi else m_lo)
+        pivot = (INF if to_hi else -INF) if canonical else float(root.median())
+        self.table = tab = _CumTable(w_root, ts, ends, pivot=pivot, mass_lo=m_lo,
+                                     mass_hi=m_hi)
+        if not tab.cums.any():
             raise AccuracyError(
                 f"up(alpha={self.alpha!r}): the weight underflows to 0 on "
                 f"every table panel of {root.label}")
-
-    def _set_anchor(self):
-        c_lo, c_hi = float(self.table.below), float(self.table.above)
-        want = c_hi if self.sigma > 0 else c_lo
-        if math.isfinite(want):
-            self.anchor_mode = "canonical"
-            self.c_anchor = want
-        else:
-            self.anchor_mode = "median"
-            self.c_anchor = float(self.table(self.root.median())[0])
-        u_lo = self.sigma * (self.c_anchor - (c_hi if self.sigma > 0 else c_lo))
-        u_hi = self.sigma * (self.c_anchor - (c_lo if self.sigma > 0 else c_hi))
-        self.u_support = (float(u_lo), float(u_hi))
+        near, far = (tab.above, tab.below) if to_hi else (tab.below, tab.above)
+        self.anchor_mode = "canonical" if canonical else "median"
+        self.c_anchor = float(near) if canonical else float(tab(pivot)[0])
+        self.u_support = (float(self.sigma * (self.c_anchor - near)),
+                          float(self.sigma * (self.c_anchor - far)))
 
     def _edge_limit(self, side):
         # the pdf is 1/w(v): exact at the base's edge v this side maps to
@@ -423,9 +417,9 @@ class _AffineImage(TransformedDensity):
 
     The coordinate divides the base's and the pdf state of order k gains
     the factor |scale| * scale**k, so every derivative order of the base
-    passes through. Over a root the inverse is closed form; over an image
-    it is the inherited bracket solve, whose table holds this step's own
-    coordinate bit for bit.
+    passes through. Over a root as over an image it inverts through the
+    inherited bracket solve, whose table holds this step's own coordinate
+    bit for bit.
     """
 
     kind = "affine"
@@ -450,13 +444,6 @@ class _AffineImage(TransformedDensity):
         if self.scale < 0.0:
             side = "hi" if side == "lo" else "lo"
         return abs(self.scale) * self.base.edge_value(side)
-
-    def _invert(self, y):
-        if self.base is not self.root:
-            return super()._invert(y)
-        lo, hi = self.root.support.lo, self.root.support.hi
-        x = self.scale * np.atleast_1d(np.asarray(y, dtype=float)) + self.shift
-        return np.clip(x, lo, hi), ~((x > lo) & (x < hi))
 
 
 # -- public operations --------------------------------------------------------

@@ -93,7 +93,7 @@ def test_shannon():
 
 
 def test_renyi_uniform_flat_in_order():
-    for lam in (0.5, 2.0, 3.0, 7.0):
+    for lam in (0.5, 2.0, 3.0, 7.0, 2000.0):
         close(F.renyi(u02, lam), math.log(2.0))
 
 
@@ -102,6 +102,17 @@ def test_renyi_exponential():
     # R_lam = (1/(1-lam)) log(A^(lam-1)/lam) = -log A + log(lam)/(lam-1)
     for lam in (0.5, 2.0, 4.0):
         close(F.renyi(e2, lam), -math.log(2.0) + math.log(lam) / (lam - 1.0))
+
+
+def test_renyi_at_a_far_scale_and_a_large_order():
+    # f**60 of a pdf near 1e6 overflows; its log does not
+    close(F.renyi(rescale(e1, 1e6), 60.0), -math.log(1e6) + math.log(60.0) / 59.0)
+
+
+def test_renyi_divergent_order_reads_inf():
+    # int f**0.5 of the x**-2 tail is an x**-1 stub: divergent, as mu(pt21, 1)
+    q = F.renyi(pt21, 0.5)
+    assert (q.value, q.converged, q.err) == (math.inf, False, math.inf)
 
 
 def test_renyi_snaps_to_shannon():
@@ -117,6 +128,7 @@ def test_tsallis():
 
 def test_renyi_power():
     close(F.renyi_power(u02, 3.0), 2.0)
+    close(F.renyi_power(u02, 2000.0), 2.0)
     close(F.renyi_power(e1, 2.0), 2.0)
     close(F.renyi_power(e1, 1.0), math.e)
 

@@ -161,6 +161,11 @@ _DIVERGENT = {
     "singular_hi": (lambda x: 1.0 / (1.0 - x), Interval(0.0, 1.0, singular_hi=True), math.inf),
     "infinite": (lambda x: 1.0 / x, (1.0, math.inf), math.inf),
     "negative": (lambda x: -1.0 / x, Interval(0.0, 1.0, singular_lo=True), -math.inf),
+    # 1/x through rounding: the closure exponent reads 3.3e-16 and 2.6e-15
+    "rounded_lo": (lambda x: (x ** -0.5) ** 2, Interval(0.0, 1.0, singular_lo=True),
+                   math.inf),
+    "rounded_infinite": (lambda x: np.exp(0.5 * np.log(x ** -2.0)), (1.0, math.inf),
+                         math.inf),
 }
 
 
@@ -182,6 +187,14 @@ def test_divergence_verdict_does_not_depend_on_ladder_depth(case, floor, monkeyp
         assert len(seen) == 1
         assert got.abs_error_estimate == math.inf
     assert got.value == want
+    assert not got.converged
+
+
+def test_slow_but_convergent_stub_is_not_called_divergent():
+    # x**-1.0001 on (1, inf) closes with exponent 1e-4, far above rounding,
+    # so the verdict stays an unconverged finite sum
+    got = integrate(lambda x: x ** -1.0001, (1.0, math.inf))
+    assert math.isfinite(got.value) and math.isfinite(got.abs_error_estimate)
     assert not got.converged
 
 

@@ -757,6 +757,19 @@ def test_defect_4a_cells_raise_or_hold_unit_mass(make, alpha):
     assert r.value == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("make", [lambda: up(e1, 3.0), lambda: up(u01, 3.0)],
+                         ids=["exp", "uniform"])
+def test_probe_catches_a_corrupted_up_table(make):
+    # 1e-3 of the mass added to every running sum past the middle node
+    # moves the coordinate away from the bracket table built from it, and
+    # the inverted pdf away from the pushed one
+    g = make()
+    cums = g.table.cums
+    cums[len(cums) // 2 + 1:] += 1e-3 * (cums[-1] - cums[0])
+    with pytest.raises(AccuracyError, match="forward and inverted evaluations disagree"):
+        g._probe()
+
+
 # ------------------------------------------------------------ round trips
 
 def test_up_after_down_recovers():
@@ -926,6 +939,31 @@ def test_scaling_laws():
         for al in (3.0, 0.5, 2.0):
             assert verify_scaling(f, al, 2.5) < 1e-7
     assert verify_scaling(e21, 4.0, 0.3) < 1e-7
+
+
+def _gauss_cdf(x):
+    # stretched_gaussian(2, 1) is exp(-x**2)/sqrt(pi)
+    return np.array([0.5 * math.erfc(-v) for v in x])
+
+
+@pytest.mark.parametrize("root, scale, shift, cdf", [
+    (exponential(1.3), -2.0, 0.5, lambda x: -np.expm1(-1.3 * x)),
+    (e1, 1e-6, 0.0, lambda x: -np.expm1(-x)),
+    (e1, 3.0, 0.0, lambda x: -np.expm1(-x)),
+    (e1, 1e6, 0.0, lambda x: -np.expm1(-x)),
+    (pt21, 3.0, 0.0, lambda x: 1.0 - 1.0 / x),
+    (g21, -0.5, 0.25, _gauss_cdf),
+], ids=["exp-reflected", "exp-1e-6", "exp-3", "exp-1e6", "power-tail-3", "gauss-reflected"])
+def test_affine_step_over_a_root_inverts_through_its_bracket_table(root, scale, shift, cdf):
+    # y = (x - shift)/scale: the inverse is scale*y + shift, the pdf
+    # |scale| f(scale*y + shift), and the cdf reads F or 1 - F there
+    g = affine_image(root, scale, shift)
+    y = (root.quantiles(64) - shift) / scale
+    x = scale * y + shift
+    np.testing.assert_allclose(g.inverse_map(y), x, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(g.pdf(y), abs(scale) * root.pdf(x), rtol=1e-14, atol=0.0)
+    want = cdf(x) if scale > 0 else 1.0 - cdf(x)
+    np.testing.assert_allclose(g.cdf_at(y), want, rtol=0.0, atol=1e-15)
 
 
 # ------------------------------------------- functional carriage identities
