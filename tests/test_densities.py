@@ -420,3 +420,9 @@ def test_strict_monotone_sign():
     assert exponential(1.0, 0.0).strict_monotone_sign() == -1
     assert stretched_gaussian(2.0, 1.0).strict_monotone_sign() is None
     assert uniform(0.0, 1.0).strict_monotone_sign() is None
+
+
+def test_strict_monotone_sign_needs_d1():
+    f = Density(lambda x: np.full_like(x, 1.0), Interval(0.0, 1.0))
+    with pytest.raises(CapabilityError, match="monotone test needs d1"):
+        f.strict_monotone_sign()

@@ -30,8 +30,9 @@ from updown import functionals, numerics
 from updown.down_fisher import (down_fisher, down_order_check,
                                 order_minimizer, shannon_down_check,
                                 verify_fisher_relation)
-from updown.densities import (exponential, half_restriction, power_tail,
-                              rescale, stretched_gaussian, uniform)
+from updown.densities import (Density, exponential, half_restriction,
+                              power_tail, rescale, stretched_gaussian,
+                              uniform)
 from updown.errors import (CapabilityError, DomainError, PreconditionError,
                            TransformChainError)
 from updown.transforms import down
@@ -73,6 +74,11 @@ def test_measure_preconditions():
     # flat pdf: the curvature ratio never exists
     with pytest.raises(CapabilityError):
         down_fisher(u01, 2.0, 1.0, 2.0)
+    # one derivative order: the curvature ratio needs f''
+    f = Density(e1.pdf, e1.support, d1=e1.d1)
+    assert f.order == 1
+    with pytest.raises(CapabilityError, match="needs d1 and d2"):
+        down_fisher(f, 2.0, 1.0, 2.0)
 
 
 def test_divergent_measure_reported_not_truncated():

@@ -78,6 +78,12 @@ def test_exp_moment():
         F.exp_moment(e1, 0.0)
 
 
+def test_fractional_power_of_a_negative_value_is_a_domain_error():
+    # the rooted functionals take a root of a nonnegative integral
+    with pytest.raises(DomainError, match="negative base"):
+        F._pow(F.Quantity(-1.0, True, 0.0), 0.5)
+
+
 def test_mean():
     close(F.mean(e21), 1.5)
     close(F.mean(u02), 1.0)

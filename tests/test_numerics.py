@@ -567,10 +567,11 @@ def test_chandrupatla_closes_brackets_that_miss_on_the_nearest_end():
 
 
 def test_chandrupatla_closes_on_exact_hits_and_staircases():
-    # a query at a table node, as when a probe point is a bracket-table
-    # node, stops on that node; a staircase and a jump defeat interpolation
-    # and still close, within two rounds per halving of the key gap (the
-    # jump took 43,462 rounds without the halving rule)
+    # a query at a table node, as when an image is queried at a
+    # coordinate its bracket table holds, stops on that node; a staircase
+    # and a jump defeat interpolation and still close, within two rounds
+    # per halving of the key gap (the jump took 43,462 rounds without the
+    # halving rule)
     ident, calls = _counted(lambda x: x)
     nodes = np.array([0.25, 0.5])
     a, b = _chandrupatla(ident, np.array([0.5, 0.25, 0.3]), nodes, nodes)
