@@ -215,44 +215,39 @@ class Density:
     def _node_table(self):
         """The cumulative mass table (a _CumTable), built once on demand.
 
-        Fixed nodes grade toward each edge and interior point, and each
-        infinite end walks on past them by factors of 4 (400 steps, to
-        |x| <= 1e290). One rule then ends fixed and walked nodes alike: an
-        infinite end stops at the double where the pdf turns subnormal for
-        good, found by one _chandrupatla solve between the last node whose
-        pdf is normal and the next. A pdf that is subnormal at some node
-        and normal again at a later one keeps every node out to its last
-        onset. Before that a heavy tail can hold mass the table would miss;
-        past it the pdf carries no mass that rounds into the table (a
-        subnormal pdf rounds to 1e-11 relative near 3e-313), and a panel
-        across the step to 0 only spends refinement. The table lays
-        ladders toward the singular edges and the interior points.
+        Each finite segment between cuts (the support ends and interior points)
+        gets fixed nodes graded toward both its ends; each infinite end one
+        outward sequence t from its nearest cut (from 0 on a whole line with no
+        cut): doublings 2**-40 to 1/2, steps of 1/16 from 17/16 to 2, doublings
+        to 2**41, then factors of 4 to 2**841. It stops at the double where the
+        pdf turns subnormal for good, found by one _chandrupatla solve between
+        the last node whose pdf is normal and the next; a pdf normal again past
+        a subnormal node keeps every node out to its last onset. Before that a
+        heavy tail can hold mass the table would miss; past it the pdf carries
+        no mass that rounds into the table (a subnormal pdf rounds to 1e-11
+        relative near 3e-313). The singular edges and interior points are
+        listed on both sides; _CumTable lays a ladder on each side where the
+        table continues.
         """
         if self._table is not None:
             return self._table
         lo, hi = self.support.lo, self.support.hi
-        cuts = [lo] + list(self.interior_points) + [hi]
+        inner = self.interior_points
+        if not inner and math.isinf(lo) and math.isinf(hi):
+            inner = (0.0,)  # the whole line is laid outward from 0, as from a cut
+        cuts = [lo, *inner, hi]
         h = 0.5 ** np.arange(40.0, 0.0, -1.0)
-        t = np.concatenate([h, np.linspace(1.0, 2.0, 17)[1:], 2.0 ** np.arange(2.0, 42.0)])
+        t = np.concatenate([[0.0], h, np.linspace(1.0, 2.0, 17)[1:],
+                            2.0 ** np.arange(2.0, 42.0), 2.0 ** np.arange(43.0, 842.0, 2.0)])
         nodes = []
         for a, b in zip(cuts[:-1], cuts[1:]):
             if math.isfinite(a) and math.isfinite(b):
                 u = np.unique(np.concatenate([np.linspace(0.0, 1.0, 49), h[1:-1], 1.0 - h[1:-1]]))
                 nodes.append(a + (b - a) * u)
-            elif math.isfinite(a) or math.isfinite(b):
-                nodes.append(a + np.r_[0.0, t] if math.isfinite(a) else b - np.r_[0.0, t])
             else:
-                nodes.append(np.r_[-t, 0.0, t])
+                nodes.append(a + t if math.isfinite(a) else b - t)
         xs = np.unique(np.concatenate(nodes))
         xs = xs[(xs >= lo) & (xs <= hi)]
-        walks = [xs]
-        for s, far, near in ((1.0, hi, lo), (-1.0, lo, hi)):
-            if math.isinf(far):
-                x0 = xs[-1] if s > 0 else xs[0]
-                o = near if math.isfinite(near) else 0.0
-                v = o + s * max(abs(x0 - o), 1.0) * 4.0 ** np.arange(1.0, 401.0)
-                walks.append(v[np.abs(v) <= 1e290])
-        xs = np.unique(np.concatenate(walks))
 
         def normal(x):
             with np.errstate(all="ignore"):
@@ -275,10 +270,9 @@ class Density:
             if math.isinf(lo) and i > 0:
                 xs = np.concatenate([onset(xs[i], xs[i - 1]), xs[i:]])
         sup = self.support
-        ends = [(p, s) for p in self.interior_points for s in (-1.0, 1.0)]
-        ends += [(p, s) for p, s, sing in ((lo, 1.0, sup.singular_lo),
-                                           (hi, -1.0, sup.singular_hi)) if sing]
-        self._table = _CumTable(self.pdf, xs, ends)
+        pts = self.interior_points + tuple(p for p, sing in ((lo, sup.singular_lo),
+                                                             (hi, sup.singular_hi)) if sing)
+        self._table = _CumTable(self.pdf, xs, [(p, s) for p in pts for s in (-1.0, 1.0)])
         return self._table
 
     def cdf_at(self, x):

@@ -275,7 +275,9 @@ def _peel(g, edge, other):
 
 def _adaptive(seeds, tol, budget):
     """Worst-first refinement of seed panels (a, b, value, error, g) in one
-    heap, each split through its own g; returns (value, error)."""
+    heap, each split through its own g; returns (value, error). The error
+    is summed afresh over the final leaves (fsum): the running total that
+    steers the loop cancels, even below 0, as errors fall by many orders."""
     heap, total_val, total_err = [], 0.0, 0.0
     for count, (a, b, val, err, g) in enumerate(seeds):
         heapq.heappush(heap, (-err, count, a, b, val, err, g))
@@ -303,7 +305,7 @@ def _adaptive(seeds, tol, budget):
         total_val += v1 + v2
         total_err += e1 + e2
         room -= 1
-    return total_val + frozen_val, total_err + frozen_err
+    return total_val + frozen_val, math.fsum([leaf[5] for leaf in heap]) + frozen_err
 
 
 _ROUND_LEAVES = 64  # leaves bisected per round of _refine_panels
@@ -352,17 +354,20 @@ def _refine_panels(f, a, b, tol, rtol):
 def _ladders(w, ts, ends):
     """Sorted nodes with a ladder toward each singular point of w.
 
-    ends lists (p, s): a point p and the side s (+1 above, -1 below) on
-    which the table continues. Each ladder starts at the nearest node
-    beyond which ts is already graded (next node within ratio 2), so that
-    no coarse panel is left between the ladder and the bulk, and stops
-    at _rungs' floor, max(3e-8 |p|, 2**-120) short of p. The depth
-    depends on p alone, so a table laid on the nodes of another adds no
-    rung where that one already has a ladder. Returns the nodes, with the
-    points and rungs added and any node inside a stub dropped, and one row
-    (p, s, w1 dK, gam, dK) per stub from _closure at its innermost rung.
+    ends lists (p, s): a point p and a side s, +1 above or -1 below. A
+    pair gets a ladder only where the table continues (p in [ts[0],
+    ts[-1]] and some node strictly on side s), so callers list every
+    point on both sides. Each ladder starts at the nearest node beyond
+    which ts is already graded (next node within ratio 2), so that no
+    coarse panel is left between the ladder and the bulk, and stops at
+    _rungs' floor, max(3e-8 |p|, 2**-120) short of p. The depth depends
+    on p alone, so a table laid on the nodes of another adds no rung
+    where that one already has a ladder. Returns the nodes, with the kept
+    points and rungs added and any node inside a stub dropped, and one
+    row (p, s, w1 dK, gam, dK) per stub from _closure at its innermost rung.
     """
-    ends = list(dict.fromkeys(ends))
+    ends = [(p, s) for p, s in dict.fromkeys(ends)
+            if ts[0] <= p <= ts[-1] and np.any(s * (ts - p) > 0.0)]
     rungs, rows = [ts, [p for p, _ in ends]], []
     for p, s in ends:
         d = np.sort(s * (ts - p))
@@ -385,11 +390,12 @@ def _ladders(w, ts, ends):
 class _CumTable:
     """Running integral C of a weight w, tabulated on sorted nodes ts.
 
-    The one table builder: it lays _ladders toward each of the singular
-    points in ends (pairs (p, s) as there) and fills the panel next to each
-    point with its stub's closure mass; every other panel is refined to the
-    bound max(1e-13, 1e-13 |mass|) by _refine_panels. mass_lo and mass_hi
-    are the masses beyond the table ends. A finite end point whose mass is
+    The one table builder: it lays _ladders toward the singular points in
+    ends (pairs (p, s) as there, each kept only on a side where the table
+    continues) and fills the panel next to each such point with its stub's
+    closure mass; every other panel is refined to the bound
+    max(1e-13, 1e-13 |mass|) by _refine_panels. mass_lo and mass_hi are
+    the masses beyond the table ends. A finite end point whose mass is
     infinite, or whose closure exponent is under _SLOW, is dropped off the
     table with infinite mass beyond it; its stub then lies beyond the table
     end. C is 0 at the first node at or above pivot, the last node if none

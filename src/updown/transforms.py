@@ -298,12 +298,12 @@ class _UpImage(TransformedDensity):
     of the root and at the interior zero zc of chi, which the base reads
     off its bracket table (base._zero). The table is a numerics._CumTable
     on the root's node table and quantiles, whose infinite ends already
-    reach the subnormal pdf; it lays a ladder toward each such point, on
-    each side where the support continues. The image adds only the masses
-    beyond the table ends: infinite where the condensation test finds the
-    edge divergent, else the tail integral past an infinite end. A
-    divergent finite edge, by that test or by its closure exponent, stays
-    off the table with infinite mass beyond its ladder.
+    reach the subnormal pdf. Each such point is listed on both sides, and
+    the table lays a ladder on each side where it continues. The image adds
+    only the masses beyond the table ends: infinite where the condensation
+    test finds the edge divergent, else the tail integral past an infinite
+    end. A divergent finite edge, by that test or by its closure exponent,
+    stays off the table with infinite mass beyond its ladder.
     """
 
     kind = "up"
@@ -329,9 +329,8 @@ class _UpImage(TransformedDensity):
         w_root = _weighted_pdf(root, self._logw)
         lo, hi = root.support.lo, root.support.hi
         ts = np.unique(np.r_[root._node_table().ts, root.quantiles(129)])
-        cuts = root.interior_points + ((self.zc,) if self.zc is not None else ())
-        ends = [(p, s) for p in cuts for s in (-1.0, 1.0)]
-        ends += [(p, s) for p, s in ((lo, 1.0), (hi, -1.0)) if math.isfinite(p)]
+        pts = root.interior_points + ((self.zc,) if self.zc is not None else ()) + (lo, hi)
+        ends = [(p, s) for p in pts for s in (-1.0, 1.0)]
 
         def mass(side, end, node):
             # beyond the table end at node: infinite by the condensation

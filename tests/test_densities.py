@@ -139,10 +139,17 @@ def test_node_table_on_a_support_with_no_finite_point():
     assert mu(f, 2).value == pytest.approx(math.pi ** 2 / 3.0, rel=1e-9)
 
 
+# the Cauchy pdf is normal out to 3.8e153, and each infinite end's nodes
+# past 2**41 run outward from the cut at 5, not from 0
+_CAUCHY = Density(lambda x: 1.0 / (math.pi * (1.0 + x * x)), Interval(-math.inf, math.inf),
+                  interior_points=(5.0,), label="cauchy-cut-at-5")
+
+
 @pytest.mark.parametrize("f, side", [
     (exponential(1.0, 0.0), "hi"), (exponential(2.0, 1.0), "hi"),
     (stretched_gaussian(2.0, 1.0), "lo"), (stretched_gaussian(2.0, 1.0), "hi"),
     (half_restriction(stretched_gaussian(2.0, 1.0)), "hi"), (power_tail(2.0, 1.0), "hi"),
+    (_CAUCHY, "lo"), (_CAUCHY, "hi"),
 ], ids=lambda v: v if isinstance(v, str) else v.label)
 def test_node_table_ends_at_the_subnormal_onset(f, side):
     # an infinite end is the first double past the bulk with a subnormal
@@ -165,6 +172,27 @@ def test_node_table_keeps_mass_past_a_gap():
     assert np.any(f.pdf(ts) == 0.0) and ts[-1] > 2200.0
     assert f.cdf_at(1600.0) == pytest.approx(1.0, abs=1e-12)
     assert f.quantile_many(0.75)[0] == pytest.approx(1500.0 + math.log(2.0), abs=1e-12)
+
+
+def test_interior_point_past_the_subnormal_onset_gets_no_ladder():
+    # the table of exp(-x) ends at 708.4, so the cut at 1000 has no node on
+    # either side and no ladder; listing its sides used to raise IndexError
+    f = Density(lambda x: np.exp(-x), Interval(0.0, math.inf), interior_points=(1000.0,))
+    v = np.array([1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 0.999])
+    assert f.median() == pytest.approx(math.log(2.0), rel=1e-12)
+    np.testing.assert_allclose(f.quantile_many(v), -np.log1p(-v), rtol=1e-12)
+    np.testing.assert_allclose(f.cdf_at(np.array([0.5, 700.0, 1000.0, 1200.0])),
+                               -np.expm1([-0.5, -700.0, -1000.0, -1200.0]), rtol=1e-12)
+    # its up image reads as up(exponential(1), 3) does
+    img = up(f, 3.0)
+    assert img.integral(lambda y, h: h).value == pytest.approx(1.0, abs=1e-9)
+    assert mu(img, 1).value == pytest.approx(0.75, rel=1e-12)
+    # the same on the lo side: the Laplace table starts near -708.4
+    lap = Density(lambda x: 0.5 * np.exp(-np.abs(x)), Interval(-math.inf, math.inf),
+                  interior_points=(-900.0, 0.0))
+    assert abs(lap.median()) < 1e-12
+    np.testing.assert_allclose(lap.quantile_many(np.array([0.2, 0.8])),
+                               [-math.log(2.5), math.log(2.5)], rtol=1e-12)
 
 
 def test_integral_calls_fn_only_where_the_pdf_is_nonzero():

@@ -40,6 +40,18 @@ def test_abs_moment_exponential():
     close(F.mu(e1, -0.5), math.sqrt(math.pi))
 
 
+@pytest.mark.parametrize("p", [110, 115, 120])
+def test_high_moment_of_the_exponential(p):
+    # x**p overflows where the pdf lies between 2.2e-308 and 1e-160 (past
+    # x = 634 at p = 110); Density.integral's 1e-160 rule zeroes the inf it
+    # makes there, so the moment stays finite. The error must be summed
+    # afresh: the panel errors fall from 3.4e187 (p = 115) by many orders,
+    # and a running sum of them cancels below 0
+    q = F.mu(e1, p)
+    assert q.value == pytest.approx(float(math.factorial(p)), rel=1e-12)
+    assert q.err >= 0.0
+
+
 def test_abs_moment_uniform():
     close(F.mu(u01, 2.0), 1.0 / 3.0)
     close(F.sigma(u01, 2.0), 1.0 / math.sqrt(3.0))
