@@ -1,12 +1,12 @@
 """Probability densities with derivative hooks and quantile machinery.
 
 A Density wraps a vectorized pdf on an open extended-real interval, together
-with optional derivative callables d1..d3, an optional closed-form cdf and
-quantile, and a list of interior abscissae where the pdf or a derivative is
-kinked or singular. Constructing a root density verifies unit mass; an
-image (transforms, affine_image and rescale included) preserves its root's
-mass by construction. Expectations are computed by adaptive quadrature
-over the support with cuts at the interior points.
+with optional derivative callables d1..d3, an optional closed-form log pdf,
+cdf and quantile, and a list of interior abscissae where the pdf or a
+derivative is kinked or singular. Constructing a root density verifies unit
+mass; an image (transforms, affine_image and rescale included) preserves its
+root's mass by construction. Expectations are computed by adaptive
+quadrature over the support with cuts at the interior points.
 
 The cumulative node table and the quantiles at the library's fixed level
 grids (the median, quantiles(n), the tail levels of the condensation test
@@ -44,15 +44,20 @@ def _as_callable_on_array(fn):
 class Density:
     """A one-dimensional probability density on an open interval.
 
-    Like the node table, the quantiles at each fixed level grid are solved
-    once per density (_grid_quantiles); the density is treated as immutable.
+    The up weights read the log density (logpdf, _weighted_pdf). A logpdf
+    hook gives it in closed form, exact where the pdf is subnormal or 0;
+    without one, as on every image, it is np.log(pdf(x)), -inf where the
+    pdf is 0. Like the node table, the quantiles at each fixed level grid
+    are solved once per density (_grid_quantiles); the density is treated
+    as immutable.
     """
 
     def __init__(self, pdf, support, *, d1=None, d2=None, d3=None,
-                 label="density", interior_points=(), cdf=None, quantile=None,
-                 normalization_tol=1e-7):
+                 label="density", interior_points=(), logpdf=None, cdf=None,
+                 quantile=None, normalization_tol=1e-7):
         self.support = support if isinstance(support, Interval) else Interval(*support)
         self.pdf = _as_callable_on_array(pdf)
+        self._logpdf = _as_callable_on_array(logpdf) if logpdf is not None else None
         self.d1 = _as_callable_on_array(d1) if d1 is not None else None
         self.d2 = _as_callable_on_array(d2) if d2 is not None else None
         self.d3 = _as_callable_on_array(d3) if d3 is not None else None
@@ -91,6 +96,13 @@ class Density:
                 break
             k += 1
         return k
+
+    def logpdf(self, x):
+        """log pdf: the logpdf hook, else np.log(pdf(x)) (-inf where 0)."""
+        if self._logpdf is not None:
+            return self._logpdf(x)
+        with np.errstate(divide="ignore"):
+            return np.log(self.pdf(x))
 
     def _check_order(self, needs):
         if needs > self.order:
@@ -371,19 +383,20 @@ def _condensation_diverges(f, side, logw):
 
 
 def _weighted_pdf(f, logw):
-    """The callable x -> w(x) f.pdf(x), where logw maps x to log w.
+    """The callable x -> w(x) f(x), where logw maps x to log w.
 
-    Summed in logs, as the weight and the pdf can over- and underflow
-    separately; 0 where the pdf is 0 or the product is not finite.
-    Divergence is the condensation test's call, not the integrand's.
+    exp(logw(x) + f.logpdf(x)), summed in logs, as the weight and the pdf
+    can over- and underflow separately; a closed-form logpdf keeps the
+    product exact where the pdf is subnormal or 0. It is 0 only where that
+    exponential is not finite (a pdf of 0 gives exp(-inf) = 0). Divergence
+    is the condensation test's call, not the integrand's.
     """
 
     def wf(x):
         x = np.asarray(x, dtype=float)
-        fr = f.pdf(x)
         with np.errstate(all="ignore"):
-            y = np.exp(logw(x) + np.log(fr))
-        return np.where((fr > 0.0) & np.isfinite(y), y, 0.0)
+            y = np.exp(logw(x) + f.logpdf(x))
+        return np.where(np.isfinite(y), y, 0.0)
 
     return wf
 
@@ -432,6 +445,7 @@ def half_restriction(f, label=None):
         sup,
         d1=mk(f.d1), d2=mk(f.d2), d3=mk(f.d3),
         label=label or f"half({f.label})",
+        logpdf=lambda x: math.log(2.0) + f.logpdf(x),
         interior_points=(p for p in f.interior_points if p > 0.0))
 
 
@@ -449,6 +463,7 @@ def uniform(a, b):
         Interval(a, b),
         d1=zero, d2=zero, d3=zero,
         label=f"uniform({a:g},{b:g})",
+        logpdf=lambda x: np.full_like(np.asarray(x, dtype=float), -math.log(b - a)),
         cdf=lambda x: np.clip((np.asarray(x, dtype=float) - a) * h, 0.0, 1.0),
         quantile=lambda v: a + (b - a) * v)
 
@@ -467,6 +482,7 @@ def exponential(rate, shift=0.0):
         d2=lambda x: rate**2 * pdf(x),
         d3=lambda x: -rate**3 * pdf(x),
         label=f"exponential({rate:g},{shift:g})",
+        logpdf=lambda x: math.log(rate) - rate * (np.asarray(x, dtype=float) - shift),
         cdf=lambda x: -np.expm1(-rate * np.maximum(np.asarray(x, dtype=float) - shift, 0.0)),
         quantile=lambda v: shift - np.log1p(-v) / rate)
 
@@ -503,6 +519,7 @@ def power_tail(eta, x0):
         d3=lambda x: -eta * (eta + 1.0) * (eta + 2.0) * pdf(x)
         / np.asarray(x, dtype=float) ** 3,
         label=f"power_tail({eta:g},{x0:g})",
+        logpdf=lambda x: math.log(c) - eta * np.log(np.asarray(x, dtype=float)),
         cdf=lambda x: 1.0
         - (x0 / np.maximum(np.asarray(x, dtype=float), x0)) ** (eta - 1.0),
         quantile=quantile)
@@ -550,6 +567,14 @@ def stretched_gaussian(p, lam):
     def pdf(x):
         return a * profile(x)
 
+    def logpdf(x):
+        with np.errstate(divide="ignore", over="ignore"):
+            y = np.abs(np.asarray(x, dtype=float)) ** ps
+            if abs(lam - 1.0) < _SNAP:
+                return math.log(a) - y
+            # log1p(-1) = -inf past a compact support's edge
+            return math.log(a) + np.log1p(np.maximum(-(lam - 1.0) * y, -1.0)) / (lam - 1.0)
+
     # E' = -w' E^{2-lam} with w = |x|^{p*}; higher orders by the chain rule
     def parts(x):
         x = np.asarray(x, dtype=float)
@@ -582,7 +607,7 @@ def stretched_gaussian(p, lam):
             return a * np.where(E > 0.0, val, 0.0)
 
     return Density(
-        pdf, sup, d1=d1, d2=d2, d3=d3,
+        pdf, sup, d1=d1, d2=d2, d3=d3, logpdf=logpdf,
         label=f"stretched_gaussian({p:g},{lam:g})",
         interior_points=(0.0,))
 
@@ -600,6 +625,11 @@ def gzero(lam):
         with np.errstate(divide="ignore"):
             L = -np.log(ax)
         return a0 * np.maximum(L, 0.0) ** s
+
+    def logpdf(x):
+        with np.errstate(divide="ignore"):
+            L = -np.log(np.abs(np.asarray(x, dtype=float)))
+            return math.log(a0) + s * np.log(np.maximum(L, 0.0))
 
     def d1(x):
         x = np.asarray(x, dtype=float)
@@ -619,7 +649,7 @@ def gzero(lam):
 
     return Density(
         pdf, Interval(-1.0, 1.0, singular_lo=True, singular_hi=True),
-        d1=d1, d2=d2,
+        d1=d1, d2=d2, logpdf=logpdf,
         label=f"gzero({lam:g})",
         interior_points=(0.0,))
 

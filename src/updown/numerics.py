@@ -508,9 +508,11 @@ def _chandrupatla(g, target, xs, zs):
     bisect the _key values (the ordered bit patterns of doubles), so every
     solve takes at most 2*64 rounds. A point with g(t) == target closes its
     bracket on [t, t]; elsewhere the result is the adjacent pair (a, b) of
-    doubles with g(a) < target <= g(b).
+    doubles with g(a) < target <= g(b). The solve runs on the flattened
+    target, and lo and hi come back in its shape (a scalar's as (1,)).
     """
-    y = np.array(target, dtype=float, ndmin=1)
+    shape = np.shape(target) or (1,)
+    y = np.array(target, dtype=float).ravel()
     i = np.clip(np.searchsorted(zs, y), 1, len(xs) - 1)
     lo, hi, gl, gh = xs[i - 1], xs[i], zs[i - 1], zs[i]
     kl = _key(lo).view(np.uint64)
@@ -574,7 +576,7 @@ def _chandrupatla(g, target, xs, zs):
         gx[live] = g(x[live])
     lo[solve] = _double(kl[solve].view(np.int64))
     hi[solve] = _double((kl + gap)[solve].view(np.int64))
-    return lo, hi
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 def integrate(f, iv, tol=1e-10, *, rtol=None, interior=()):

@@ -138,8 +138,8 @@ class TransformedDensity(Density):
         Solved by _chandrupatla on the bracket table (_br_t, _br_z), which
         _build_brackets computed with the same coordinate call: the table
         brackets each y and starts its solve, so no call lands on a node.
-        A round of the coordinate map costs about 60 us on 64 points through
-        one up step and 320 us through two, and the solver takes about a
+        A round of the coordinate map costs about 57 us on 64 points through
+        one up step and 310 us through two, and the solver takes about a
         quarter of bisection's rounds. A y outside (_br_z[0], _br_z[-1]],
         infinite or NaN is out of range and lands on the nearest table end.
         """

@@ -117,6 +117,18 @@ def test_node_table_quantiles_work_count(f, monkeypatch):
     assert np.max(np.abs(f.cdf_at(q) - levels)) < 1e-12
 
 
+@pytest.mark.parametrize("f", [
+    stretched_gaussian(2.0, 1.0), gzero(1.5), half_restriction(stretched_gaussian(2.0, 1.0)),
+], ids=lambda f: f.label)
+def test_node_table_quantiles_of_an_nd_array(f):
+    # a root without a quantile hook inverts its node table on the flat
+    # levels and answers in their shape
+    levels = np.array([[0.1, 0.3], [0.7, 0.95]])
+    q = f.quantile_many(levels)
+    assert q.shape == (2, 2)
+    assert q.tobytes() == f.quantile_many(levels.ravel()).tobytes()
+
+
 def test_node_table_holds_a_heavy_tail():
     # the pdf falls off as |x|**-1.23: the table missed the 1.3e-3 of mass
     # past its fixed nodes at 2**41 before its ends walked on to a
@@ -427,6 +439,69 @@ def test_gzero_profile():
     assert gz.support.lo == -1.0 and gz.support.hi == 1.0
     with pytest.raises(DomainError):
         gzero(1.0)
+
+
+def _mp_log(pdf):
+    """x -> log pdf(x) in mpmath, at an exact double x."""
+    return lambda x: mpmath.log(pdf(mpmath.mpf(float(x))))
+
+
+def _mp_stretched(p, lam, a):
+    # the pdf that the double parameters and the double normalizer
+    # a = pdf(0) define
+    ps, lam = mpmath.mpf(p) / (mpmath.mpf(p) - 1), mpmath.mpf(lam)
+    if lam == 1:
+        return lambda x: a * mpmath.exp(-abs(x) ** ps)
+    return lambda x: a * (1 - (lam - 1) * abs(x) ** ps) ** (1 / (lam - 1))
+
+
+_SG21 = stretched_gaussian(2.0, 1.0)
+_SG3 = stretched_gaussian(3.0, 1.2)
+_SG15 = stretched_gaussian(1.5, 0.8)
+_A_SG21 = mpmath.mpf(float(_SG21.pdf(0.0)))
+_EXP_RATE, _EXP_SHIFT = mpmath.mpf(2.7), mpmath.mpf(-0.3)
+_PT_C = mpmath.mpf(0.5) * mpmath.mpf(0.7) ** mpmath.mpf(0.5)
+
+# (density, its pdf in mpmath, far-tail points where the double pdf is
+# subnormal or 0)
+LOGPDF_ORACLES = [
+    (exponential(2.7, -0.3),
+     lambda x: _EXP_RATE * mpmath.exp(-_EXP_RATE * (x - _EXP_SHIFT)), [270.0, 300.0, 1e4]),
+    (power_tail(1.5, 0.7), lambda x: _PT_C * x ** mpmath.mpf(-1.5), [1e206, 1e250, 1e300]),
+    (uniform(-1.0, 2.0), lambda x: mpmath.mpf(1) / 3, []),
+    (gzero(1.5), lambda x: (-mpmath.log(abs(x))) ** 2 / (2 * mpmath.gamma(3)), []),
+    (half_restriction(_SG21), lambda x: 2 * _mp_stretched(2.0, 1.0, _A_SG21)(x),
+     [27.0, 30.0, 100.0]),
+    (_SG21, _mp_stretched(2.0, 1.0, _A_SG21), [-27.0, 30.0, -100.0]),
+    (_SG3, _mp_stretched(3.0, 1.2, mpmath.mpf(float(_SG3.pdf(0.0)))), []),
+    (_SG15, _mp_stretched(1.5, 0.8, mpmath.mpf(float(_SG15.pdf(0.0)))), [1e21, -1e22, 1e30]),
+]
+
+
+@pytest.mark.parametrize("f,pdf,far", LOGPDF_ORACLES,
+                         ids=[f.label for f, _, _ in LOGPDF_ORACLES])
+def test_logpdf_closed_forms_match_mpmath(f, pdf, far):
+    # each family's closed-form log density, at 64 quantiles and where the
+    # double pdf is subnormal or 0 (there np.log(pdf) is off or -inf)
+    x = np.concatenate([f.quantiles(64), far])
+    got = f.logpdf(x)
+    with mpmath.workdps(40):
+        want = np.array([float(_mp_log(pdf)(v)) for v in x])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    if far:
+        assert np.all(f.pdf(np.array(far)) < np.finfo(float).tiny)
+
+
+def test_logpdf_without_a_hook_is_the_log_of_the_pdf():
+    # a user-built density and an image, out past the pdf's underflow
+    lap = Density(lambda x: 0.5 * np.exp(-np.abs(x)), Interval(-math.inf, math.inf))
+    img = up(exponential(1.0), 3.0)
+    for f in (lap, img):
+        x = np.concatenate([f.quantiles(16), [f.quantile_many(1e-15)[0], 750.0, 1e4]])
+        with np.errstate(divide="ignore"):
+            want = np.log(f.pdf(x))
+        assert f.logpdf(x).tobytes() == want.tobytes()
+    assert lap.logpdf(np.array([800.0]))[0] == -math.inf
 
 
 def test_edge_values():

@@ -553,6 +553,20 @@ def test_chandrupatla_lands_where_bisect_does(g, lo, hi):
     assert sum(calls) < 0.3 * sum(bisect_calls)
 
 
+def test_chandrupatla_keeps_the_target_shape():
+    # an N-d target is solved flat and answered in its own shape; a scalar
+    # comes back as (1,), with the bits of the one-element 1-D call
+    nodes = np.linspace(-3.0, 2.0, 9)
+    target = np.expm1(np.array([[-2.5, 0.1], [1.0, 1.9]]))
+    lo, hi = _chandrupatla(np.expm1, target, nodes, np.expm1(nodes))
+    flat = _chandrupatla(np.expm1, target.ravel(), nodes, np.expm1(nodes))
+    assert lo.shape == hi.shape == (2, 2)
+    assert lo.tobytes() == flat[0].tobytes() and hi.tobytes() == flat[1].tobytes()
+    one = _chandrupatla(np.expm1, target[1, 0], nodes, np.expm1(nodes))
+    assert one[0].shape == (1,)
+    assert one[0][0] == lo[1, 0] and one[1][0] == hi[1, 0]
+
+
 def test_chandrupatla_closes_brackets_that_miss_on_the_nearest_end():
     # out-of-range, NaN and infinite targets, as on the out-of-range path of
     # image inversion, whose cdf relies on landing on the nearest edge

@@ -557,22 +557,53 @@ def test_image_pdf_interpolated_inversion_work_count():
 def test_coordinate_read_is_one_table_read_per_up_step(monkeypatch):
     # a coordinate-only read of an up image reads its own table and pushes
     # nothing into its base: one read per table (the inner one by the outer
-    # table's weight) and one root pdf call per table. Pushing the whole
-    # stack read the inner table twice and called the root pdf 5 times
+    # table's weight) and one root log-pdf call per table, the weight's.
+    # Pushing the whole stack read the inner table twice and called the
+    # root pdf 5 times
     root = exponential(1.0, 0.0)
     g = up(up(root, 3.0), 3.0)
     t = root.quantiles(16)
-    reads, pdf_calls, read, pdf = {}, [], _CumTable.__call__, root.pdf
+    reads, log_calls, read, logpdf = {}, [], _CumTable.__call__, root.logpdf
 
     def counted_read(table, x):
         reads[id(table)] = reads.get(id(table), 0) + 1
         return read(table, x)
 
+    def no_pdf(x):
+        raise AssertionError("the up weights read logpdf, not pdf")
+
     monkeypatch.setattr(_CumTable, "__call__", counted_read)
-    monkeypatch.setattr(root, "pdf", lambda x: pdf_calls.append(x) or pdf(x))
+    monkeypatch.setattr(root, "logpdf", lambda x: log_calls.append(x) or logpdf(x))
+    monkeypatch.setattr(root, "pdf", no_pdf)
     g._chi(t)
     assert reads == {id(g.table): 1, id(g.base.table): 1}
-    assert len(pdf_calls) == 2
+    assert len(log_calls) == 2
+
+
+@pytest.mark.parametrize("name", ["pdf", "d1", "cdf_at", "inverse_map"])
+def test_image_queries_of_an_nd_array(name):
+    # every image-space query inverts through the bracket table; on an
+    # in-range 2x2 array it equals the flat call reshaped, bit for bit
+    g = up(e1, 3.0)
+    y = g.quantile_many(np.array([[0.1, 0.3], [0.7, 0.95]]))
+    fn = getattr(g, name)
+    got = np.asarray(fn(y))
+    assert got.shape == (2, 2)
+    assert got.tobytes() == np.asarray(fn(y.ravel())).tobytes()
+
+
+def test_up_weight_where_the_root_pdf_is_subnormal():
+    # the double e**-740 is about 4e-322 and carries about 7 significant
+    # bits, so w*f = (c t)**(1/c) e**-t must be formed from the root's
+    # closed-form log density, not from its pdf
+    g = up(e1, 2.05)
+    t = np.array([730.0, 740.0])
+    got = g.table.w(t)
+    c = mpmath.mpf(2.05) - 2  # the double alpha - 2, exactly
+    with mpmath.workdps(40):
+        want = [(c * mpmath.mpf(x)) ** (1 / c) * mpmath.exp(-mpmath.mpf(x)) for x in t]
+        rel = [abs(mpmath.mpf(float(a)) - b) / b for a, b in zip(got, want)]
+    assert max(rel) < 1e-12
 
 
 def test_state_push_asks_its_base_only_for_what_its_step_needs(monkeypatch):
