@@ -288,10 +288,15 @@ class Density:
         return self._table
 
     def cdf_at(self, x):
-        """Cumulative mass below x (vectorized)."""
+        """Cumulative mass below x (vectorized): exactly 0 at or below the
+        support, 1 at or above it, and NaN at NaN."""
         x = np.asarray(x, dtype=float)
+        xs = np.atleast_1d(x)
         cdf = self._cdf if self._cdf is not None else self._node_table()
-        out = np.asarray(cdf(np.atleast_1d(x)), dtype=float)
+        out = np.asarray(cdf(xs), dtype=float)
+        out = np.where(xs <= self.support.lo, 0.0, out)
+        out = np.where(xs >= self.support.hi, 1.0, out)
+        out = np.where(np.isnan(xs), np.nan, out)
         return float(out[0]) if x.ndim == 0 else out
 
     def quantile_many(self, levels):

@@ -15,14 +15,15 @@ its own step needs: a down step one derivative order more, an up step the
 base coordinate and one order less. Both maps preserve mass exactly,
 so a transformed density evaluates every expectation by pulling the
 integrand back to the root density's coordinates, where the quadrature
-cuts are already understood. Image-space pdf queries go through an
-eagerly built monotone bracket table and numerics._chandrupatla, the
-interpolating bracketed solver behind every inverse in the library: each
-of its rounds reads the coordinate of a batch down the base chain, so
-fewer rounds pay, and it starts from the coordinate the table holds at
-each bracket end.
+cuts are already understood. Image-space pdf queries go through a
+monotone bracket table, built by the first of them, and
+numerics._chandrupatla, the interpolating bracketed solver behind every
+inverse in the library: each of its rounds reads the coordinate of a
+batch down the base chain, so fewer rounds pay, and it starts from the
+coordinate the table holds at each bracket end.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -64,14 +65,15 @@ class TransformedDensity(Density):
     three kinds.
     """
 
-    def __init__(self, base, param):
+    def __init__(self, base, param, sign):
         self.base = base
         self.root = getattr(base, "root", base)
         self.chain = getattr(base, "chain", ()) + ((self.kind, param),)
+        # +1 where the coordinate rises with the root abscissa; sign is the step's
+        self._sigma_total = sign * base._sigma_total
 
     def _finish(self, label=None):
-        """Brackets, image support and Density fields for the stack."""
-        self._build_brackets()
+        """Image support and Density fields for the stack."""
         # a down step consumes an order and an up step restores one, to at
         # most d2; an affine step keeps every order of its base
         order = self.base.order if self.kind == "affine" else \
@@ -95,58 +97,54 @@ class TransformedDensity(Density):
 
     # -- coordinate map -------------------------------------------------------
 
-    def _build_brackets(self):
+    @functools.cached_property
+    def _brackets(self):
+        """Bracket table (t, z), z = sigma * chi(t), built on first inversion."""
         root = self.root
         lo, hi = root.support.lo, root.support.hi
         parts = [root._node_table().ts, root.quantiles(257)]
         parts += [d.table.ts for d in self._up_steps()]
         bt = np.unique(np.concatenate(parts))
         bt = bt[(bt >= lo) & (bt <= hi)]
-        ys = self._chi(bt)
-        okm = np.isfinite(ys)
-        bt, ys = bt[okm], ys[okm]
-        sgn = 1.0 if ys[-1] >= ys[0] else -1.0
-        z = sgn * ys
+        z = self._sigma_total * self._chi(bt)
+        ok = np.isfinite(z)
+        bt, z = bt[ok], z[ok]
         # float saturation can flatten the extreme flanks; keep the strictly
         # monotone run so every stored bracket really brackets
         keep = np.concatenate([[True], np.diff(np.maximum.accumulate(z)) > 0.0])
-        self._br_t = bt[keep]
-        self._br_z = z[keep]
-        self._sigma_total = sgn
+        return bt[keep], z[keep]
 
     def _zero(self):
-        """Root abscissa where the image coordinate crosses 0, or None.
+        """Root abscissa where a down or affine coordinate crosses 0, or None.
 
         A coordinate heading to 0 at a support edge saturates in float at
         table-roundoff size, so only bracket-table ends clear of 1e-12 of
         the largest |value| witness an interior crossing. Solved in the
         bracket table as _invert solves any y, it closes on an exact zero
         or the upper of two adjacent doubles: the ladders toward zc resolve
-        the weight that finely.
+        the weight that finely. An up image states its own (_UpImage._zero).
         """
-        z = self._br_z
+        bt, z = self._brackets
         floor = 1e-12 * np.max(np.abs(z))
         if not (z[0] < -floor and z[-1] > floor):
             return None
-        _, zc = _chandrupatla(lambda t: self._sigma_total * self._chi(t), 0.0,
-                              self._br_t, z)
+        _, zc = _chandrupatla(lambda t: self._sigma_total * self._chi(t), 0.0, bt, z)
         return float(zc[0])
 
     def _invert(self, y):
         """Root abscissae whose image coordinate is y, and an out-of-range mask.
 
-        Solved by _chandrupatla on the bracket table (_br_t, _br_z), which
-        _build_brackets computed with the same coordinate call: the table
-        brackets each y and starts its solve, so no call lands on a node.
-        A round of the coordinate map costs about 57 us on 64 points through
-        one up step and 310 us through two, and the solver takes about a
-        quarter of bisection's rounds. A y outside (_br_z[0], _br_z[-1]],
-        infinite or NaN is out of range and lands on the nearest table end.
+        Solved by _chandrupatla on the bracket table (t, z), which the first
+        inversion builds with the same coordinate call: the table brackets
+        each y and starts its solve, so no call lands on a node. A round of
+        the coordinate map costs about 57 us on 64 points through one up step
+        and 310 us through two, and the solver takes about a quarter of
+        bisection's rounds. A y outside (z[0], z[-1]], infinite or NaN is
+        out of range and lands on the nearest table end.
         """
         z = self._sigma_total * np.atleast_1d(np.asarray(y, dtype=float))
-        bz = self._br_z
-        lo, hi = _chandrupatla(lambda t: self._sigma_total * self._chi(t), z,
-                               self._br_t, bz)
+        bt, bz = self._brackets
+        lo, hi = _chandrupatla(lambda t: self._sigma_total * self._chi(t), z, bt, bz)
         return 0.5 * (lo + hi), ~((z > bz[0]) & (z <= bz[-1]))
 
     def inverse_map(self, y):
@@ -237,9 +235,9 @@ class _DownImage(TransformedDensity):
 
     kind = "down"
 
-    def __init__(self, base, alpha):
+    def __init__(self, base, alpha, sgn):
         self.alpha = float(alpha)
-        super().__init__(base, self.alpha)
+        super().__init__(base, self.alpha, -sgn)
         v = [base.edge_value("lo"), base.edge_value("hi")]
         with np.errstate(divide="ignore", over="ignore"):
             self.u_support = tuple(sorted(_down_coord(np.log(v), self.alpha).tolist()))
@@ -294,23 +292,24 @@ class _UpImage(TransformedDensity):
     GK15 panel's (on up(exponential(1), 1.5), 1.4e-13 relative at t = 20
     but 8.4e-5 at t = 64, where one panel spans a factor-2 walk step).
 
-    W can be singular only at a finite support edge, at an interior point
-    of the root and at the interior zero zc of chi, which the base reads
-    off its bracket table (base._zero). The table is a numerics._CumTable
-    on the root's node table and quantiles, whose infinite ends already
-    reach the subnormal pdf. Each such point is listed on both sides, and
-    the table lays a ladder on each side where it continues. The image adds
-    only the masses beyond the table ends: infinite where the condensation
-    test finds the edge divergent, else the tail integral past an infinite
-    end. A divergent finite edge, by that test or by its closure exponent,
-    stays off the table with infinite mass beyond its ladder.
+    W can be singular only at a finite support edge, at an interior point of
+    the root and at the interior zero zc of chi, which the base states
+    (base._zero): a root 0, an up base its median anchor, a down or affine
+    base the crossing in its bracket table. The table is a numerics._CumTable
+    on the root's node table and quantiles, whose infinite ends already reach
+    the subnormal pdf. Each such point is listed on both sides, and the table
+    lays a ladder on each side where it continues. The image adds only the
+    masses beyond the table ends: infinite where the condensation test finds
+    the edge divergent, else the tail integral past an infinite end. A
+    divergent finite edge, by that test or by its closure exponent, stays off
+    the table with infinite mass beyond its ladder.
     """
 
     kind = "up"
 
     def __init__(self, base, alpha):
         self.alpha = float(alpha)
-        super().__init__(base, self.alpha)
+        super().__init__(base, self.alpha, -1.0)
         self.c = self.alpha - 2.0
         self.sigma = base._sigma_total
         self.zc = None if self.c == 0.0 else base._zero()
@@ -361,11 +360,14 @@ class _UpImage(TransformedDensity):
         self.u_support = (float(self.sigma * (self.c_anchor - near)),
                           float(self.sigma * (self.c_anchor - far)))
 
+    def _zero(self):
+        """The median anchor, a table node where C and u are exactly 0, or None."""
+        return float(self.root.median()) if self.anchor_mode == "median" else None
+
     def _edge_limit(self, side):
-        # the pdf is 1/w(v): exact at the base's edge v this side maps to
-        toward_lo = (side == "lo") == (self._sigma_total > 0)
-        b = self.base
-        v = b.support.lo if toward_lo == (b._sigma_total > 0) else b.support.hi
+        # the pdf is 1/w(v): exact at the base's edge v this side maps to,
+        # the opposite one, as u falls where the base coordinate rises
+        v = self.base.support.hi if side == "lo" else self.base.support.lo
         with np.errstate(divide="ignore"):
             return float(np.exp(-_log_weight(v, self.c)))
 
@@ -409,7 +411,7 @@ class _AffineImage(TransformedDensity):
         if scale == 0.0 or not math.isfinite(scale) or not math.isfinite(shift):
             raise DomainError(f"affine map needs finite nonzero scale, got {scale}, {shift}")
         self.scale, self.shift = scale, shift
-        super().__init__(base, (scale, shift))
+        super().__init__(base, (scale, shift), math.copysign(1.0, scale))
         s = base.support
         self.u_support = tuple(sorted(((s.lo - shift) / scale, (s.hi - shift) / scale)))
         self._finish(label)
@@ -445,7 +447,7 @@ def down(f, alpha):
         raise PreconditionError(
             f"down({f.label}): the support edge under the pdf supremum"
             f" must be finite")
-    return _DownImage(f, alpha)
+    return _DownImage(f, alpha, sgn)
 
 
 def up(f, alpha):

@@ -655,12 +655,15 @@ def test_image_state_inverts_once(make, monkeypatch):
 
 
 @pytest.mark.parametrize("make, most", [(lambda: stretched_gaussian(2.0, 1.0), 0),
-                                        (lambda: up(pt21, 3.0), 16)], ids=["sg21", "up-pt21"])
+                                        (lambda: up(pt21, 3.0), 0),
+                                        (lambda: down(e21, 2.0), 16)],
+                         ids=["sg21", "up-pt21", "down2-e21"])
 def test_locate_zero_work_count(make, most):
     # an up layer reads its coordinate's zero off the base: a root answers
-    # 0.0 with no coordinate call, an image closes one bracket of its table
-    # (bisection to adjacent doubles took 52-64 calls after a grid push).
-    # The zero is exact, or the upper of two adjacent doubles around it
+    # 0.0 and an up image its median anchor with no coordinate call, a down
+    # image closes one bracket of its table (bisection to adjacent doubles
+    # took 52-64 calls after a grid push). The zero is exact, or the upper
+    # of two adjacent doubles around it
     base = make()
     chi, zero, calls = base._chi, base._zero, []
 
@@ -683,18 +686,65 @@ def test_locate_zero_work_count(make, most):
     (lambda: up(up(u01, 3.0).reseat(-1.0, 0.3), 3.0), "0x1.43d1362484903p-1", 1.0),
     # the pdf of the down base crosses 1, its log 0, at 1 + ln 2 / 2
     (lambda: up(down(e21, 2.0), 3.0), "0x1.58b90bfbe8e7cp+0", 1.0),
-    # a median-anchored coordinate is 0 at the root median
+    # a median-anchored coordinate is 0 at the root median, also where it
+    # runs to about 1e153 on one side
     (lambda: up(up(pt21, 3.0), 3.0), "0x1.0p+1", -1.0),
+    (lambda: up(up(pt21, 2.5), 3.0), "0x1.0p+1", -1.0),
     (lambda: up(up(e1, 3.0), 3.0), None, -1.0),
     (lambda: up(up(e1, 1.5), 1.5), None, -1.0),
     (lambda: up(up(g21, 3.0), 3.0), None, -1.0),
-], ids=["reseat", "down2", "median", "up3-e1", "up1.5-e1", "up3-sg21"])
+], ids=["reseat", "down2", "median", "median-2.5", "up3-e1", "up1.5-e1", "up3-sg21"])
 def test_up_layer_reads_zero_and_orientation_off_its_base(make, zc, sigma):
     # the zero and orientation read off the base, pinned bit for bit; a
     # canonical coordinate runs from 0 at its anchor edge, so crosses 0
     # nowhere inside
     g = make()
     assert (g.zc, g.sigma) == (zc and float.fromhex(zc), sigma)
+
+
+def test_up_across_a_median_anchor_zero_needs_an_integrable_weight():
+    # up(pt21, 2.5) is anchored at the root median 2, where its coordinate
+    # is 0; the weight |-0.5 v|**-2 of a 1.5 step is not integrable there
+    with pytest.raises(PreconditionError, match="interior zero at 2"):
+        up(up(pt21, 2.5), 1.5)
+
+
+@pytest.mark.parametrize("make, sigma", [
+    (lambda: down(u3u01, 3.0), 1.0),
+    (lambda: up(down(u3u01, 3.0), 3.0), -1.0),
+    # reseat(-2, .) is an affine step of scale 1/-2, over a decreasing coordinate
+    (lambda: up(e1, 3.0).reseat(-2.0, 0.5), 1.0),
+], ids=["down-up", "up-down-up", "reseat-negative"])
+def test_step_orientation_matches_its_coordinate(make, sigma):
+    # each step states its orientation; the coordinate, read at the bracket
+    # nodes and at the root's outer quantiles, must move that way
+    g = make()
+    assert g._sigma_total == sigma
+    t, _ = g._brackets
+    assert t.size > 100
+    assert np.all(np.sign(np.diff(g._chi(t))) == sigma)
+    y = g._chi(g.root.quantiles(64)[[0, -1]])
+    assert np.sign(y[1] - y[0]) == sigma
+
+
+@pytest.mark.parametrize("make, based", [
+    (lambda: up(exponential(1.0), 3.0), False),
+    (lambda: down(exponential(1.0), 3.0), False),
+    (lambda: up(up(exponential(1.0), 3.0), 3.0), False),
+    # the up step reads the zero of its down base off the base's table
+    (lambda: up(down(exponential(1.0), 3.0), 3.0), True),
+], ids=["up", "down", "up-up", "up-down"])
+def test_image_builds_its_bracket_table_on_first_inversion(make, based):
+    # a build and a pullback integral invert nothing, so no step of the
+    # stack holds a bracket table until an image-space query
+    g = make()
+    g.integral(lambda y, h: h)
+    assert "_brackets" not in vars(g)
+    assert ("_brackets" in vars(g.base)) == based
+    if g.base is not g.root:
+        assert "_brackets" not in vars(g.base.base)
+    g.pdf(g.quantiles(4))
+    assert "_brackets" in vars(g)
 
 
 def _solve_counted(run, monkeypatch):
@@ -720,7 +770,7 @@ def test_seeded_solves_match_unseeded(make, straddles, monkeypatch):
     # the bracket table holds the solver's g at every node, bit for bit,
     # so a solve seeded from it starts where one that called g there would
     img = make()
-    bz, bt, sigma = img._br_z, img._br_t, img._sigma_total
+    (bt, bz), sigma = img._brackets, img._sigma_total
     assert (bz[0] < 0.0 < bz[-1]) == straddles
     assert (sigma * img._chi(bt)).tobytes() == bz.tobytes()
     # at a node the solve lands on it with no coordinate call; a bracket of
@@ -908,6 +958,24 @@ def test_image_cdf_quantile_consistency():
     for g in (d3e1, u3u01, up(e1, 2.0)):
         np.testing.assert_allclose(g.cdf_at(g.quantile_many(lv)), lv,
                                    atol=1e-9)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: u01, lambda: e1, lambda: g21, lambda: pt21, lambda: gzero(1.5),
+    lambda: half_restriction(g21), lambda: rescale(e1, 3.0), lambda: u3u01,
+    lambda: up(u3u01, 3.0), lambda: up(e1, 3.0), lambda: d3e1,
+    lambda: up(d3e1, 3.0), lambda: up(e1, 3.0).reseat(-2.0, 0.5),
+], ids=["u01", "e1", "sg21", "pt21", "gzero", "half-sg21", "rescale-e1", "up-u01",
+        "up-up-u01", "up-e1", "down-e1", "up-down-e1", "reseat-up-e1"])
+def test_cdf_is_exact_off_the_support_and_nan_at_nan(make):
+    # a nested image read 0.999999993 at its upper edge and at inf, and at
+    # NaN images read 0, 1 or values between, sg21 1.0 and closed forms NaN
+    f = make()
+    lo, hi = f.support.lo, f.support.hi
+    x = np.array([lo, lo - 1.0, -np.inf, hi, hi + 1.0, np.inf, np.nan])
+    got = f.cdf_at(x)
+    np.testing.assert_array_equal(got, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, np.nan])
+    assert (f.cdf_at(lo), f.cdf_at(hi)) == (0.0, 1.0) and math.isnan(f.cdf_at(math.nan))
 
 
 def test_image_zero_outside_support():

@@ -213,6 +213,15 @@ def test_interior_zero_rejected():
         UM.upper_moment(pt21, 1.0, (1.5, 3.0))
 
 
+def test_median_anchored_zero_rejected_on_both_routes():
+    # up(pt21, 2.5) is median-anchored and its coordinate runs to about
+    # 1e153 on one side; the chain route read M = 1.84e8 with converged=True
+    with pytest.raises(PreconditionError):
+        UM.upper_moment(pt21, 0.5, (1.5, 2.5))
+    with pytest.raises(TransformChainError, match="interior zero"):
+        UM.upper_moment_n(pt21, 0.5, (1.5, 2.5))
+
+
 # ---------------------------------------------------------------- ordering
 
 def test_deviation_ordering_in_p():
