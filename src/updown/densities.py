@@ -183,7 +183,7 @@ class Density:
         """
         if self.d1 is None:
             raise CapabilityError(f"{self.label}: monotone test needs d1")
-        slopes = self.d1(self.quantiles(64))
+        slopes = self._grid_state(64, 1)[1]
         if np.all(slopes < 0.0):
             return -1
         if np.all(slopes > 0.0):
@@ -292,12 +292,15 @@ class Density:
         support, 1 at or above it, and NaN at NaN."""
         x = np.asarray(x, dtype=float)
         xs = np.atleast_1d(x)
-        cdf = self._cdf if self._cdf is not None else self._node_table()
-        out = np.asarray(cdf(xs), dtype=float)
+        out = np.asarray(self._cdf_source()(xs), dtype=float)
         out = np.where(xs <= self.support.lo, 0.0, out)
         out = np.where(xs >= self.support.hi, 1.0, out)
         out = np.where(np.isnan(xs), np.nan, out)
         return float(out[0]) if x.ndim == 0 else out
+
+    def _cdf_source(self):
+        """The cdf hook, else the node table: what cdf_at reads inside the support."""
+        return self._cdf if self._cdf is not None else self._node_table()
 
     def quantile_many(self, levels):
         """Abscissae where the cdf reaches the given mass levels.
@@ -335,6 +338,13 @@ class Density:
 
     def median(self):
         return float(self._grid_quantiles(0.5)[0])
+
+    def _grid_state(self, n, needs):
+        """The pdf state to order needs at quantiles(n), in no promised order:
+        pushed from the root's (a root's _push is its _state), 0 where not finite."""
+        self._check_order(needs)
+        t = getattr(self, "root", self).quantiles(n)
+        return [np.where(np.isfinite(v), v, 0.0) for v in self._push(t, needs)]
 
     # -- coordinate (_chi) and pdf state (_push) seen by an image on top -----
     # A root's coordinate is its own abscissa, increasing, and crosses 0

@@ -67,16 +67,17 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
     ratio = p * lam / (p - q)
     e0 = 1.0 + p * (lam - 2.0)
 
-    def logw(x):
-        # log of integrand over pdf; a zero exponent drops its factor
-        f0, f1, f2 = f._state(x, 2)
+    def logw(t):
+        # log of integrand over pdf at root t; a zero exponent drops its factor
+        f0, f1, f2 = f._push(t, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             r = functionals._curvature(f0, f1, f2)
             logs = (np.log(f0), np.log(np.abs(f1)), np.log(np.abs(ratio - r)))
             return sum(c * v for c, v in zip((e0 - 1.0, q, p), logs) if c != 0.0)
 
     # checked up front: quadrature cannot see a divergence past the pdf's underflow
-    if any(_condensation_diverges(f, side, logw) for side in ("lo", "hi")):
+    root = getattr(f, "root", f)
+    if any(_condensation_diverges(root, side, logw) for side in ("lo", "hi")):
         return Quantity(math.inf, False, math.inf)
 
     def fn(x, f0, f1, f2):

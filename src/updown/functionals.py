@@ -57,7 +57,7 @@ def _exp(q, scale=1.0):
 
 def _zero_slope(f):
     """True when d1 vanishes identically on a quantile grid (flat pdf)."""
-    return f.order >= 1 and not np.any(f.d1(f.quantiles(64)))
+    return f.order >= 1 and not np.any(f._grid_state(64, 1)[1])
 
 
 def mu(f, p, *, tol=1e-10):
@@ -120,9 +120,7 @@ def _log_order_integral(f, lam, tol):
     the log of the largest finite pdf value on the 64-point quantile grid:
     f^lam over- or underflows at a large lam or a far scale where its log
     does not. The error is inf wherever the log is not finite."""
-    with np.errstate(divide="ignore"):
-        lf = np.log(f.pdf(f.quantiles(64)))
-    top = float(np.max(lf[np.isfinite(lf)]))
+    top = math.log(float(np.max(f._grid_state(64, 0)[0])))
     with np.errstate(divide="ignore", over="ignore"):
         q = _from_quad(f.integral(lambda x, f0: np.exp(lam * (np.log(f0) - top)),
                                   tol=tol))
@@ -208,6 +206,7 @@ def mean_log_abs_deriv(f, *, tol=1e-10):
     return _from_quad(f.expect(fn, needs=1, tol=tol))
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _curvature(f0, f1, f2):
     """f f''/f'^2 from the pdf state, in quotient form: f0*f2 and f1**2 can
     underflow separately deep in a tail while the two ratios stay
@@ -217,21 +216,17 @@ def _curvature(f0, f1, f2):
 
 def curvature_ratio(f, x):
     """Pointwise f f'' / f'^2, the scale-free curvature of the pdf."""
-    x = np.asarray(x, dtype=float)
-    f0, f1, f2 = f._state(x, 2)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _curvature(f0, f1, f2)
+    return _curvature(*f._state(np.asarray(x, dtype=float), 2))
 
 
 def mean_log_curvature(f, alpha, *, tol=1e-10):
     """<log(alpha - f f''/f'^2)>; the argument must stay positive."""
     alpha = float(alpha)
-    grid = f.quantiles(128)
-    arg = alpha - curvature_ratio(f, grid)
+    arg = alpha - _curvature(*f._grid_state(128, 2))
     if not np.all(arg > 0.0):
-        bad = grid[~(arg > 0.0)][0]
+        t = getattr(f, "root", f).quantiles(128)[~(arg > 0.0)]
         raise DomainError(
-            f"{f.label}: log-curvature argument not positive at x={bad:.6g}")
+            f"{f.label}: log-curvature argument not positive at x={f._chi(t)[0]:.6g}")
 
     def fn(x, f0, f1, f2):
         return np.log(alpha - _curvature(f0, f1, f2))
@@ -241,9 +236,9 @@ def mean_log_curvature(f, alpha, *, tol=1e-10):
 
 def curvature_sup(f):
     """sup of f f''/f'^2 on a 128-point quantile grid."""
-    return float(np.max(curvature_ratio(f, f.quantiles(128))))
+    return float(np.max(_curvature(*f._grid_state(128, 2))))
 
 
 def curvature_inf(f):
     """inf of f f''/f'^2 on a 128-point quantile grid."""
-    return float(np.min(curvature_ratio(f, f.quantiles(128))))
+    return float(np.min(_curvature(*f._grid_state(128, 2))))

@@ -15,12 +15,12 @@ its own step needs: a down step one derivative order more, an up step the
 base coordinate and one order less. Both maps preserve mass exactly,
 so a transformed density evaluates every expectation by pulling the
 integrand back to the root density's coordinates, where the quadrature
-cuts are already understood. Image-space pdf queries go through a
-monotone bracket table, built by the first of them, and
-numerics._chandrupatla, the interpolating bracketed solver behind every
-inverse in the library: each of its rounds reads the coordinate of a
-batch down the base chain, so fewer rounds pay, and it starts from the
-coordinate the table holds at each bracket end.
+cuts are already understood; checks read it at its own quantiles by
+pushing the root's (Density._grid_state). Image-space queries, _rigid_fit
+and the zero of an affine or alpha = 2 down step invert, through a bracket
+table built by the first inversion and numerics._chandrupatla, the solver
+behind every inverse in the library: each round reads the coordinate of a
+batch down the base chain, starting from the table's bracket-end values.
 """
 
 import functools
@@ -31,7 +31,7 @@ import numpy as np
 from .densities import Density, _condensation_diverges, _weighted_pdf, rescale
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
-from .functionals import curvature_ratio
+from .functionals import _curvature
 from .numerics import INF, Interval, _chandrupatla, _CumTable, integrate
 
 
@@ -115,18 +115,15 @@ class TransformedDensity(Density):
         return bt[keep], z[keep]
 
     def _zero(self):
-        """Root abscissa where a down or affine coordinate crosses 0, or None.
+        """Root abscissa where an affine or alpha = 2 down coordinate crosses 0.
 
-        A coordinate heading to 0 at a support edge saturates in float at
-        table-roundoff size, so only bracket-table ends clear of 1e-12 of
-        the largest |value| witness an interior crossing. Solved in the
-        bracket table as _invert solves any y, it closes on an exact zero
-        or the upper of two adjacent doubles: the ladders toward zc resolve
-        the weight that finely. An up image states its own (_UpImage._zero).
+        A crossing is a bracket table whose ends straddle 0, z[0] < 0 < z[-1],
+        else None. Solved in it as _invert solves any y, it closes on an exact
+        zero or the upper of two adjacent doubles: the ladders toward zc
+        resolve the weight that finely. Up and other down steps state theirs.
         """
         bt, z = self._brackets
-        floor = 1e-12 * np.max(np.abs(z))
-        if not (z[0] < -floor and z[-1] > floor):
+        if not z[0] < 0.0 < z[-1]:
             return None
         _, zc = _chandrupatla(lambda t: self._sigma_total * self._chi(t), 0.0, bt, z)
         return float(zc[0])
@@ -162,8 +159,8 @@ class TransformedDensity(Density):
         return [np.where(oob | ~np.isfinite(v), 0.0, v) for v in self._push(t, needs)]
 
     def _cdf_img(self, y):
-        t, _ = self._invert(y)  # out-of-range points land on the nearest edge
-        r = self.root.cdf_at(t)
+        t, _ = self._invert(y)  # out of range: the nearest table end, in the root's support
+        r = self.root._cdf_source()(t)
         return r if self._sigma_total > 0 else 1.0 - r
 
     # -- construction helpers ---------------------------------------------------
@@ -243,6 +240,10 @@ class _DownImage(TransformedDensity):
             self.u_support = tuple(sorted(_down_coord(np.log(v), self.alpha).tolist()))
         self._finish()
 
+    def _zero(self):
+        # off alpha = 2, f**(2-alpha)/(alpha-2) keeps the sign of alpha - 2
+        return super()._zero() if self.alpha == 2.0 else None
+
     def _chi(self, t):
         """Image coordinate at root abscissae t, read off the base pdf."""
         with np.errstate(all="ignore"):
@@ -294,15 +295,15 @@ class _UpImage(TransformedDensity):
 
     W can be singular only at a finite support edge, at an interior point of
     the root and at the interior zero zc of chi, which the base states
-    (base._zero): a root 0, an up base its median anchor, a down or affine
-    base the crossing in its bracket table. The table is a numerics._CumTable
-    on the root's node table and quantiles, whose infinite ends already reach
-    the subnormal pdf. Each such point is listed on both sides, and the table
-    lays a ladder on each side where it continues. The image adds only the
-    masses beyond the table ends: infinite where the condensation test finds
-    the edge divergent, else the tail integral past an infinite end. A
-    divergent finite edge, by that test or by its closure exponent, stays off
-    the table with infinite mass beyond its ladder.
+    (base._zero): a root 0, an up base its median anchor, a down base off
+    alpha = 2 none, another the crossing in its bracket table. The table is a
+    numerics._CumTable on the root's node table and quantiles, whose infinite
+    ends already reach the subnormal pdf. Each such point is listed on both
+    sides, and the table lays a ladder on each side where it continues. The
+    image adds only the masses beyond the table ends: infinite where the
+    condensation test finds the edge divergent, else the tail integral past
+    an infinite end. A divergent finite edge, by that test or by its closure
+    exponent, stays off the table with infinite mass beyond its ladder.
     """
 
     kind = "up"
@@ -437,9 +438,7 @@ def down(f, alpha):
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"down needs finite alpha, got {alpha}")
-    if f.order < 1:
-        raise CapabilityError(f"down({f.label}): needs d1")
-    sgn = f.strict_monotone_sign()
+    sgn = f.strict_monotone_sign()  # a CapabilityError without d1
     if sgn is None:
         raise PreconditionError(f"down({f.label}): pdf must be strictly monotone")
     edge = f.support.lo if sgn < 0 else f.support.hi
@@ -467,9 +466,7 @@ def down_applicable(f, alpha):
     is what a further down step needs.
     """
     alpha = float(alpha)
-    if f.order < 2:
-        raise CapabilityError(f"down_applicable({f.label}): needs d1 and d2")
-    r = curvature_ratio(f, f.quantiles(128))
+    r = _curvature(*f._grid_state(128, 2))
     r = r[np.isfinite(r)]
     sup = float(np.max(r)) if r.size else math.nan
     ok = bool(math.isfinite(sup) and alpha > sup

@@ -19,7 +19,7 @@ from updown import functionals as F
 from updown.densities import (Density, affine_image, exponential, gzero,
                               half_restriction, power_tail, rescale,
                               stretched_gaussian, uniform)
-from updown.down_fisher import order_minimizer
+from updown.down_fisher import down_fisher, down_order_check, order_minimizer
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
                            PreconditionError, TransformChainError)
 from updown.numerics import _CumTable, integrate
@@ -693,7 +693,12 @@ def test_locate_zero_work_count(make, most):
     (lambda: up(up(e1, 3.0), 3.0), None, -1.0),
     (lambda: up(up(e1, 1.5), 1.5), None, -1.0),
     (lambda: up(up(g21, 3.0), 3.0), None, -1.0),
-], ids=["reseat", "down2", "median", "median-2.5", "up3-e1", "up1.5-e1", "up3-sg21"])
+    # an identity reseat and a reflection keep the median crossing, which no
+    # floor on the bracket table's ends hides
+    (lambda: up(up(pt21, 2.5).reseat(1.0, 0.0), 3.0), "0x1.0p+1", -1.0),
+    (lambda: up(up(pt21, 2.5).reseat(-1.0, 0.0), 3.0), "0x1.0p+1", 1.0),
+], ids=["reseat", "down2", "median", "median-2.5", "up3-e1", "up1.5-e1", "up3-sg21",
+        "median-2.5-reseat", "median-2.5-reflect"])
 def test_up_layer_reads_zero_and_orientation_off_its_base(make, zc, sigma):
     # the zero and orientation read off the base, pinned bit for bit; a
     # canonical coordinate runs from 0 at its anchor edge, so crosses 0
@@ -707,6 +712,9 @@ def test_up_across_a_median_anchor_zero_needs_an_integrable_weight():
     # is 0; the weight |-0.5 v|**-2 of a 1.5 step is not integrable there
     with pytest.raises(PreconditionError, match="interior zero at 2"):
         up(up(pt21, 2.5), 1.5)
+    # so is it under an identity reseat, whose zero the base's table holds
+    with pytest.raises(PreconditionError, match="interior zero at 2"):
+        up(up(pt21, 2.5).reseat(1.0, 0.0), 1.5)
 
 
 @pytest.mark.parametrize("make, sigma", [
@@ -731,9 +739,11 @@ def test_step_orientation_matches_its_coordinate(make, sigma):
     (lambda: up(exponential(1.0), 3.0), False),
     (lambda: down(exponential(1.0), 3.0), False),
     (lambda: up(up(exponential(1.0), 3.0), 3.0), False),
-    # the up step reads the zero of its down base off the base's table
-    (lambda: up(down(exponential(1.0), 3.0), 3.0), True),
-], ids=["up", "down", "up-up", "up-down"])
+    # a down step off alpha = 2 states that its coordinate keeps one sign
+    (lambda: up(down(exponential(1.0), 3.0), 3.0), False),
+    # the up step reads the zero of an alpha = 2 down base off its table
+    (lambda: up(down(exponential(2.0, 1.0), 2.0), 3.0), True),
+], ids=["up", "down", "up-up", "up-down", "up-down2"])
 def test_image_builds_its_bracket_table_on_first_inversion(make, based):
     # a build and a pullback integral invert nothing, so no step of the
     # stack holds a bracket table until an image-space query
@@ -745,6 +755,53 @@ def test_image_builds_its_bracket_table_on_first_inversion(make, based):
         assert "_brackets" not in vars(g.base.base)
     g.pdf(g.quantiles(4))
     assert "_brackets" in vars(g)
+
+
+def test_library_checks_read_images_without_inversion(monkeypatch):
+    # the checks read an image at its own quantiles by pushing the root's,
+    # so none of them inverts a coordinate the library has just pushed
+    calls, invert = [], transforms.TransformedDensity._invert
+    monkeypatch.setattr(transforms.TransformedDensity, "_invert",
+                        lambda self, y: calls.append(y) or invert(self, y))
+    for g in (order_minimizer(2.0, 1.0, 2.0),
+              down(half_restriction(stretched_gaussian(2.0, 1.5)), 1.5),
+              up(e1, 3.0)):  # sigma < 0
+        assert g.order == 2
+        assert g.strict_monotone_sign() is not None
+        down_applicable(g, 3.0)
+        F.curvature_sup(g), F.curvature_inf(g)
+        F.renyi(g, 2.0), down_fisher(g, 2.0, 1.0, 2.0)
+        # the d2 push of up(e1, 3) reads inf - inf past t = 357, so its
+        # mean log-curvature integrand is NaN there
+        if g.base is not e1:
+            F.mean_log_curvature(g, 4.0)
+    down_order_check(order_minimizer(2.0, 1.0, 2.0), 2.0, 1.0, 1.0, 2.0)
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.1, 3.0])
+def test_up_uniform_reads_its_monotone_sign_and_curvature_near_alpha_2(alpha):
+    # h h''/h'**2 = 2 + c = alpha in closed form, also near alpha = 2, where
+    # the coordinate is flat to float resolution and only a push reads h
+    g = up(u01, alpha)
+    assert g.strict_monotone_sign() == 1
+    assert F.curvature_sup(g) == pytest.approx(alpha, abs=1e-12)
+    assert F.curvature_inf(g) == pytest.approx(alpha, abs=1e-12)
+
+
+def test_mean_log_curvature_names_an_image_abscissa():
+    # h h''/h'**2 = 3 on up(u01, 3), whose coordinate is (1 - t**2)/2: the
+    # first root quantile t = 1/256 is named by its image abscissa
+    with pytest.raises(DomainError, match=r"at x=0\.499992$"):
+        F.mean_log_curvature(u3u01, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.1])
+@pytest.mark.parametrize("f", [u01, e1, half_restriction(g21)],
+                         ids=["u01", "e1", "half-sg21"])
+def test_down_undoes_up_near_alpha_2(f, alpha):
+    gap, _, _ = _rigid_fit(down(up(f, alpha), alpha), f, f.quantiles(16))
+    assert gap <= 1e-12
 
 
 def _solve_counted(run, monkeypatch):
