@@ -4,9 +4,12 @@ A Density wraps a vectorized pdf on an open extended-real interval, together
 with optional derivative callables d1..d3, an optional closed-form log pdf,
 cdf and quantile, and a list of interior abscissae where the pdf or a
 derivative is kinked or singular. Constructing a root density verifies unit
-mass; an image (transforms, affine_image and rescale included) preserves its
-root's mass by construction. Expectations are computed by adaptive
-quadrature over the support with cuts at the interior points.
+mass, and its node table's total is held to that mass; an image (transforms,
+affine_image and rescale included) preserves its root's mass by
+construction. Expectations are computed by adaptive quadrature over the
+support with cuts at the interior points. Derivatives are read in one
+scale-free form, the pdf state (_state, _push): log f, s1 = f'/f,
+kappa = f f''/f'**2 and tau = f**2 f'''/f'**3, truncated at the order asked.
 
 The cumulative node table and the quantiles at the library's fixed level
 grids (the median, quantiles(n), the tail levels of the condensation test
@@ -45,11 +48,11 @@ class Density:
     """A one-dimensional probability density on an open interval.
 
     The up weights read the log density (logpdf, _weighted_pdf). A logpdf
-    hook gives it in closed form, exact where the pdf is subnormal or 0;
-    without one, as on every image, it is np.log(pdf(x)), -inf where the
-    pdf is 0. Like the node table, the quantiles at each fixed level grid
-    are solved once per density (_grid_quantiles); the density is treated
-    as immutable.
+    hook gives it in closed form, exact where the pdf is subnormal or 0 (an
+    image's reads its state); without one it is np.log(pdf(x)), -inf where
+    the pdf is 0. Like the node table, the quantiles at each fixed level
+    grid are solved once per density (_grid_quantiles); the density is
+    treated as immutable.
     """
 
     def __init__(self, pdf, support, *, d1=None, d2=None, d3=None,
@@ -69,6 +72,7 @@ class Density:
             {float(p) for p in interior_points if lo < float(p) < hi}))
         self._table = None
         self._grids = {}
+        self._mass = None  # (mass, tol) that the node table's total must meet
         if normalization_tol is not None:
             total = integrate(self.pdf, self.support, tol=1e-9,
                               interior=self.interior_points)
@@ -81,6 +85,7 @@ class Density:
                         f"(error estimate {total.abs_error_estimate:.3g})")
                 raise DomainError(
                     f"{label}: pdf mass is {total.value!r}, not 1 within {normalization_tol}")
+            self._mass = (total.value, normalization_tol)
 
     def __repr__(self):
         return f"Density({self.label})"
@@ -110,11 +115,25 @@ class Density:
                 f"{self.label}: derivative order {needs} requested, have {self.order}")
 
     def _state(self, x, needs):
+        """The pdf state to order needs at abscissae x of this density."""
         self._check_order(needs)
-        vals = [self.pdf(x)]
-        for d in (self.d1, self.d2, self.d3)[:needs]:
-            vals.append(d(x))
-        return vals
+        return self._push(x, needs)
+
+    def _ratios(self, x, needs, f0):
+        """The state's ratios to order needs from the hooks at x and the pdf
+        values f0: s1 = d1/f0, kappa = (f0/d1)(d2/d1) and tau =
+        (f0/d1)**2 (d3/d1), quotients that stay well-scaled where f0*d2 and
+        d1**2 underflow separately. Callers set np.errstate."""
+        if not needs:
+            return []
+        d1 = self.d1(x)
+        out = [d1 / f0]
+        if needs >= 2:
+            q = f0 / d1
+            out.append(q * (self.d2(x) / d1))
+        if needs >= 3:
+            out.append(q ** 2 * (self.d3(x) / d1))
+        return out
 
     def pdf_at(self, x):
         """pdf evaluated anywhere on the line; zero outside the support."""
@@ -127,42 +146,44 @@ class Density:
 
     def integral(self, fn, *, needs=0, tol=1e-10, extra_interior=(),
                  force_singular_edges=False):
-        """Integral of fn(x, f, [f', f'', f''']) over the support.
+        """Integral of fn(x, f, [s1, kappa, tau]) over the support.
 
-        fn supplies the whole integrand (no implicit pdf weight) and must be
-        elementwise: it is called only at the quadrature points where the
-        pdf is nonzero, possibly on a subset of a batch, and not at all
-        when the pdf is 0 at every point. Where the pdf has underflowed to
-        exactly 0 the integrand is 0: those regions carry no mass.
-        Divergent integrals come back flagged non-convergent.
-        force_singular_edges marks finite support edges singular, for
-        integrands that blow up where the pdf itself does not.
+        With needs >= 1 fn gets the state's ratios, not the derivatives,
+        which over- or underflow where the ratios do not. fn supplies the
+        whole integrand (no implicit pdf weight) and must be elementwise: it
+        is called only at the quadrature points where the pdf is nonzero,
+        possibly on a subset of a batch, and not at all when the pdf is 0 at
+        every point. Where the pdf has underflowed to exactly 0 the integrand
+        is 0: those regions carry no mass. Divergent integrals come back
+        flagged non-convergent. force_singular_edges marks finite support
+        edges singular, for integrands that blow up where the pdf does not.
 
         fn runs under np.errstate(all="ignore"), so it needs no guard of its
         own. The quadrature's arithmetic runs outside it: a caller whose
         integral may sum to inf wraps the whole call.
         """
 
-        def values(x, vals):
+        def values(x, f0):
             with np.errstate(all="ignore"):
-                y = np.asarray(fn(x, *vals), dtype=float)
+                y = np.asarray(fn(x, f0, *self._ratios(x, needs, f0)), dtype=float)
             # Past the point where the pdf (or products of its derivatives)
             # underflow, 0*inf artifacts appear even though the true
             # integrand carries no weighable mass. Genuine divergences blow
             # up at ordinary magnitudes long before f reaches 1e-160, so
             # zeroing non-finite values out there cannot hide one.
-            return np.where(~np.isfinite(y) & (vals[0] < 1e-160), 0.0, y)
+            return np.where(~np.isfinite(y) & (f0 < 1e-160), 0.0, y)
 
         def integrand(x):
-            vals = self._state(x, needs)
-            live = np.flatnonzero(vals[0])
+            f0 = self.pdf(x)
+            live = np.flatnonzero(f0)
             if live.size == x.size:
-                return values(x, vals)
+                return values(x, f0)
             y = np.zeros_like(x)
             if live.size:
-                y[live] = values(x[live], [v[live] for v in vals])
+                y[live] = values(x[live], f0[live])
             return y
 
+        self._check_order(needs)
         iv = self.support
         if force_singular_edges:
             iv = Interval(iv.lo, iv.hi,
@@ -178,8 +199,8 @@ class Density:
     def strict_monotone_sign(self):
         """-1 for strictly decreasing, +1 for strictly increasing pdfs.
 
-        Sampled from d1 on a quantile grid; a sign change or a zero slope
-        means the pdf is not strictly monotone and None is returned.
+        Sampled from the score f'/f on a quantile grid; a sign change or a
+        zero slope means the pdf is not strictly monotone and None is returned.
         """
         if self.d1 is None:
             raise CapabilityError(f"{self.label}: monotone test needs d1")
@@ -206,7 +227,7 @@ class Density:
     def _edge_limit(self, side):
         toward_lo = (side == "lo") == (self._sigma_total > 0)
         _, t = _tail_quantiles(getattr(self, "root", self), "lo" if toward_lo else "hi")
-        h = np.asarray(self._push(t[-3:], 0)[0], dtype=float)
+        h = np.exp(self._push(t[-3:], 0)[0])
         if np.any(np.isposinf(h)):
             return INF
         # quantiles that collapse onto the edge's own doubles read as settled
@@ -239,7 +260,8 @@ class Density:
         no mass that rounds into the table (a subnormal pdf rounds to 1e-11
         relative near 3e-313). The singular edges and interior points are
         listed on both sides; _CumTable lays a ladder on each side where the
-        table continues.
+        table continues. A root's table must total its constructor's mass
+        within normalization_tol, else AccuracyError.
         """
         if self._table is not None:
             return self._table
@@ -284,8 +306,13 @@ class Density:
         sup = self.support
         pts = self.interior_points + tuple(p for p, sing in ((lo, sup.singular_lo),
                                                              (hi, sup.singular_hi)) if sing)
-        self._table = _CumTable(self.pdf, xs, [(p, s) for p in pts for s in (-1.0, 1.0)])
-        return self._table
+        tab = _CumTable(self.pdf, xs, [(p, s) for p in pts for s in (-1.0, 1.0)])
+        total = float(tab.above - tab.below)
+        if self._mass is not None and not abs(total - self._mass[0]) <= self._mass[1]:
+            raise AccuracyError(f"{self.label}: node table holds mass {total!r}, "
+                                f"the pdf {self._mass[0]!r}")
+        self._table = tab
+        return tab
 
     def cdf_at(self, x):
         """Cumulative mass below x (vectorized): exactly 0 at or below the
@@ -340,15 +367,13 @@ class Density:
         return float(self._grid_quantiles(0.5)[0])
 
     def _grid_state(self, n, needs):
-        """The pdf state to order needs at quantiles(n), in no promised order:
-        pushed from the root's (a root's _push is its _state), 0 where not finite."""
+        """The pdf state to order needs at quantiles(n) by push, in no promised order."""
         self._check_order(needs)
-        t = getattr(self, "root", self).quantiles(n)
-        return [np.where(np.isfinite(v), v, 0.0) for v in self._push(t, needs)]
+        return self._push(getattr(self, "root", self).quantiles(n), needs)
 
     # -- coordinate (_chi) and pdf state (_push) seen by an image on top -----
     # A root's coordinate is its own abscissa, increasing, and crosses 0
-    # inside the support only at 0 itself; its state is its own _state
+    # inside the support only at 0 itself
 
     _sigma_total = 1.0
 
@@ -356,7 +381,18 @@ class Density:
         return np.asarray(t, dtype=float)
 
     def _push(self, t, needs):
-        return self._state(t, needs)
+        """The pdf state: log f from logpdf, the ratios from the hooks. The
+        pdf is evaluated once, for the ratios and a missing logpdf hook."""
+        if not needs:
+            return [self.logpdf(t)]
+        f0 = self.pdf(t)
+        with np.errstate(all="ignore"):
+            lf = np.log(f0) if self._logpdf is None else self._logpdf(t)
+            return [lf] + self._ratios(t, needs, f0)
+
+    def _derivative(self, t, j):
+        """Order j of the pdf at root abscissae t, from its hook."""
+        return (self.pdf, self.d1, self.d2, self.d3)[j](t)
 
     def _zero(self):
         return 0.0 if self.support.lo < 0.0 < self.support.hi else None

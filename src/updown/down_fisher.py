@@ -68,27 +68,25 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
     e0 = 1.0 + p * (lam - 2.0)
 
     def logw(t):
-        # log of integrand over pdf at root t; a zero exponent drops its factor
-        f0, f1, f2 = f._push(t, 2)
+        # log of integrand over pdf at root t, f**(e0+q-1) |s1|**q |ratio -
+        # kappa|**p; a zero exponent drops its factor
+        lf, s1, k = f._push(t, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = functionals._curvature(f0, f1, f2)
-            logs = (np.log(f0), np.log(np.abs(f1)), np.log(np.abs(ratio - r)))
-            return sum(c * v for c, v in zip((e0 - 1.0, q, p), logs) if c != 0.0)
+            logs = (lf, np.log(np.abs(s1)), np.log(np.abs(ratio - k)))
+            return sum(c * v for c, v in zip((e0 + q - 1.0, q, p), logs) if c != 0.0)
 
     # checked up front: quadrature cannot see a divergence past the pdf's underflow
     root = getattr(f, "root", f)
     if any(_condensation_diverges(root, side, logw) for side in ("lo", "hi")):
         return Quantity(math.inf, False, math.inf)
 
-    def fn(x, f0, f1, f2):
-        r = functionals._curvature(f0, f1, f2)
-        y = np.exp(e0 * np.log(f0) + q * np.log(np.abs(f1))
-                   + p * np.log(np.abs(ratio - r)))
-        # points where the pdf or slope has underflowed to zero carry no
-        # resolvable mass; the tail probe above already ruled out
-        # divergence hiding past the underflow horizon
-        good = (f0 > 0.0) & (f1 != 0.0) & np.isfinite(f0) & np.isfinite(f1)
-        return np.where(good, y, 0.0)
+    def fn(x, f0, s1, k):
+        y = np.exp((e0 + q) * np.log(f0) + q * np.log(np.abs(s1))
+                   + p * np.log(np.abs(ratio - k)))
+        # points where the slope is zero carry no resolvable mass; the tail
+        # probe above already ruled out divergence hiding past the
+        # underflow horizon
+        return np.where((s1 != 0.0) & np.isfinite(s1) & np.isfinite(f0), y, 0.0)
 
     return _from_quad(f.integral(fn, needs=2, tol=tol, force_singular_edges=True))
 

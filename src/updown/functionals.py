@@ -56,7 +56,7 @@ def _exp(q, scale=1.0):
 
 
 def _zero_slope(f):
-    """True when d1 vanishes identically on a quantile grid (flat pdf)."""
+    """True when f'/f vanishes identically on a quantile grid (flat pdf)."""
     return f.order >= 1 and not np.any(f._grid_state(64, 1)[1])
 
 
@@ -117,10 +117,11 @@ def mean(f, *, tol=1e-10):
 
 def _log_order_integral(f, lam, tol):
     """log int f^lam, formed as lam L + log int exp(lam (log f - L)) with L
-    the log of the largest finite pdf value on the 64-point quantile grid:
-    f^lam over- or underflows at a large lam or a far scale where its log
-    does not. The error is inf wherever the log is not finite."""
-    top = math.log(float(np.max(f._grid_state(64, 0)[0])))
+    the largest finite log pdf on the 64-point quantile grid: f^lam over- or
+    underflows at a large lam or a far scale where its log does not. The
+    error is inf wherever the log is not finite."""
+    top = f._grid_state(64, 0)[0]
+    top = float(np.max(top[np.isfinite(top)]))
     with np.errstate(divide="ignore", over="ignore"):
         q = _from_quad(f.integral(lambda x, f0: np.exp(lam * (np.log(f0) - top)),
                                   tol=tol))
@@ -164,11 +165,10 @@ def fisher(f, p, lam, *, tol=1e-10):
     """Generalized Fisher information <|f^(lam-2) f'|^p>."""
     p, lam = float(p), float(lam)
 
-    def fn(x, f0, f1):
-        # |f'|^p f^(p(lam-2)+1): in the far tail |f'|^p underflows to 0
-        # while the f power overflows, so form the product in log space
-        return np.exp(p * np.log(np.abs(f1))
-                      + (p * (lam - 2.0) + 1.0) * np.log(f0))
+    def fn(x, f0, s1):
+        # |s1|^p f^(p(lam-1)+1): the f power can over- or underflow where
+        # the product does not, so form it in log space
+        return np.exp(p * np.log(np.abs(s1)) + (p * (lam - 1.0) + 1.0) * np.log(f0))
 
     return _from_quad(f.integral(fn, needs=1, tol=tol))
 
@@ -181,6 +181,12 @@ def phi(f, p, lam, *, tol=1e-10):
     return _pow(fisher(f, p, lam, tol=tol), 1.0 / (p * lam))
 
 
+def _mean_log_score(f, lam, tol):
+    """<log|f^(lam-2) f'|> = <log|s1| + (lam-1) log f> by quadrature."""
+    return _from_quad(f.expect(lambda x, f0, s1: np.log(np.abs(s1)) + (lam - 1.0) * np.log(f0),
+                               needs=1, tol=tol))
+
+
 def phi_limit0(f, lam, *, tol=1e-10):
     """p -> 0 limit of the score deviation: exp(<log|f^(lam-2) f'|> / lam)."""
     lam = float(lam)
@@ -188,57 +194,41 @@ def phi_limit0(f, lam, *, tol=1e-10):
         raise DomainError("score deviation limit undefined at lam = 0")
     if _zero_slope(f):
         return Quantity(0.0 if lam > 0 else INF, True, 0.0)
-
-    def fn(x, f0, f1):
-        return np.log(np.abs(f1)) + (lam - 2.0) * np.log(f0)
-
-    return _exp(_from_quad(f.expect(fn, needs=1, tol=tol)), 1.0 / lam)
+    return _exp(_mean_log_score(f, lam, tol), 1.0 / lam)
 
 
 def mean_log_abs_deriv(f, *, tol=1e-10):
     """<log|f'|>; identically flat densities give -inf, converged."""
     if _zero_slope(f):
         return Quantity(-INF, True, 0.0)
-
-    def fn(x, f0, f1):
-        return np.log(np.abs(f1))
-
-    return _from_quad(f.expect(fn, needs=1, tol=tol))
-
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _curvature(f0, f1, f2):
-    """f f''/f'^2 from the pdf state, in quotient form: f0*f2 and f1**2 can
-    underflow separately deep in a tail while the two ratios stay
-    well-scaled."""
-    return (f0 / f1) * (f2 / f1)
+    return _mean_log_score(f, 2.0, tol)
 
 
 def curvature_ratio(f, x):
     """Pointwise f f'' / f'^2, the scale-free curvature of the pdf."""
-    return _curvature(*f._state(np.asarray(x, dtype=float), 2))
+    return f._state(np.asarray(x, dtype=float), 2)[2]
 
 
 def mean_log_curvature(f, alpha, *, tol=1e-10):
     """<log(alpha - f f''/f'^2)>; the argument must stay positive."""
     alpha = float(alpha)
-    arg = alpha - _curvature(*f._grid_state(128, 2))
+    arg = alpha - f._grid_state(128, 2)[2]
     if not np.all(arg > 0.0):
         t = getattr(f, "root", f).quantiles(128)[~(arg > 0.0)]
         raise DomainError(
             f"{f.label}: log-curvature argument not positive at x={f._chi(t)[0]:.6g}")
 
-    def fn(x, f0, f1, f2):
-        return np.log(alpha - _curvature(f0, f1, f2))
+    def fn(x, f0, s1, k):
+        return np.log(alpha - k)
 
     return _from_quad(f.expect(fn, needs=2, tol=tol))
 
 
 def curvature_sup(f):
     """sup of f f''/f'^2 on a 128-point quantile grid."""
-    return float(np.max(_curvature(*f._grid_state(128, 2))))
+    return float(np.max(f._grid_state(128, 2)[2]))
 
 
 def curvature_inf(f):
     """inf of f f''/f'^2 on a 128-point quantile grid."""
-    return float(np.min(_curvature(*f._grid_state(128, 2))))
+    return float(np.min(f._grid_state(128, 2)[2]))

@@ -2,23 +2,28 @@
 
 Every image is its base density plus one step, of one of three kinds. The
 affine step is the law of (X - shift)/scale: it divides the coordinate and
-scales the pdf state, so a rescaled density is read in its root's
-coordinates and no quadrature runs at the new scale. The down step sends a
-strictly monotone density f through the canonical coordinate
+shifts log h, so a rescaled density is read in its root's coordinates and
+no quadrature runs at the new scale. The down step sends a strictly
+monotone density f through the canonical coordinate
 s = f**(2-alpha)/(alpha-2) (s = -log f at alpha = 2) and carries the pdf
 to f**alpha/|f'|; it consumes one derivative order. The up step integrates
 the weight |(alpha-2)v|**(1/(alpha-2)) (e**v at alpha = 2) against f from
 an anchor and reads the image pdf off the inverse coordinate; it restores
 one order. At root abscissae each image reads its coordinate (_chi) and,
-apart from it, its pdf state (_push), for which it asks its base only what
-its own step needs: a down step one derivative order more, an up step the
-base coordinate and one order less. Both maps preserve mass exactly,
-so a transformed density evaluates every expectation by pulling the
-integrand back to the root density's coordinates, where the quadrature
-cuts are already understood; checks read it at its own quantiles by
-pushing the root's (Density._grid_state). Image-space queries, _rigid_fit
-and the zero of an affine or alpha = 2 down step invert, through a bracket
-table built by the first inversion and numerics._chandrupatla, the solver
+apart from it, its pdf state (_push: log h and the ratios of
+Density._state), closed form in its base's state, so no pdf product that
+can over- or underflow is formed. It asks its base only what its own step
+needs: a down step one derivative order more, an up step the base
+coordinate and one order less. Only the image callables (_linear,
+_derivative) form h, h' and h'': from the state, except that an affine step
+scales its base's derivatives, which stay finite at a zero of the slope
+where kappa does not. Both maps preserve mass exactly, so a transformed
+density evaluates every expectation by pulling the integrand back to the
+root density's coordinates, where the quadrature cuts are already
+understood; checks read it at its own quantiles by pushing the root's
+(Density._grid_state). Image-space queries, _rigid_fit and the zero of an
+affine or alpha = 2 down step invert, through a bracket table built by the
+first inversion and numerics._chandrupatla, the solver
 behind every inverse in the library: each round reads the coordinate of a
 batch down the base chain, starting from the table's bracket-end values.
 """
@@ -31,7 +36,6 @@ import numpy as np
 from .densities import Density, _condensation_diverges, _weighted_pdf, rescale
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError)
-from .functionals import _curvature
 from .numerics import INF, Interval, _chandrupatla, _CumTable, integrate
 
 
@@ -78,12 +82,13 @@ class TransformedDensity(Density):
         # most d2; an affine step keeps every order of its base
         order = self.base.order if self.kind == "affine" else \
             min(self.base.order + (1 if self.kind == "up" else -1), 2)
-        img = [lambda y, j=j: self._state(y, j)[j] for j in range(order + 1)]
+        img = [lambda y, j=j: self._linear(y, j) for j in range(order + 1)]
         img += [None] * (3 - order)
         super().__init__(img[0], self._image_support(),
                          d1=img[1], d2=img[2], d3=img[3],
                          label=label or f"{self.kind}({self.base.label},{self.alpha:g})",
                          interior_points=self._image_cuts(),
+                         logpdf=lambda y: self._state(y, 0)[0],
                          cdf=self._cdf_img,
                          normalization_tol=None)
 
@@ -152,11 +157,31 @@ class TransformedDensity(Density):
     # -- pdf callables --------------------------------------------------------
 
     def _state(self, y, needs):
-        """The image pdf and its derivatives up to order needs at y, from one
-        inversion and one push; 0 out of range and where not finite."""
+        """The pdf state to order needs at y from one inversion and one push:
+        out of range log h is -inf and the ratios NaN."""
         self._check_order(needs)
         t, oob = self._invert(y)
-        return [np.where(oob | ~np.isfinite(v), 0.0, v) for v in self._push(t, needs)]
+        return [np.where(oob, np.nan if k else -INF, v)
+                for k, v in enumerate(self._push(t, needs))]
+
+    def _linear(self, y, j):
+        """Order j of the image pdf at y from one inversion; 0 out of range
+        and where not finite."""
+        t, oob = self._invert(y)
+        with np.errstate(all="ignore"):
+            v = self._derivative(t, j)
+        return np.where(oob | ~np.isfinite(v), 0.0, v)
+
+    def _derivative(self, t, j):
+        """Order j of the pdf at root abscissae t from the pushed state:
+        h = e**l, h' = h s1, h'' = h s1**2 kappa, h''' = h s1**3 tau."""
+        st = self._push(t, j)
+        h = np.exp(st[0])
+        if j == 0:
+            return h
+        if j == 1:
+            return h * st[1]
+        return h * (st[1] ** j * st[j])
 
     def _cdf_img(self, y):
         t, _ = self._invert(y)  # out of range: the nearest table end, in the root's support
@@ -196,8 +221,8 @@ class TransformedDensity(Density):
 
         def g(t, fr):
             st = self._push(t, needs)
-            h0 = np.asarray(st[0], dtype=float)
-            vals = np.asarray(fn(self._chi(t), *st), dtype=float) * (fr / h0)
+            h0 = np.exp(st[0])
+            vals = np.asarray(fn(self._chi(t), h0, *st[1:]), dtype=float) * (fr / h0)
             # root.integral drops fr == 0 and non-finite values under 1e-160
             return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
 
@@ -245,36 +270,24 @@ class _DownImage(TransformedDensity):
         return super()._zero() if self.alpha == 2.0 else None
 
     def _chi(self, t):
-        """Image coordinate at root abscissae t, read off the base pdf."""
+        """Image coordinate at root abscissae t, read off the base log pdf."""
         with np.errstate(all="ignore"):
-            return _down_coord(np.log(self.base._push(t, 0)[0]), self.alpha)
+            return _down_coord(self.base._push(t, 0)[0], self.alpha)
 
     def _push(self, t, needs):
-        """Pdf state up to order needs at root abscissae t; the base
-        supplies one order more."""
-        st = self.base._push(t, needs + 1)
+        """Pdf state to order needs at root abscissae t, from the base's to
+        one order more: log h = (alpha-1) l - log|s1|, h'/h = (kappa -
+        alpha) f**(alpha-2) and h h''/h'**2 = 1 - [(kappa + tau - 2 kappa**2)
+        - (alpha - kappa)(alpha - 2)] / (alpha - kappa)**2."""
+        lb, s1, *r = self.base._push(t, needs + 1)
         al = self.alpha
-        f0 = st[0]
         with np.errstate(all="ignore"):
-            logf = np.log(f0)
-            f1 = st[1]
-            lf1 = np.log(np.abs(f1))
-            out = [np.exp(al * logf - lf1)]
+            out = [(al - 1.0) * lb - np.log(np.abs(s1))]
             if needs >= 1:
-                f2 = st[2]
-                # quotient form: f0*f2 and f1**2 underflow separately deep in
-                # a tail while the ratios stay well-scaled
-                q01 = f0 / f1
-                q21 = f2 / f1
-                brak = al - q01 * q21
-                out.append(-np.exp((2.0 * al - 2.0) * logf - lf1) * brak)
+                out.append((r[0] - al) * np.exp((al - 2.0) * lb))
             if needs >= 2:
-                f3 = st[3]
-                brakp = -q21 - q01 * (f3 / f1) + 2.0 * q01 * q21 ** 2
-                pref = np.exp((3.0 * al - 4.0) * logf)
-                out.append(np.sign(f1) * pref
-                           * ((2.0 * al - 2.0) * f1 * brak + f0 * brakp
-                              - f0 * brak * q21) / f1 ** 2)
+                k, tau = r
+                out.append(1.0 - ((k + tau - 2.0 * k * k) - (al - k) * (al - 2.0)) / (al - k) ** 2)
         return out
 
 
@@ -378,32 +391,31 @@ class _UpImage(TransformedDensity):
             return self.sigma * (self.c_anchor - self.table(t))
 
     def _push(self, t, needs):
-        """Pdf state up to order needs at root abscissae t; the base
-        supplies its coordinate, and from needs = 1 its state to one order
-        less. Its own table is not read."""
-        wb = self.base._chi(t)
-        st = self.base._push(t, needs - 1) if needs >= 1 else ()
+        """Pdf state to order needs at root abscissae t from the base's
+        coordinate v and, from needs = 1, its state to one order less; with
+        q = d log w/dv = 1/(c v) (1 at c = 0), log h = -log w(v), h'/h =
+        q e**(log h - l), h h''/h'**2 = (2 + c) + s1/q. No table is read."""
+        v = self.base._chi(t)
         c = self.c
+        cv = 1.0 if c == 0.0 else c * v  # 1/q
         with np.errstate(all="ignore"):
-            # h0 = 1/w(wb); q = d log w / dv, 1 at c = 0
-            h0 = np.exp(-_log_weight(wb, c))
-            q = 1.0 if c == 0.0 else 1.0 / (c * wb)
-            out = [h0]
+            out = [-_log_weight(v, c)]
             if needs >= 1:
-                out.append(h0 * h0 * q / st[0])
+                st = self.base._push(t, needs - 1)
+                out.append(np.exp(out[0] - st[0]) / cv)
             if needs >= 2:
-                out.append(h0 ** 3 * q * ((2.0 + c) * q / st[0] ** 2 + st[1] / st[0] ** 3))
+                out.append((2.0 + c) + st[1] * cv)
         return out
 
 
 class _AffineImage(TransformedDensity):
     """The law of (X - shift)/scale when X has its base's law.
 
-    The coordinate divides the base's and the pdf state of order k gains
-    the factor |scale| * scale**k, so every derivative order of the base
-    passes through. Over a root as over an image it inverts through the
-    inherited bracket solve, whose table holds this step's own coordinate
-    bit for bit.
+    The coordinate divides the base's, and every derivative order of the
+    base passes through: the state's log h gains log|scale| and h'/h the
+    factor scale, and the derivative of order k gains |scale| scale**k.
+    Over a root as over an image it inverts through the inherited bracket
+    solve, whose table holds this step's own coordinate bit for bit.
     """
 
     kind = "affine"
@@ -421,8 +433,16 @@ class _AffineImage(TransformedDensity):
         return (self.base._chi(t) - self.shift) / self.scale
 
     def _push(self, t, needs):
-        a = abs(self.scale)
-        return [a * self.scale ** k * v for k, v in enumerate(self.base._push(t, needs))]
+        """log h gains log|scale|, h'/h the factor scale; the rest passes."""
+        lb, *r = self.base._push(t, needs)
+        if r:
+            r[0] = self.scale * r[0]
+        return [lb + math.log(abs(self.scale))] + r
+
+    def _derivative(self, t, j):
+        """|scale| scale**j times the base's: where the base's slope is 0 the
+        state's kappa and tau are not finite, but its derivatives are."""
+        return abs(self.scale) * self.scale ** j * self.base._derivative(t, j)
 
     def _edge_limit(self, side):
         if self.scale < 0.0:
@@ -466,7 +486,7 @@ def down_applicable(f, alpha):
     is what a further down step needs.
     """
     alpha = float(alpha)
-    r = _curvature(*f._grid_state(128, 2))
+    r = f._grid_state(128, 2)[2]
     r = r[np.isfinite(r)]
     sup = float(np.max(r)) if r.size else math.nan
     ok = bool(math.isfinite(sup) and alpha > sup

@@ -24,7 +24,7 @@ from updown.densities import (
 from updown.errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
 from updown.functionals import mu
 from updown.numerics import Interval, _CumTable
-from updown.transforms import up
+from updown.transforms import down, up
 
 
 def test_normalization_gate():
@@ -205,6 +205,16 @@ def test_interior_point_past_the_subnormal_onset_gets_no_ladder():
     assert abs(lap.median()) < 1e-12
     np.testing.assert_allclose(lap.quantile_many(np.array([0.2, 0.8])),
                                [-math.log(2.5), math.log(2.5)], rtol=1e-12)
+
+
+def test_node_table_that_misses_the_mass_says_so():
+    # a normal cut only at -900 lays its nodes outward from the cut, and only
+    # -388 and 124 fall in (-500, 500): the table held 3.8e-70 of the mass
+    # and read median() -16.36 with no error
+    normal = Density(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi),
+                     Interval(-math.inf, math.inf), interior_points=(-900.0,))
+    with pytest.raises(AccuracyError, match=r"node table holds mass 3\.8\d*e-70, the pdf 0\.99"):
+        normal.median()
 
 
 def test_integral_calls_fn_only_where_the_pdf_is_nonzero():
@@ -493,15 +503,53 @@ def test_logpdf_closed_forms_match_mpmath(f, pdf, far):
 
 
 def test_logpdf_without_a_hook_is_the_log_of_the_pdf():
-    # a user-built density and an image, out past the pdf's underflow
+    # a user-built density, out past the pdf's underflow
     lap = Density(lambda x: 0.5 * np.exp(-np.abs(x)), Interval(-math.inf, math.inf))
-    img = up(exponential(1.0), 3.0)
-    for f in (lap, img):
-        x = np.concatenate([f.quantiles(16), [f.quantile_many(1e-15)[0], 750.0, 1e4]])
-        with np.errstate(divide="ignore"):
-            want = np.log(f.pdf(x))
-        assert f.logpdf(x).tobytes() == want.tobytes()
+    x = np.concatenate([lap.quantiles(16), [lap.quantile_many(1e-15)[0], 750.0, 1e4]])
+    with np.errstate(divide="ignore"):
+        want = np.log(lap.pdf(x))
+    assert lap.logpdf(x).tobytes() == want.tobytes()
     assert lap.logpdf(np.array([800.0]))[0] == -math.inf
+
+
+def test_root_push_reads_the_pdf_once():
+    # a root without a logpdf hook takes log f from the pdf values its
+    # ratios read, not from a second pdf call
+    sizes = []
+
+    def pdf(x):
+        sizes.append(x.size)
+        return 0.5 * np.exp(-np.abs(x))
+
+    lap = Density(pdf, Interval(-math.inf, math.inf), interior_points=(0.0,),
+                  d1=lambda x: -0.5 * np.sign(x) * np.exp(-np.abs(x)),
+                  d2=lambda x: 0.5 * np.exp(-np.abs(x)))
+    t = np.array([-3.0, -0.5, 0.5, 3.0])
+    sizes.clear()
+    lf, s1, k = lap._push(t, 2)
+    assert sizes == [4]
+    np.testing.assert_allclose(lf, np.log(0.5) - np.abs(t), rtol=1e-15)
+    np.testing.assert_array_equal(s1, -np.sign(t))
+    np.testing.assert_array_equal(k, np.ones(4))
+
+
+def test_image_logpdf_reads_log_h_off_its_push():
+    # an image's log density is log h of one inversion and one push: the log
+    # of its pdf inside the support, -inf outside it, and exact where h
+    # underflows. down(exponential(1), 3) has h(y) = y**-2 on y > 1, where
+    # np.log(pdf) read -inf at y = 1e200
+    img = up(exponential(1.0), 3.0)
+    x = np.concatenate([img.quantiles(16), [img.quantile_many(1e-15)[0], 750.0, 1e4]])
+    with np.errstate(divide="ignore"):
+        want = np.log(img.pdf(x))
+    got = img.logpdf(x)
+    assert np.all(np.abs(got[:-2] - want[:-2]) <= 4e-16 * np.maximum(1.0, np.abs(want[:-2])))
+    assert np.all(got[-2:] == -math.inf) and np.all(want[-2:] == -math.inf)
+    d = down(exponential(1.0), 3.0)
+    y = np.array([1.5, 10.0, 1e100, 1e200, 1e300])
+    np.testing.assert_allclose(d.logpdf(y), -2.0 * np.log(y), rtol=1e-14)
+    assert d.logpdf(1e200)[0] == pytest.approx(-921.0340371976183, rel=1e-14)
+    assert np.all(d.logpdf(np.array([0.5, -1.0, np.nan])) == -math.inf)
 
 
 def test_edge_values():

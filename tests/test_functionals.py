@@ -198,6 +198,10 @@ def test_phi_limit0():
         F.phi_limit0(e1, 0.0)
     assert F.phi_limit0(u01, 2.0).value == 0.0
     assert F.phi_limit0(u01, -2.0).value == math.inf
+    # <log|f'|> is -inf on a flat pdf, so the limit is exact: converged,
+    # with a zero error estimate
+    assert F.phi_limit0(u01, 1.0) == F.Quantity(0.0, True, 0.0)
+    assert F.phi_limit0(u01, -1.0) == F.Quantity(math.inf, True, 0.0)
 
 
 def test_mean_log_abs_deriv():

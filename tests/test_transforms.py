@@ -608,20 +608,23 @@ def test_up_weight_where_the_root_pdf_is_subnormal():
 
 def test_state_push_asks_its_base_only_for_what_its_step_needs(monkeypatch):
     # a down step asks its up base for one order more, and that needs only
-    # the root's abscissae and pdf; an up step at order 0 needs its base's
-    # coordinate alone, and never reads its own table. While every push
-    # also returned its own coordinate, the pdf query below cost 3,889
+    # the root's abscissae and log pdf; an up step at order 0 needs its
+    # base's coordinate alone, and never reads its own table. While every
+    # push also returned its own coordinate, the pdf query below cost 3,889
     # root-pdf points and the push read its own table and the inner twice
     u = uniform(0.0, 1.0)
     img = down(up(u, 3.0), 3.0)
     y = img._chi(u.quantiles(64))
-    pdf, n = u.pdf, [0]
+    logpdf, n = u.logpdf, [0]
 
     def counted(x):
         n[0] += np.size(x)
-        return pdf(x)
+        return logpdf(x)
 
-    u.pdf = counted
+    def no_pdf(x):
+        raise AssertionError("the state reads the root's logpdf, not its pdf")
+
+    u.logpdf, u.pdf = counted, no_pdf
     img.pdf(y)
     assert n[0] == 64
 
@@ -643,14 +646,16 @@ def test_state_push_asks_its_base_only_for_what_its_step_needs(monkeypatch):
 ], ids=["down-half-sg", "minimizer"])
 def test_image_state_inverts_once(make, monkeypatch):
     # the pdf and both derivatives of an image at the same points share one
-    # bracket inversion; read one at a time they took three
+    # bracket inversion, which reads the state log h, h'/h and h h''/h'**2;
+    # read one at a time they took three
     img = make()
     y = img.quantiles(64)
     invert, calls = img._invert, []
     monkeypatch.setattr(img, "_invert", lambda v: calls.append(v) or invert(v))
-    f0, f1, f2 = img._state(y, 2)
+    lf, s1, k = img._state(y, 2)
     assert len(calls) == 1
-    for got, want in ((f0, img.pdf(y)), (f1, img.d1(y)), (f2, img.d2(y))):
+    f0 = np.exp(lf)
+    for got, want in ((f0, img.pdf(y)), (f0 * s1, img.d1(y)), (f0 * (s1 ** 2 * k), img.d2(y))):
         np.testing.assert_array_equal(got, want)
 
 
@@ -771,12 +776,74 @@ def test_library_checks_read_images_without_inversion(monkeypatch):
         down_applicable(g, 3.0)
         F.curvature_sup(g), F.curvature_inf(g)
         F.renyi(g, 2.0), down_fisher(g, 2.0, 1.0, 2.0)
-        # the d2 push of up(e1, 3) reads inf - inf past t = 357, so its
-        # mean log-curvature integrand is NaN there
-        if g.base is not e1:
-            F.mean_log_curvature(g, 4.0)
+        F.mean_log_curvature(g, 4.0)
     down_order_check(order_minimizer(2.0, 1.0, 2.0), 2.0, 1.0, 1.0, 2.0)
     assert len(calls) == 0
+
+
+def test_up_curvature_is_closed_form_deep_in_the_tail():
+    # up(e1, 3) has h h''/h'**2 = (2 + c) + s1/q = 3 - t in closed form; the
+    # linear state read -inf at t = 250 and NaN at 360, where h**3 underflowed
+    t = np.linspace(0.5, 700.0, 1400)
+    np.testing.assert_allclose(up(e1, 3.0)._push(t, 2)[2], 3.0 - t, rtol=1e-12)
+
+
+def test_mean_log_curvature_of_up_exponential():
+    # 4 - kappa = 1 + t, so the mean is E[log(1 + T)] for T ~ Exp(1), e E1(1);
+    # the linear state's NaN at t = 360 raised IntegrandError
+    with mpmath.workdps(30):
+        want = float(mpmath.e * mpmath.e1(1))
+    got = F.mean_log_curvature(up(e1, 3.0), 4.0)
+    assert got.converged
+    assert got.value == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("f", [u01, e1, half_restriction(g21)], ids=["u01", "e1", "half-sg"])
+def test_down_undoes_up_near_alpha_2_with_unit_mass(f):
+    # the up image's h' passes 1e308 near its flat end at alpha = 2.05; the
+    # down pdf formed from it read 0 there, and the pullback lost 6e-7 of
+    # the mass with converged=True
+    r = down(up(f, 2.05), 2.05).integral(lambda y, h: h)
+    assert r.converged
+    assert r.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [2.0, -2.0])
+def test_affine_derivatives_at_the_base_mode(scale):
+    # at its base's mode an affine image's state has s1 = 0 and kappa and
+    # tau not finite, so h s1**2 kappa cannot give h''; the image scales its
+    # base's derivatives: |scale| scale**j f^(j)(scale y), f(x) =
+    # e**(-x**2)/sqrt(pi), even in the sign of scale for j = 2 and 3. Out
+    # to |y| ~ 1e-154 s1**2 also underflows
+    g = affine_image(g21, scale)
+    y = np.array([0.0, 1e-160, 1e-9, 0.3])
+    x, f = 2.0 * y, np.exp(-4.0 * y ** 2) / math.sqrt(math.pi)
+    np.testing.assert_allclose(g.d2(y), 8.0 * (4.0 * x ** 2 - 2.0) * f, rtol=1e-12)
+    np.testing.assert_allclose(g.d3(y), 16.0 * (12.0 * x - 8.0 * x ** 3) * f, rtol=1e-12)
+    assert np.ravel(rescale(g21, 2.0).d2(0.0))[0] == pytest.approx(-9.027033336764101, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: down(pt21, 2.5),
+    lambda: down(half_restriction(g21), 3.0),
+    lambda: down(e21, 2.0),
+    lambda: down(half_restriction(gzero(1.5)), 3.0),
+    lambda: affine_image(pt21, -2.0, 1.0),
+    lambda: down(pt21, 2.5).reseat(-3.0, 1.0),
+    lambda: up(e1, 3.0).reseat(2.0, 0.5),
+], ids=["down-pt21", "down-half-sg", "down2-e21", "down-half-gzero", "affine-pt21",
+        "reseat-down", "reseat-up"])
+def test_step_ratios_match_central_differences(make):
+    # s1 = dl/dy and kappa = 1 + (ds1/dy)/s1**2, with d/dy = (d/dt)/(dchi/dt),
+    # read by central differences of the pushed state over root abscissae
+    g = make()
+    t = g.root.quantiles(32)
+    d = 1e-6 * np.abs(t)
+    lo, mid, hi = (g._push(x, g.order) for x in (t - d, t, t + d))
+    dy = g._chi(t + d) - g._chi(t - d)
+    np.testing.assert_allclose((hi[0] - lo[0]) / dy, mid[1], rtol=1e-6)
+    if g.order >= 2:
+        np.testing.assert_allclose(1.0 + (hi[1] - lo[1]) / dy / mid[1] ** 2, mid[2], rtol=1e-6)
 
 
 @pytest.mark.parametrize("alpha", [2.05, 2.1, 3.0])
@@ -899,7 +966,7 @@ def test_defect_4a_cells_hold_unit_mass(make, alpha):
 
 def _up_coordinate_errors(g, tail):
     """Largest relative gap of _chi from its closed form c**(1/c) * tail,
-    and of the pushed pdf times the weight (c t)**(1/c) from 1, at 16 root
+    and of the pushed pdf e**l times the weight (c t)**(1/c) from 1, at 16 root
     quantiles of an up image over a root with no base step."""
     c = g.c
     t = g.root.quantile_many((np.arange(16) + 0.5) / 16)
@@ -907,7 +974,7 @@ def _up_coordinate_errors(g, tail):
         k = 1 / mpmath.mpf(c)
         ref = np.array([float(mpmath.mpf(c) ** k * tail(k, mpmath.mpf(x))) for x in t])
     chi = np.max(np.abs(g._chi(t) / ref - 1.0))
-    push = np.max(np.abs(g._push(t, 0)[0] * (c * t) ** (1.0 / c) - 1.0))
+    push = np.max(np.abs(np.exp(g._push(t, 0)[0]) * (c * t) ** (1.0 / c) - 1.0))
     return chi, push
 
 
