@@ -67,22 +67,22 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
     ratio = p * lam / (p - q)
     e0 = 1.0 + p * (lam - 2.0)
 
-    def logw(t):
-        # log of integrand over pdf at root t, f**(e0+q-1) |s1|**q |ratio -
-        # kappa|**p; a zero exponent drops its factor
-        lf, s1, k = f._push(t, 2)
+    def logw(lf, s1, k):
+        # log of integrand over pdf, f**(e0+q-1) |s1|**q |ratio - kappa|**p,
+        # from the pdf state; a zero exponent drops its factor
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = (lf, np.log(np.abs(s1)), np.log(np.abs(ratio - k)))
             return sum(c * v for c, v in zip((e0 + q - 1.0, q, p), logs) if c != 0.0)
 
     # checked up front: quadrature cannot see a divergence past the pdf's underflow
     root = getattr(f, "root", f)
-    if any(_condensation_diverges(root, side, logw) for side in ("lo", "hi")):
+    if any(_condensation_diverges(root, side, lambda t: logw(*f._push(t, 2)))
+           for side in ("lo", "hi")):
         return Quantity(math.inf, False, math.inf)
 
     def fn(x, f0, s1, k):
-        y = np.exp((e0 + q) * np.log(f0) + q * np.log(np.abs(s1))
-                   + p * np.log(np.abs(ratio - k)))
+        lf = np.log(f0)
+        y = np.exp(lf + logw(lf, s1, k))
         # points where the slope is zero carry no resolvable mass; the tail
         # probe above already ruled out divergence hiding past the
         # underflow horizon

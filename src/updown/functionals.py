@@ -63,6 +63,8 @@ def _zero_slope(f):
 def mu(f, p, *, tol=1e-10):
     """Absolute moment <|x|^p>."""
     p = float(p)
+    if math.isnan(p):
+        raise DomainError("the absolute moment needs a number p, got nan")
     if p == 0.0:
         return Quantity(1.0, True, 0.0)
     extra = (0.0,) if f.support.lo < 0.0 < f.support.hi else ()
@@ -75,6 +77,8 @@ def mu(f, p, *, tol=1e-10):
 def sigma(f, p, *, tol=1e-10):
     """Moment deviation <|x|^p>^(1/p); the p = 0 and p = inf limits included."""
     p = float(p)
+    if p == -INF:
+        raise DomainError("sigma covers the p = 0 and p = inf limits, not p = -inf")
     if p == INF:
         return Quantity(f.esssup_abs(), True, 0.0)
     if p == 0.0:

@@ -21,11 +21,12 @@ where kappa does not. Both maps preserve mass exactly, so a transformed
 density evaluates every expectation by pulling the integrand back to the
 root density's coordinates, where the quadrature cuts are already
 understood; checks read it at its own quantiles by pushing the root's
-(Density._grid_state). Image-space queries, _rigid_fit and the zero of an
+(Density._grid_state), and place an image that undoes a step by both
+coordinates there (_placement). Image-space queries and the zero of an
 affine or alpha = 2 down step invert, through a bracket table built by the
-first inversion and numerics._chandrupatla, the solver
-behind every inverse in the library: each round reads the coordinate of a
-batch down the base chain, starting from the table's bracket-end values.
+first inversion and numerics._chandrupatla, the solver behind every inverse
+in the library: each round reads the coordinate of a batch down the base
+chain, starting from the table's bracket-end values.
 """
 
 import functools
@@ -122,11 +123,14 @@ class TransformedDensity(Density):
     def _zero(self):
         """Root abscissa where an affine or alpha = 2 down coordinate crosses 0.
 
-        A crossing is a bracket table whose ends straddle 0, z[0] < 0 < z[-1],
-        else None. Solved in it as _invert solves any y, it closes on an exact
-        zero or the upper of two adjacent doubles: the ladders toward zc
-        resolve the weight that finely. Up and other down steps state theirs.
+        None, with no table built, where the support does not straddle 0, as
+        at a root, or the bracket table's ends do not, z[0] < 0 < z[-1].
+        Solved in it as _invert solves any y, it closes on an exact zero or
+        the upper of two adjacent doubles: the ladders toward zc resolve the
+        weight that finely. Up and other down steps state theirs.
         """
+        if not self.support.lo < 0.0 < self.support.hi:
+            return None
         bt, z = self._brackets
         if not z[0] < 0.0 < z[-1]:
             return None
@@ -502,7 +506,11 @@ def chain(f, ops):
     """
     g = f
     prev = None
-    for i, (kind, alpha) in enumerate(ops):
+    for i, step in enumerate(ops):
+        try:
+            kind, alpha = step
+        except (TypeError, ValueError):
+            raise DomainError(f"chain step {i} is not a (kind, alpha) pair: {step!r}") from None
         try:
             if kind == "down":
                 if prev == "down":
@@ -524,38 +532,25 @@ def chain(f, ops):
     return g
 
 
-def _rigid_fit(raw, target, y):
-    """Best rigid placement of raw onto target, judged at target abscissae y.
-
-    A down step forgets location and orientation but not scale, so the
-    candidates are the scales +1 and -1, each with the shifts that match
-    a finite support edge and the one that matches medians. Returns
-    (deviation, scale, shift): raw.reseat(scale, shift), an affine step
-    on raw, is the placed copy and deviation its largest absolute pdf gap
-    from target at y.
+def _placement(raw, target):
+    """The (scale, shift) with raw.reseat(scale, shift) on target g, where raw
+    is up(down(g)) or down(up(g)) over g's root. The two maps are inverse up
+    to translation and reflection: at root abscissae target._chi = scale *
+    raw._chi + shift, with scale the product of the stated orientations, so
+    shift is read as the median of that difference at the root's quantiles.
     """
-    ts, rs = target.support, raw.support
-    med = target.median(), raw.median()
-    cands = []
-    for scale in (1.0, -1.0):
-        # raw edges in the order they land on target after the orientation
-        lo, hi = (rs.lo, rs.hi) if scale > 0 else (-rs.hi, -rs.lo)
-        cands += [(scale, t - r) for t, r in ((ts.lo, lo), (ts.hi, hi))
-                  if math.isfinite(t) and math.isfinite(r)]
-        cands.append((scale, med[0] - scale * med[1]))
-    # one pdf call for all candidates: each image query pays a full
-    # bracket inversion
-    pts = np.concatenate([(y - b) / scale for scale, b in cands])
-    gaps = np.max(np.abs(raw.pdf_at(pts).reshape(len(cands), -1)
-                         - target.pdf_at(y)), axis=1)
-    i = int(np.argmin(gaps))
-    return float(gaps[i]), *cands[i]
+    scale = raw._sigma_total * target._sigma_total
+    t = raw.root.quantiles(16)
+    return scale, float(np.median(target._chi(t) - scale * raw._chi(t)))
 
 
 def verify_inversion(f, alpha):
     """Max pdf deviation of up(down(f, alpha), alpha) from f at 16 quantiles,
-    after aligning supports by translation or reflection."""
-    return _rigid_fit(up(down(f, alpha), alpha), f, f.quantiles(16))[0]
+    after the placement read off the two coordinates (_placement)."""
+    g = up(down(f, alpha), alpha)
+    scale, shift = _placement(g, f)
+    y = f.quantiles(16)
+    return float(np.max(np.abs(g.pdf_at((y - shift) / scale) - f.pdf_at(y))))
 
 
 def _rel_dev(a, b):

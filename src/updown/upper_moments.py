@@ -30,7 +30,7 @@ from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError,
                      UnsupportedCaseError)
 from .numerics import Interval, integrate
-from .transforms import _log_weight, _rigid_fit, chain, up
+from .transforms import _log_weight, _placement, chain, up
 
 __all__ = [
     "AlphaVector", "UpperMomentResult", "MomentCheckResult", "prefactor",
@@ -48,7 +48,7 @@ class AlphaVector(tuple):
     """
 
     def __new__(cls, entries):
-        if isinstance(entries, (int, float)):
+        if isinstance(entries, (int, float, np.number)):
             entries = (entries,)
         vec = tuple(float(a) for a in entries)
         if not vec:
@@ -225,8 +225,9 @@ def moment_sequence_check(f, alphas, n_moments, *, tol=1e-10):
     """Signed moments of f against its down-chain reconstruction.
 
     Applies the downs in vector order, undoes them with ups (re-seating
-    each layer rigidly), and compares signed moments i = 1..n_moments of f
-    with those of the reconstruction. Orders whose classical moment
+    each layer where its coordinate, read against the layer it undoes,
+    places it), and compares signed moments i = 1..n_moments of f with
+    those of the reconstruction. Orders whose classical moment
     diverges are skipped and reported.
     """
     vec = AlphaVector(alphas)
@@ -248,11 +249,10 @@ def moment_sequence_check(f, alphas, n_moments, *, tol=1e-10):
             lifted = up(recon, vec[k])
         except (DomainError, PreconditionError, CapabilityError) as e:
             raise TransformChainError(k, str(e)) from e
-        # down forgets location and orientation; reseat puts them back as
-        # an affine step, which the next up reads like any other base
-        _, scale, shift = _rigid_fit(
-            lifted, tower[k], tower[k].quantile_many(np.linspace(0.06, 0.94, 23)))
-        recon = lifted.reseat(scale, shift)
+        # down forgets location and orientation; reseat puts back the ones
+        # read off the two coordinates as an affine step, which the next up
+        # reads like any other base
+        recon = lifted.reseat(*_placement(lifted, tower[k]))
 
     rows = []
     skipped = []

@@ -7,6 +7,7 @@ exponential under the alpha = 2 up step to the linear density u/2 on
 (0, 2). Everything else here is a variation on those.
 """
 
+import functools
 import math
 import warnings
 
@@ -23,7 +24,7 @@ from updown.down_fisher import down_fisher, down_order_check, order_minimizer
 from updown.errors import (AccuracyError, CapabilityError, DomainError,
                            PreconditionError, TransformChainError)
 from updown.numerics import _CumTable, integrate
-from updown.transforms import (_rigid_fit, chain, down, down_applicable, up,
+from updown.transforms import (_placement, chain, down, down_applicable, up,
                                verify_inversion, verify_scaling)
 from updown.upper_moments import moment_sequence_check
 
@@ -764,10 +765,15 @@ def test_image_builds_its_bracket_table_on_first_inversion(make, based):
 
 def test_library_checks_read_images_without_inversion(monkeypatch):
     # the checks read an image at its own quantiles by pushing the root's,
-    # so none of them inverts a coordinate the library has just pushed
+    # so none of them inverts a coordinate the library has just pushed;
+    # moment_sequence_check reads each layer's placement off the coordinates
     calls, invert = [], transforms.TransformedDensity._invert
     monkeypatch.setattr(transforms.TransformedDensity, "_invert",
                         lambda self, y: calls.append(y) or invert(self, y))
+    builds, brackets = [], transforms.TransformedDensity._brackets.func
+    counted = functools.cached_property(lambda self: builds.append(self) or brackets(self))
+    counted.__set_name__(transforms.TransformedDensity, "_brackets")
+    monkeypatch.setattr(transforms.TransformedDensity, "_brackets", counted)
     for g in (order_minimizer(2.0, 1.0, 2.0),
               down(half_restriction(stretched_gaussian(2.0, 1.5)), 1.5),
               up(e1, 3.0)):  # sigma < 0
@@ -779,6 +785,10 @@ def test_library_checks_read_images_without_inversion(monkeypatch):
         F.mean_log_curvature(g, 4.0)
     down_order_check(order_minimizer(2.0, 1.0, 2.0), 2.0, 1.0, 1.0, 2.0)
     assert len(calls) == 0
+    builds.clear()
+    moment_sequence_check(e1, (1.5, 1.5), 2)
+    assert len(calls) == 0
+    assert len(builds) == 0
 
 
 def test_up_curvature_is_closed_form_deep_in_the_tail():
@@ -867,7 +877,9 @@ def test_mean_log_curvature_names_an_image_abscissa():
 @pytest.mark.parametrize("f", [u01, e1, half_restriction(g21)],
                          ids=["u01", "e1", "half-sg21"])
 def test_down_undoes_up_near_alpha_2(f, alpha):
-    gap, _, _ = _rigid_fit(down(up(f, alpha), alpha), f, f.quantiles(16))
+    y = f.quantiles(16)
+    g = down(up(f, alpha), alpha)
+    gap = np.max(np.abs(g.reseat(*_placement(g, f)).pdf_at(y) - f.pdf_at(y)))
     assert gap <= 1e-12
 
 
@@ -1001,19 +1013,26 @@ def test_up_coordinate_matches_closed_form(root, tail, alpha):
 # ------------------------------------------------------------ round trips
 
 def test_up_after_down_recovers():
-    for f in (e21, pt31, half_restriction(g21)):
+    # the read placement is the best of both orientations with the
+    # edge-matching and median shifts, judged by pdf gap: a reflection
+    # and the median shift, f's median
+    for f, shift in ((e21, 1.3465735902799718), (pt31, 2.8284271247461885),
+                     (half_restriction(g21), 0.4769362762044697)):
         for al in (-1.0, 0.5, 3.0, 4.0):
             assert verify_inversion(f, al) < 1e-8
+            got = _placement(up(down(f, al), al), f)
+            assert got[0] == -1.0
+            assert got[1] == pytest.approx(shift, abs=1e-12)
 
 
-def test_rigid_fit_recovers_a_reseat():
+def test_placement_recovers_a_reseat():
     g = up(e1, 3.0)
     target = g.reseat(-1.0, 0.3)
-    dev, scale, shift = _rigid_fit(
-        g, target, target.quantile_many(np.linspace(0.06, 0.94, 23)))
+    scale, shift = _placement(g, target)
     assert scale == -1.0
     assert shift == pytest.approx(0.3, abs=1e-12)
-    assert dev < 1e-10
+    y = target.quantile_many(np.linspace(0.06, 0.94, 23))
+    assert np.max(np.abs(g.reseat(scale, shift).pdf_at(y) - target.pdf_at(y))) < 1e-10
 
 
 def test_down_after_up_recovers():

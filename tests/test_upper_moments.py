@@ -189,6 +189,7 @@ def test_signed_needs_natural_exponent():
 
 def test_alpha_vector_rules():
     assert UM.AlphaVector(3.0).order == 1
+    assert UM.AlphaVector(np.int64(3)) == (3.0,)  # a 0-d number, as an int
     assert UM.AlphaVector((3, 4))[1] == 4.0
     with pytest.raises(UnsupportedCaseError):
         UM.AlphaVector((2.0, 2.0))
