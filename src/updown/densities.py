@@ -47,6 +47,9 @@ def _as_callable_on_array(fn):
 class Density:
     """A one-dimensional probability density on an open interval.
 
+    A root: its own root, under no chain of steps, with the identity for
+    _chi and _invert, so _state, quantile_many and cdf_at serve its images.
+
     The up weights read the log density (logpdf, _weighted_pdf). A logpdf
     hook gives it in closed form, exact where the pdf is subnormal or 0 (an
     image's reads its state); without one it is np.log(pdf(x)), -inf where
@@ -115,9 +118,11 @@ class Density:
                 f"{self.label}: derivative order {needs} requested, have {self.order}")
 
     def _state(self, x, needs):
-        """The pdf state to order needs at abscissae x of this density."""
+        """The pdf state to order needs at x: -inf log f, NaN ratios out of range."""
         self._check_order(needs)
-        return self._push(x, needs)
+        t, oob = self._invert(x)
+        return [np.where(oob, np.nan if k else -INF, v)
+                for k, v in enumerate(self._push(t, needs))]
 
     def _ratios(self, x, needs, f0):
         """The state's ratios to order needs from the hooks at x and the pdf
@@ -226,7 +231,7 @@ class Density:
 
     def _edge_limit(self, side):
         toward_lo = (side == "lo") == (self._sigma_total > 0)
-        _, t = _tail_quantiles(getattr(self, "root", self), "lo" if toward_lo else "hi")
+        _, t = _tail_quantiles(self.root, "lo" if toward_lo else "hi")
         h = np.exp(self._push(t[-3:], 0)[0])
         if np.any(np.isposinf(h)):
             return INF
@@ -319,34 +324,40 @@ class Density:
         support, 1 at or above it, and NaN at NaN."""
         x = np.asarray(x, dtype=float)
         xs = np.atleast_1d(x)
-        out = np.asarray(self._cdf_source()(xs), dtype=float)
+        t, _ = self._invert(xs)  # out of range: an end of the root's support
+        cdf = self.root._cdf if self.root._cdf is not None else self.root._node_table()
+        out = np.asarray(cdf(t), dtype=float)
+        if self._sigma_total < 0:
+            out = 1.0 - out
         out = np.where(xs <= self.support.lo, 0.0, out)
         out = np.where(xs >= self.support.hi, 1.0, out)
         out = np.where(np.isnan(xs), np.nan, out)
         return float(out[0]) if x.ndim == 0 else out
 
-    def _cdf_source(self):
-        """The cdf hook, else the node table: what cdf_at reads inside the support."""
-        return self._cdf if self._cdf is not None else self._node_table()
-
     def quantile_many(self, levels):
-        """Abscissae where the cdf reaches the given mass levels.
-
-        A closed-form quantile hook answers directly; otherwise, cdf hook
-        or not, _chandrupatla inverts the node table from its cums, the
-        running mass at its nodes. A round costs a partial GK15 panel per
-        point (about 45 us on 64 points). Uncached: the library's own fixed
-        grids go through _grid_quantiles, so levels chosen by a caller never
-        enter the memo.
+        """Abscissae where the cdf reaches the given mass levels: the
+        coordinate of the root's quantiles, at 1 - v where it decreases,
+        which holds v to 2**-53 absolute (1e-16 is solved as 1.11e-16, and a
+        v whose 1 - v rounds to 1 raises AccuracyError). The root's quantile
+        hook answers directly; otherwise _chandrupatla inverts its node
+        table from its cums, the running mass at its nodes, at a partial
+        GK15 panel per point a round (about 45 us on 64 points). Uncached:
+        the library's own fixed grids go through _grid_quantiles, so levels
+        chosen by a caller never enter the memo.
         """
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         if not np.all((levels > 0.0) & (levels < 1.0)):  # NaN fails too
             raise DomainError("quantile levels must be inside (0, 1)")
-        if self._quantile is not None:
-            return np.asarray(self._quantile(levels), dtype=float)
-        tab = self._node_table()
-        lo, hi = _chandrupatla(tab, levels * tab.cums[-1], tab.ts, tab.cums)
-        return 0.5 * (lo + hi)
+        rl = levels if self._sigma_total > 0 else 1.0 - levels
+        lost = levels[rl == 1.0]
+        if lost.size:
+            raise AccuracyError(f"{self.label}: quantile level {float(lost[0])!r} is lost "
+                                "in 1 - level, which holds a level to 2**-53 absolute")
+        if self.root._quantile is not None:
+            return self._chi(np.asarray(self.root._quantile(rl), dtype=float))
+        tab = self.root._node_table()
+        lo, hi = _chandrupatla(tab, rl * tab.cums[-1], tab.ts, tab.cums)
+        return self._chi(0.5 * (lo + hi))
 
     def _grid_quantiles(self, levels):
         """quantile_many at a library-fixed level grid, solved once per
@@ -369,16 +380,26 @@ class Density:
     def _grid_state(self, n, needs):
         """The pdf state to order needs at quantiles(n) by push, in no promised order."""
         self._check_order(needs)
-        return self._push(getattr(self, "root", self).quantiles(n), needs)
+        return self._push(self.root.quantiles(n), needs)
 
     # -- coordinate (_chi) and pdf state (_push) seen by an image on top -----
     # A root's coordinate is its own abscissa, increasing, and crosses 0
     # inside the support only at 0 itself
 
     _sigma_total = 1.0
+    chain = ()  # the (kind, parameter) steps over the root: none
+
+    @property
+    def root(self):
+        return self
 
     def _chi(self, t):
         return np.asarray(t, dtype=float)
+
+    def _invert(self, y):
+        """y clipped to the support, and the mask of y not inside its open support."""
+        y = np.asarray(y, dtype=float)
+        return np.clip(y, self.support.lo, self.support.hi), ~self.support.contains(y)
 
     def _push(self, t, needs):
         """The pdf state: log f from logpdf, the ratios from the hooks. The

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import functionals
 from .densities import _condensation_diverges, uniform
-from .errors import CapabilityError, PreconditionError
-from .functionals import Quantity, _from_quad, _pow, _zero_slope
+from .errors import CapabilityError, DomainError, PreconditionError
+from .functionals import Quantity, _from_quad, _numbers, _pow, _zero_slope
 from .transforms import chain, down
 
 __all__ = [
@@ -55,7 +55,9 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
     ratio divides by f'. Divergent integrals come back as inf with
     converged False, matching the other functionals.
     """
-    p, q, lam = float(p), float(q), float(lam)
+    p, q, lam = _numbers(p=p, q=q, lam=lam)
+    if math.isinf(p):
+        raise DomainError(f"down_fisher needs a finite p, got {p!r}")
     if p == q:
         raise PreconditionError("the measure needs p != q")
     if f.order < 2:
@@ -75,8 +77,7 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
             return sum(c * v for c, v in zip((e0 + q - 1.0, q, p), logs) if c != 0.0)
 
     # checked up front: quadrature cannot see a divergence past the pdf's underflow
-    root = getattr(f, "root", f)
-    if any(_condensation_diverges(root, side, lambda t: logw(*f._push(t, 2)))
+    if any(_condensation_diverges(f.root, side, lambda t: logw(*f._push(t, 2)))
            for side in ("lo", "hi")):
         return Quantity(math.inf, False, math.inf)
 
@@ -94,7 +95,7 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
 def verify_fisher_relation(f, p, lam, alpha, *, tol=1e-10):
     """Relative gap between the Fisher information of down(f, alpha) and
     the equivalent curvature-weighted measure of f itself."""
-    p, lam, alpha = float(p), float(lam), float(alpha)
+    p, lam, alpha = _numbers(p=p, lam=lam, alpha=alpha)
     lhs = functionals.fisher(down(f, alpha), p, lam, tol=tol)
     rhs = down_fisher(f, p, p * (1.0 - lam), alpha * lam, tol=tol)
     if not (lhs.converged and rhs.converged):
@@ -111,7 +112,7 @@ def down_order_check(f, p, q, r, lam, *, tol=1e-10):
     The claim is lhs >= rhs for p > q (both nonzero, r != p). Divergence
     of either side makes the verdict vacuous rather than an error.
     """
-    p, q, r, lam = float(p), float(q), float(r), float(lam)
+    p, q, r, lam = _numbers(p=p, q=q, r=r, lam=lam)
     if p == 0.0 or q == 0.0:
         raise PreconditionError("the ordering needs nonzero p and q")
     if p <= q:
@@ -154,7 +155,7 @@ def shannon_down_check(f, q, alpha, *, tol=1e-10):
     "<=" for q < 0; the returned margin is signed so that a nonnegative
     value always means the bound holds.
     """
-    q, alpha = float(q), float(alpha)
+    q, alpha = _numbers(q=q, alpha=alpha)
     if q == 0.0:
         raise PreconditionError("q = 0 collapses the measure root")
     if alpha == 2.0:

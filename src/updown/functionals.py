@@ -23,6 +23,16 @@ class Quantity(NamedTuple):
     err: float
 
 
+def _numbers(**params):
+    """The named parameters as floats. A NaN among them raises DomainError
+    here, where it would otherwise reach an integrand or a verdict."""
+    vals = tuple(float(v) for v in params.values())
+    for name, v in zip(params, vals):
+        if math.isnan(v):
+            raise DomainError(f"{name} must be a number, got nan")
+    return vals
+
+
 def _from_quad(q):
     return Quantity(float(q.value), bool(q.converged), float(q.abs_error_estimate))
 
@@ -62,9 +72,7 @@ def _zero_slope(f):
 
 def mu(f, p, *, tol=1e-10):
     """Absolute moment <|x|^p>."""
-    p = float(p)
-    if math.isnan(p):
-        raise DomainError("the absolute moment needs a number p, got nan")
+    p, = _numbers(p=p)
     if p == 0.0:
         return Quantity(1.0, True, 0.0)
     extra = (0.0,) if f.support.lo < 0.0 < f.support.hi else ()
@@ -88,7 +96,7 @@ def sigma(f, p, *, tol=1e-10):
 
 def log_moment(f, p, *, tol=1e-10):
     """Logarithmic moment <|log|x||^p> (unrooted)."""
-    p = float(p)
+    p, = _numbers(p=p)
     cuts = [c for c in (-1.0, 0.0, 1.0) if f.support.lo < c < f.support.hi]
     q = f.expect(lambda x, f0: np.abs(np.log(np.abs(x))) ** p,
                  tol=tol, extra_interior=cuts)
@@ -104,7 +112,7 @@ def mean_log_abs(f, *, tol=1e-10):
 
 def exp_moment(f, p, *, tol=1e-10):
     """Exponential deviation <exp(-p x)>^(1/p), p != 0."""
-    p = float(p)
+    p, = _numbers(p=p)
     if p == 0.0:
         raise DomainError("exponential deviation is undefined at p = 0")
     # exp(-p x) and the pdf can over/underflow separately while the product
@@ -123,7 +131,10 @@ def _log_order_integral(f, lam, tol):
     """log int f^lam, formed as lam L + log int exp(lam (log f - L)) with L
     the largest finite log pdf on the 64-point quantile grid: f^lam over- or
     underflows at a large lam or a far scale where its log does not. The
-    error is inf wherever the log is not finite."""
+    error is inf wherever the log is not finite. The family has no limit
+    here at an infinite lam, where f^lam is 0 or inf wherever f is not 1."""
+    if math.isinf(lam):
+        raise DomainError(f"the Renyi family needs a finite lam, got {lam!r}")
     top = f._grid_state(64, 0)[0]
     top = float(np.max(top[np.isfinite(top)]))
     with np.errstate(divide="ignore", over="ignore"):
@@ -141,7 +152,7 @@ def shannon(f, *, tol=1e-10):
 
 def renyi(f, lam, *, tol=1e-10):
     """Renyi entropy log(int f^lam) / (1 - lam); Shannon at lam = 1."""
-    lam = float(lam)
+    lam, = _numbers(lam=lam)
     if abs(lam - 1.0) < _SNAP:
         return shannon(f, tol=tol)
     v, c, e = _log_order_integral(f, lam, tol)
@@ -150,7 +161,7 @@ def renyi(f, lam, *, tol=1e-10):
 
 def tsallis(f, lam, *, tol=1e-10):
     """Tsallis entropy (int f^lam - 1) / (1 - lam); Shannon at lam = 1."""
-    lam = float(lam)
+    lam, = _numbers(lam=lam)
     if abs(lam - 1.0) < _SNAP:
         return shannon(f, tol=tol)
     v, c, e = _exp(_log_order_integral(f, lam, tol))
@@ -159,7 +170,7 @@ def tsallis(f, lam, *, tol=1e-10):
 
 def renyi_power(f, lam, *, tol=1e-10):
     """Entropy power (int f^lam)^(1/(1-lam)); exp(Shannon) at lam = 1."""
-    lam = float(lam)
+    lam, = _numbers(lam=lam)
     if abs(lam - 1.0) < _SNAP:
         return _exp(shannon(f, tol=tol))
     return _exp(_log_order_integral(f, lam, tol), 1.0 / (1.0 - lam))
@@ -167,7 +178,7 @@ def renyi_power(f, lam, *, tol=1e-10):
 
 def fisher(f, p, lam, *, tol=1e-10):
     """Generalized Fisher information <|f^(lam-2) f'|^p>."""
-    p, lam = float(p), float(lam)
+    p, lam = _numbers(p=p, lam=lam)
 
     def fn(x, f0, s1):
         # |s1|^p f^(p(lam-1)+1): the f power can over- or underflow where
@@ -179,9 +190,11 @@ def fisher(f, p, lam, *, tol=1e-10):
 
 def phi(f, p, lam, *, tol=1e-10):
     """Score deviation, the (1/(p lam)) root of the Fisher form."""
-    p, lam = float(p), float(lam)
+    p, lam = _numbers(p=p, lam=lam)
     if p * lam == 0.0:
         raise DomainError("score deviation undefined when p * lam = 0")
+    if p == INF:
+        raise DomainError("score deviation has no p = inf limit here")
     return _pow(fisher(f, p, lam, tol=tol), 1.0 / (p * lam))
 
 
@@ -193,9 +206,9 @@ def _mean_log_score(f, lam, tol):
 
 def phi_limit0(f, lam, *, tol=1e-10):
     """p -> 0 limit of the score deviation: exp(<log|f^(lam-2) f'|> / lam)."""
-    lam = float(lam)
-    if lam == 0.0:
-        raise DomainError("score deviation limit undefined at lam = 0")
+    lam, = _numbers(lam=lam)
+    if lam == 0.0 or lam == INF:
+        raise DomainError(f"score deviation limit undefined at lam = {lam:g}")
     if _zero_slope(f):
         return Quantity(0.0 if lam > 0 else INF, True, 0.0)
     return _exp(_mean_log_score(f, lam, tol), 1.0 / lam)
@@ -218,7 +231,7 @@ def mean_log_curvature(f, alpha, *, tol=1e-10):
     alpha = float(alpha)
     arg = alpha - f._grid_state(128, 2)[2]
     if not np.all(arg > 0.0):
-        t = getattr(f, "root", f).quantiles(128)[~(arg > 0.0)]
+        t = f.root.quantiles(128)[~(arg > 0.0)]
         raise DomainError(
             f"{f.label}: log-curvature argument not positive at x={f._chi(t)[0]:.6g}")
 

@@ -22,11 +22,12 @@ density evaluates every expectation by pulling the integrand back to the
 root density's coordinates, where the quadrature cuts are already
 understood; checks read it at its own quantiles by pushing the root's
 (Density._grid_state), and place an image that undoes a step by both
-coordinates there (_placement). Image-space queries and the zero of an
-affine or alpha = 2 down step invert, through a bracket table built by the
-first inversion and numerics._chandrupatla, the solver behind every inverse
-in the library: each round reads the coordinate of a batch down the base
-chain, starting from the table's bracket-end values.
+coordinates there (_placement). An image-space query inverts an affine
+step through its base, down to the root's identity; an up or down step,
+and the zero of an affine or alpha = 2 down step, invert through a bracket
+table built by the first inversion and numerics._chandrupatla, the solver
+behind every inverse in the library: each round reads the coordinate of a
+batch down the base chain, starting from the table's bracket-end values.
 """
 
 import functools
@@ -58,24 +59,27 @@ class TransformedDensity(Density):
     steps over its root. The forward map (_chi) and the image pdf state up
     to a derivative order (_push) are closed-form reads down the base chain
     at root abscissae, so all quadrature happens in the root's coordinates;
-    an image-space query (_state) inverts once, on the step's own bracket
-    table, and pushes once for all the orders it returns. Such a query is
-    limited by the conditioning of y: where chi is flat to float resolution,
-    the image pdf h(y) holds to about 64*eps*|y h'/h| relative, and
-    up(uniform(0,1), 2.05).pdf(chi(0.2)) reads 0.96 of h(chi(0.2)). The
-    pullback functionals read no image-space pdf and are not affected. The
-    exposed fields are base (the input density), root, kind, the step's
-    parameter (alpha, or an affine step's scale and shift) and chain, the
-    full (kind, parameter) provenance. up, down and affine_image build the
-    three kinds.
+    an image-space read (Density's) inverts once (_invert), through an
+    affine step's base or on the step's own bracket table, and pushes once.
+    A bracket solve is limited by the conditioning of y: where chi is flat
+    to float resolution, the image pdf h(y) holds to about 64*eps*|y h'/h|
+    relative, and up(uniform(0,1), 2.05).pdf(chi(0.2)) reads 0.96 of
+    h(chi(0.2)); the pullback functionals read no image-space pdf and are
+    not affected. The exposed fields are base (the input density), root,
+    kind, the step's parameter (alpha, or an affine step's scale and
+    shift) and chain, the full (kind, parameter) provenance. up, down and
+    affine_image build the three kinds.
     """
 
     def __init__(self, base, param, sign):
         self.base = base
-        self.root = getattr(base, "root", base)
-        self.chain = getattr(base, "chain", ()) + ((self.kind, param),)
+        self.chain = base.chain + ((self.kind, param),)
         # +1 where the coordinate rises with the root abscissa; sign is the step's
         self._sigma_total = sign * base._sigma_total
+
+    @functools.cached_property
+    def root(self):
+        return self.base.root
 
     def _finish(self, label=None):
         """Image support and Density fields for the stack."""
@@ -90,7 +94,6 @@ class TransformedDensity(Density):
                          label=label or f"{self.kind}({self.base.label},{self.alpha:g})",
                          interior_points=self._image_cuts(),
                          logpdf=lambda y: self._state(y, 0)[0],
-                         cdf=self._cdf_img,
                          normalization_tol=None)
 
     def _up_steps(self):
@@ -160,14 +163,6 @@ class TransformedDensity(Density):
 
     # -- pdf callables --------------------------------------------------------
 
-    def _state(self, y, needs):
-        """The pdf state to order needs at y from one inversion and one push:
-        out of range log h is -inf and the ratios NaN."""
-        self._check_order(needs)
-        t, oob = self._invert(y)
-        return [np.where(oob, np.nan if k else -INF, v)
-                for k, v in enumerate(self._push(t, needs))]
-
     def _linear(self, y, j):
         """Order j of the image pdf at y from one inversion; 0 out of range
         and where not finite."""
@@ -186,11 +181,6 @@ class TransformedDensity(Density):
         if j == 1:
             return h * st[1]
         return h * (st[1] ** j * st[j])
-
-    def _cdf_img(self, y):
-        t, _ = self._invert(y)  # out of range: the nearest table end, in the root's support
-        r = self.root._cdf_source()(t)
-        return r if self._sigma_total > 0 else 1.0 - r
 
     # -- construction helpers ---------------------------------------------------
 
@@ -232,20 +222,6 @@ class TransformedDensity(Density):
 
         return self.root.integral(g, needs=0, tol=tol, extra_interior=tuple(cuts),
                                   force_singular_edges=True)
-
-    def quantile_many(self, levels):
-        """Density.quantile_many read off the root's quantiles. Where the
-        coordinate decreases a level v reads the root at 1 - v, good only to
-        2**-53 absolute: 1e-16 is solved as 1.11e-16, and a v whose 1 - v
-        rounds to 1 raises AccuracyError."""
-        levels = np.atleast_1d(np.asarray(levels, dtype=float))
-        rl = levels if self._sigma_total > 0 else 1.0 - levels
-        lost = levels[rl == 1.0]
-        # a level outside (0, 1), NaN included, is the root's DomainError
-        if lost.size and np.all((levels > 0.0) & (levels < 1.0)):
-            raise AccuracyError(f"{self.label}: quantile level {float(lost[0])!r} is lost "
-                                "in 1 - level, which holds a level to 2**-53 absolute")
-        return self._chi(self.root.quantile_many(rl))
 
     def reseat(self, scale, shift):
         """The law of scale * U + shift when U has this density, for any
@@ -418,8 +394,8 @@ class _AffineImage(TransformedDensity):
     The coordinate divides the base's, and every derivative order of the
     base passes through: the state's log h gains log|scale| and h'/h the
     factor scale, and the derivative of order k gains |scale| scale**k.
-    Over a root as over an image it inverts through the inherited bracket
-    solve, whose table holds this step's own coordinate bit for bit.
+    It inverts through its base's inverse, exactly over a root; only its
+    zero, where its support straddles 0, is solved on a bracket table.
     """
 
     kind = "affine"
@@ -435,6 +411,9 @@ class _AffineImage(TransformedDensity):
 
     def _chi(self, t):
         return (self.base._chi(t) - self.shift) / self.scale
+
+    def _invert(self, y):
+        return self.base._invert(self.scale * np.atleast_1d(y) + self.shift)
 
     def _push(self, t, needs):
         """log h gains log|scale|, h'/h the factor scale; the rest passes."""

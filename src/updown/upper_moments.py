@@ -184,7 +184,8 @@ def upper_moment(f, p, alphas, *, tol=1e-10):
     the sorted points of the level above and its anchor.
     """
     vec = AlphaVector(alphas)
-    return _nested(f, float(p), vec, tol if vec.order == 1 else max(tol, 1e-9))
+    p, = functionals._numbers(p=p)
+    return _nested(f, p, vec, tol if vec.order == 1 else max(tol, 1e-9))
 
 
 def upper_moment_n(f, p, alphas, *, tol=1e-10):

@@ -10,11 +10,17 @@ import numpy as np
 import pytest
 
 import updown
+from updown import functionals as F
 from updown.densities import exponential, uniform
+from updown.down_fisher import (down_fisher, down_order_check,
+                                shannon_down_check, verify_fisher_relation)
 from updown.errors import DomainError
 from updown.functionals import mu, sigma
 from updown.transforms import chain
-from updown.upper_moments import AlphaVector
+from updown.upper_moments import AlphaVector, upper_moment
+
+inf, nan = math.inf, math.nan
+e1 = exponential(1.0)
 
 
 def test_every_exported_name_resolves():
@@ -37,7 +43,42 @@ def test_every_exported_name_resolves():
     (lambda: AlphaVector(np.float32("nan")), DomainError),
     # every step unpacks as (kind, alpha)
     (lambda: chain(exponential(1.0), [("up", 3.0), ("down",)]), DomainError),
-], ids=["sigma-neg-inf", "sigma-nan", "mu-nan", "alpha-numpy-scalar", "chain-short-step"])
+    # the Renyi family has no infinite order here: f**lam is 0 or inf
+    (lambda: F.renyi(e1, inf), DomainError),
+    (lambda: F.renyi(e1, -inf), DomainError),
+    (lambda: F.tsallis(e1, inf), DomainError),
+    (lambda: F.tsallis(e1, -inf), DomainError),
+    (lambda: F.renyi_power(e1, inf), DomainError),
+    (lambda: F.renyi_power(e1, -inf), DomainError),
+    (lambda: F.phi_limit0(e1, inf), DomainError),
+    (lambda: F.phi(e1, inf, 1.0), DomainError),
+    # a NaN parameter is the caller's, not the integrand's or a verdict's
+    (lambda: F.renyi(e1, nan), DomainError),
+    (lambda: F.tsallis(e1, nan), DomainError),
+    (lambda: F.exp_moment(e1, nan), DomainError),
+    (lambda: F.log_moment(e1, nan), DomainError),
+    (lambda: F.fisher(e1, nan, 1.0), DomainError),
+    (lambda: F.fisher(e1, 1.0, nan), DomainError),
+    (lambda: F.phi(e1, nan, 1.0), DomainError),
+    (lambda: F.phi(e1, 1.0, nan), DomainError),
+    (lambda: F.phi_limit0(e1, nan), DomainError),
+    (lambda: upper_moment(e1, nan, (3.0,)), DomainError),
+    (lambda: verify_fisher_relation(e1, nan, 1.0, 3.0), DomainError),
+    (lambda: verify_fisher_relation(e1, 2.0, nan, 3.0), DomainError),
+    (lambda: down_fisher(e1, inf, 1.0, 2.0), DomainError),
+    (lambda: down_fisher(e1, nan, 1.0, 2.0), DomainError),
+    (lambda: down_fisher(e1, 2.0, nan, 2.0), DomainError),
+    (lambda: down_fisher(e1, 2.0, 1.0, nan), DomainError),
+    (lambda: down_order_check(e1, 2.0, 1.0, nan, 2.0), DomainError),
+    (lambda: shannon_down_check(e1, nan, 3.0), DomainError),
+], ids=["sigma-neg-inf", "sigma-nan", "mu-nan", "alpha-numpy-scalar", "chain-short-step",
+        "renyi-inf", "renyi-neg-inf", "tsallis-inf", "tsallis-neg-inf", "renyi-power-inf",
+        "renyi-power-neg-inf", "phi-limit0-inf", "phi-p-inf", "renyi-nan", "tsallis-nan",
+        "exp-moment-nan", "log-moment-nan", "fisher-p-nan", "fisher-lam-nan", "phi-p-nan",
+        "phi-lam-nan", "phi-limit0-nan", "upper-moment-nan", "fisher-relation-p-nan",
+        "fisher-relation-lam-nan", "down-fisher-p-inf", "down-fisher-p-nan",
+        "down-fisher-q-nan", "down-fisher-lam-nan", "order-check-r-nan",
+        "shannon-check-q-nan"])
 def test_malformed_public_input_raises_a_typed_error(call, error):
     with pytest.raises(error):
         call()

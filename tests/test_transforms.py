@@ -8,6 +8,7 @@ exponential under the alpha = 2 up step to the linear density u/2 on
 """
 
 import functools
+import inspect
 import math
 import warnings
 
@@ -904,25 +905,36 @@ def _solve_counted(run, monkeypatch):
 ], ids=["up3-e1", "up3-up3-u01", "down3-up3-u01", "reseat", "straddle-sg21"])
 def test_seeded_solves_match_unseeded(make, straddles, monkeypatch):
     # the bracket table holds the solver's g at every node, bit for bit,
-    # so a solve seeded from it starts where one that called g there would
+    # so a solve seeded from it starts where one that called g there would.
+    # An affine step solves only its zero on the table: it inverts through
+    # its base, bit for bit, and its queries build no table
     img = make()
+    affine = img.kind == "affine"
+    if affine:
+        y = np.r_[img.quantiles(32), -1e300, 1e300, -np.inf, np.inf, np.nan]
+        t, oob = img._invert(y)
+        tb, oob_b = img.base._invert(img.scale * y + img.shift)
+        assert t.tobytes() == tb.tobytes() and oob.tobytes() == oob_b.tobytes()
+        assert not oob[:32].any() and oob[32:].all()
+        assert "_brackets" not in vars(img)
     (bt, bz), sigma = img._brackets, img._sigma_total
     assert (bz[0] < 0.0 < bz[-1]) == straddles
     assert (sigma * img._chi(bt)).tobytes() == bz.tobytes()
-    # at a node the solve lands on it with no coordinate call; a bracket of
-    # two adjacent doubles stays open, and its midpoint may round down
-    (t, oob), n = _solve_counted(lambda: img._invert(sigma * bz), monkeypatch)
-    assert n == 0 and not oob[1:].any() and oob[0]
-    i = np.nonzero(t != bt)[0]
-    assert np.all(np.nextafter(bt[i - 1], np.inf) == bt[i]) and np.all(t[i] == bt[i - 1])
-    # in range, beyond both bracket-table ends, infinite and NaN
-    ends = bz[[0, -1]]
-    y = np.r_[img.quantiles(32), sigma * (ends + [-1.0, 1.0] * (1.0 + abs(ends))),
-              -np.inf, np.inf, np.nan]
-    _, oob = img._invert(y)
-    assert not oob[:32].any() and oob[32:].all()
-    idx = np.searchsorted(bz, sigma * y)
-    np.testing.assert_array_equal(oob, (idx <= 0) | (idx >= len(bz)) | ~np.isfinite(y))
+    if not affine:
+        # at a node the solve lands on it with no coordinate call; a bracket
+        # of two adjacent doubles stays open, and its midpoint may round down
+        (t, oob), n = _solve_counted(lambda: img._invert(sigma * bz), monkeypatch)
+        assert n == 0 and not oob[1:].any() and oob[0]
+        i = np.nonzero(t != bt)[0]
+        assert np.all(np.nextafter(bt[i - 1], np.inf) == bt[i]) and np.all(t[i] == bt[i - 1])
+        # in range, beyond both bracket-table ends, infinite and NaN
+        ends = bz[[0, -1]]
+        y = np.r_[img.quantiles(32), sigma * (ends + [-1.0, 1.0] * (1.0 + abs(ends))),
+                  -np.inf, np.inf, np.nan]
+        _, oob = img._invert(y)
+        assert not oob[:32].any() and oob[32:].all()
+        idx = np.searchsorted(bz, sigma * y)
+        np.testing.assert_array_equal(oob, (idx <= 0) | (idx >= len(bz)) | ~np.isfinite(y))
     if straddles:
         zc = img._zero()
         z = sigma * img._chi(np.array([zc, np.nextafter(zc, -np.inf)]))
@@ -1219,7 +1231,7 @@ def _gauss_cdf(x):
     (pt21, 3.0, 0.0, lambda x: 1.0 - 1.0 / x),
     (g21, -0.5, 0.25, _gauss_cdf),
 ], ids=["exp-reflected", "exp-1e-6", "exp-3", "exp-1e6", "power-tail-3", "gauss-reflected"])
-def test_affine_step_over_a_root_inverts_through_its_bracket_table(root, scale, shift, cdf):
+def test_affine_step_over_a_root_inverts_through_its_base(root, scale, shift, cdf):
     # y = (x - shift)/scale: the inverse is scale*y + shift, the pdf
     # |scale| f(scale*y + shift), and the cdf reads F or 1 - F there
     g = affine_image(root, scale, shift)
@@ -1229,6 +1241,45 @@ def test_affine_step_over_a_root_inverts_through_its_bracket_table(root, scale, 
     np.testing.assert_allclose(g.pdf(y), abs(scale) * root.pdf(x), rtol=1e-14, atol=0.0)
     want = cdf(x) if scale > 0 else 1.0 - cdf(x)
     np.testing.assert_allclose(g.cdf_at(y), want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("root", [e1, g21, pt21], ids=["e1", "sg21", "pt21"])
+def test_rescaled_pdf_solves_nothing(root, monkeypatch):
+    # the inverse of an affine step over a root is closed form: a pdf read
+    # calls no solver and builds no bracket table
+    g = rescale(root, 3.0)
+    y = g.quantiles(64)
+    h, n = _solve_counted(lambda: g.pdf(y), monkeypatch)
+    assert n == 0 and "_brackets" not in vars(g)
+    np.testing.assert_allclose(h, 3.0 * root.pdf(3.0 * y), rtol=1e-14, atol=0.0)
+
+
+def test_images_share_the_read_surface_of_density():
+    # the state, quantile and cdf reads are written once, on Density; an
+    # image class states only step primitives. bench/tracing's uninstall
+    # can leave its wrapper of an inherited method on a class: unwrapped,
+    # that is Density's own
+    for cls in (transforms.TransformedDensity, transforms._UpImage,
+                transforms._DownImage, transforms._AffineImage):
+        for name in ("_state", "quantile_many", "cdf_at", "_cdf_img"):
+            own = vars(cls).get(name)
+            assert own is None or inspect.unwrap(own) is vars(Density).get(name), \
+                f"{cls.__name__} defines {name}"
+
+
+def test_affine_reads_outside_the_support_of_a_root():
+    # the root's inverse marks what lies outside its open support, so an
+    # affine image over it reads 0 there, not the root's hooks off the support
+    g = rescale(e1, 2.0)
+    np.testing.assert_array_equal(np.r_[g.pdf(-1.0), g.d1(-1.0), g.logpdf(-1.0), g.cdf_at(-1.0)],
+                                  [0.0, 0.0, -np.inf, 0.0])
+    assert np.isnan(g.inverse_map(-1.0)).all()
+    # support (-0.25, 0.25); -0.3 and 0.3 lie strictly outside it
+    h = affine_image(u01, -2.0, 0.5)
+    y = np.array([-0.3, 0.3])
+    np.testing.assert_array_equal(h.pdf(y), 0.0)
+    np.testing.assert_array_equal(h.logpdf(y), -np.inf)
+    assert np.isnan(h.inverse_map(y)).all()
 
 
 # ------------------------------------------- functional carriage identities
