@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCaseError
-from .numerics import INF, _SLOW, Interval, _chandrupatla, _CumTable, integrate
+from .numerics import INF, _SLOW, Interval, _CumTable, _rtsafe, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
 
@@ -258,15 +258,16 @@ class Density:
         outward sequence t from its nearest cut (from 0 on a whole line with no
         cut): doublings 2**-40 to 1/2, steps of 1/16 from 17/16 to 2, doublings
         to 2**41, then factors of 4 to 2**841. It stops at the double where the
-        pdf turns subnormal for good, found by one _chandrupatla solve between
-        the last node whose pdf is normal and the next; a pdf normal again past
-        a subnormal node keeps every node out to its last onset. Before that a
-        heavy tail can hold mass the table would miss; past it the pdf carries
-        no mass that rounds into the table (a subnormal pdf rounds to 1e-11
-        relative near 3e-313). The singular edges and interior points are
-        listed on both sides; _CumTable lays a ladder on each side where the
-        table continues. A root's table must total its constructor's mass
-        within normalization_tol, else AccuracyError.
+        pdf turns subnormal for good, found by one _rtsafe solve between the
+        last node whose pdf is normal and the next, bisecting keys (a 0/1
+        indicator has no slope); a pdf normal again past a subnormal node
+        keeps every node out to its last onset. Before that a heavy tail can
+        hold mass the table would miss; past it the pdf carries no mass that
+        rounds into the table (a subnormal pdf rounds to 1e-11 relative near
+        3e-313). The singular edges and interior points are listed on both
+        sides; _CumTable lays a ladder on each side where the table
+        continues. A root's table must total its constructor's mass within
+        normalization_tol, else AccuracyError.
         """
         if self._table is not None:
             return self._table
@@ -297,8 +298,8 @@ class Density:
             # 0 on a's side and 1 on b's, rising with x; the solve closes on
             # the adjacent pair across 0.5, and the onset is its end on b's side
             up = bool(a < b)
-            pair = _chandrupatla(lambda x: (normal(x) != up).astype(float), 0.5,
-                                 np.sort([a, b]), np.array([0.0, 1.0]))
+            pair = _rtsafe(lambda x: (normal(x) != up).astype(float), np.zeros_like, 0.5,
+                           np.sort([a, b]), np.array([0.0, 1.0]))
             return pair[up]
 
         keep = np.flatnonzero(normal(xs))
@@ -339,11 +340,12 @@ class Density:
         coordinate of the root's quantiles, at 1 - v where it decreases,
         which holds v to 2**-53 absolute (1e-16 is solved as 1.11e-16, and a
         v whose 1 - v rounds to 1 raises AccuracyError). The root's quantile
-        hook answers directly; otherwise _chandrupatla inverts its node
-        table from its cums, the running mass at its nodes, at a partial
-        GK15 panel per point a round (about 45 us on 64 points). Uncached:
-        the library's own fixed grids go through _grid_quantiles, so levels
-        chosen by a caller never enter the memo.
+        hook answers directly; otherwise _rtsafe inverts its node table
+        from its cums, the running mass at its nodes, with the pdf for
+        slope: a round reads a partial GK15 panel and the pdf per point
+        (about 70 us on 64 points, 2-vCPU Xeon), and a solve takes 5 to 8
+        rounds. Uncached: the library's own fixed grids go through
+        _grid_quantiles, so levels chosen by a caller never enter the memo.
         """
         levels = np.atleast_1d(np.asarray(levels, dtype=float))
         if not np.all((levels > 0.0) & (levels < 1.0)):  # NaN fails too
@@ -356,7 +358,7 @@ class Density:
         if self.root._quantile is not None:
             return self._chi(np.asarray(self.root._quantile(rl), dtype=float))
         tab = self.root._node_table()
-        lo, hi = _chandrupatla(tab, rl * tab.cums[-1], tab.ts, tab.cums)
+        lo, hi = _rtsafe(tab, self.root.pdf, rl * tab.cums[-1], tab.ts, tab.cums)
         return self._chi(0.5 * (lo + hi))
 
     def _grid_quantiles(self, levels):

@@ -177,8 +177,10 @@ def renyi_power(f, lam, *, tol=1e-10):
 
 
 def fisher(f, p, lam, *, tol=1e-10):
-    """Generalized Fisher information <|f^(lam-2) f'|^p>."""
+    """Generalized Fisher information <|f^(lam-2) f'|^p>, for finite p."""
     p, lam = _numbers(p=p, lam=lam)
+    if math.isinf(p):
+        raise DomainError(f"the Fisher form needs a finite p, got {p!r}")
 
     def fn(x, f0, s1):
         # |s1|^p f^(p(lam-1)+1): the f power can over- or underflow where
@@ -193,8 +195,6 @@ def phi(f, p, lam, *, tol=1e-10):
     p, lam = _numbers(p=p, lam=lam)
     if p * lam == 0.0:
         raise DomainError("score deviation undefined when p * lam = 0")
-    if p == INF:
-        raise DomainError("score deviation has no p = inf limit here")
     return _pow(fisher(f, p, lam, tol=tol), 1.0 / (p * lam))
 
 
@@ -207,7 +207,7 @@ def _mean_log_score(f, lam, tol):
 def phi_limit0(f, lam, *, tol=1e-10):
     """p -> 0 limit of the score deviation: exp(<log|f^(lam-2) f'|> / lam)."""
     lam, = _numbers(lam=lam)
-    if lam == 0.0 or lam == INF:
+    if lam == 0.0 or math.isinf(lam):
         raise DomainError(f"score deviation limit undefined at lam = {lam:g}")
     if _zero_slope(f):
         return Quantity(0.0 if lam > 0 else INF, True, 0.0)

@@ -9,9 +9,11 @@ ladders (_ladders) toward every singular point, refines every other panel
 to one bound (_refine_panels) and reads the closure back. Its running
 integral is 0 at a pivot node and reads each point from the node of its
 panel on the pivot's side, so a value near the pivot is a sum of masses
-of one sign, never a difference of large partial sums. Everything is
-deterministic: fixed node tables, fixed budgets, no RNG, so repeated runs
-produce identical bytes.
+of one sign, never a difference of large partial sums. _rtsafe, the one
+bracketed inverse, solves a monotone g from a table of it by Newton steps
+on the caller's slope, bisecting the bit patterns of doubles where a step
+fails. Everything is deterministic: fixed node tables, fixed budgets, no
+RNG, so repeated runs produce identical bytes.
 """
 
 import heapq
@@ -204,6 +206,7 @@ def _pieces(f, iv, interior):
 # unconverged; that of power_tail(1.05, 1) measures 0.05 and closes. The
 # condensation test holds tail slopes, in units of log 2, to the same bound
 _SLOW = 0.04
+_HALVINGS = 0.5 ** np.arange(1145.0)  # _rungs' factors: d0, and as many halvings as any double
 
 
 def _rungs(p, d0, n=1144):
@@ -216,7 +219,7 @@ def _rungs(p, d0, n=1144):
     3e-8 |p| keeps both effects near 1e-10. At p = 0 floats are dense, and
     the rungs go on to 2**-120.
     """
-    ds = d0 * 0.5 ** np.arange(n + 1.0)
+    ds = d0 * _HALVINGS[:n + 1]
     return ds[:max(1, np.count_nonzero(ds >= max(3e-8 * abs(p), 2.0 ** -120)))]
 
 
@@ -487,29 +490,31 @@ def _double(k):
     return np.copysign(np.abs(k).view(np.float64), k)
 
 
-_NARROW = 1 << 52  # a key gap under one binade's worth of doubles
+def _rtsafe(g, dg, target, xs, zs):
+    """Invert a vectorized increasing g of slope dg on target inside its
+    table zs = g(xs): Newton steps held in a bracket, after Press et al.'s
+    rtsafe (Numerical Recipes 9.4).
 
-
-def _chandrupatla(g, target, xs, zs):
-    """Invert a vectorized increasing g on target inside its table zs = g(xs).
-
-    zs holds g at the sorted nodes xs, a table the caller already has. The
-    table brackets each target (searchsorted, clipped to the first and last
-    bracket) and gives g at both ends, so g is never called there. A
+    The table brackets each target (searchsorted, clipped to the first and
+    last bracket) and gives g at both ends, so g is never called there. A
     bracket of two adjacent doubles stays as the table gives it. An end of
     any other that hits the target, or past which the target lies (NaN
     counts as past lo), closes its bracket on itself: [lo, lo] or [hi, hi].
-    Every bracket keeps its slot through the solve, and each round
-    evaluates g once, on the brackets still open. Inside a key gap under
-    2**52 a round takes Chandrupatla's step (Chandrupatla 1997, Adv. Eng.
-    Softw. 28:145): inverse quadratic interpolation through both ends and
-    the end replaced last, where his test finds it monotone, else the
-    secant. Wider gaps, and any round after one that did not halve the gap,
-    bisect the _key values (the ordered bit patterns of doubles), so every
-    solve takes at most 2*64 rounds. A point with g(t) == target closes its
-    bracket on [t, t]; elsewhere the result is the adjacent pair (a, b) of
-    doubles with g(a) < target <= g(b). The solve runs on the flattened
-    target, and lo and hi come back in its shape (a scalar's as (1,)).
+    Every bracket keeps its slot; each round calls g once on the open ones,
+    then dg on those still open. The first point is the secant across the
+    table bracket, each later one the Newton step from the point just read,
+    at least one key (_key, the ordered bit patterns of doubles) inside the
+    bracket, so a step landing within an ulp of the root crosses it and
+    closes the bracket. A round bisects keys instead where its point is not
+    finite, lies outside the bracket, or is a Newton step over half the
+    Newton step before last (the table's key gap G stands in for the first
+    two). So whatever dg returns, a bracket takes at most 1 + ceil(log2 G)
+    + 2 floor(log2 G) rounds, 191 for any pair of doubles: no round widens
+    the gap, each bisection halves it, and every second Newton step halves
+    down to one key. A point with g(t) == target closes its bracket on
+    [t, t]; elsewhere the result is the adjacent pair (a, b) of doubles
+    with g(a) < target <= g(b). The solve runs on the flattened target, and
+    lo and hi come back in its shape (a scalar's as (1,)).
     """
     shape = np.shape(target) or (1,)
     y = np.array(target, dtype=float).ravel()
@@ -522,58 +527,39 @@ def _chandrupatla(g, target, xs, zs):
     on_lo, on_hi = wide & ~(gl < y), wide & (gl < y) & (gh <= y)
     lo[on_hi], hi[on_lo] = hi[on_hi], lo[on_lo]
     solve = wide & ~(on_lo | on_hi)
-    # Per bracket: (x, g - y) of the end moved last (a), of the other end
-    # (b) and of the end a replaced (c); a_lo: a is the lo end; halved: the
-    # last round halved the key gap. Slots of closed brackets keep only
-    # their keys: key of lo, key gap
+    # per bracket: key of lo, key gap, and the last two Newton steps in keys;
+    # slots of closed brackets keep only their keys
+    live, last, before, below = solve.copy(), gap.copy(), gap.copy(), None
     with np.errstate(all="ignore"):
-        xa, fa, xb, fb = lo, gl - y, hi, gh - y
-    xc = fc = np.full(y.size, np.nan)
-    a_lo = halved = np.ones(y.size, dtype=bool)
-    live, gx = solve.copy(), None
-    while True:
-        # one errstate per round, never around g: its own warnings stand
-        with np.errstate(all="ignore"):
-            if gx is not None:
-                below, hit = gx < y, gx == y
-                # x replaces the end on its side: a's (c takes a, b stays) or
-                # b's (c takes b, b takes a); x is the new a
-                keep_b = below == a_lo
-                xc, fc = np.where(keep_b, xa, xb), np.where(keep_b, fa, fb)
-                xb, fb = np.where(keep_b, xb, xa), np.where(keep_b, fb, fa)
-                xa, fa = x, gx - y
-                left = np.where(below, gap - step, step)
-                a_lo, halved = below, left <= gap - half
-                left[hit] = 0
-                kl = np.where(live & (below | hit), kx, kl)
-                gap = np.where(live, left, gap)
-                live &= gap > 1
-            if not np.count_nonzero(live):
-                break
-            half = gap >> 1
-            step = half
-            fit = live & (gap < _NARROW) & halved
-            if np.count_nonzero(fit):
-                xi = (xa - xb) / (xc - xb)
-                dab, dcb, dx = fa - fb, fc - fb, xb - xa
-                phi = dab / dcb
-                iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-                # fa/(fb-fa) * fc/(fb-fc) is secant * fc/dcb exactly, as
-                # negation is exact; it differs only at fa == fb or fc == fb,
-                # where iqi is False
-                secant = fa / dab
-                t = np.where(iqi, secant * fc / dcb + (xc - xa) / dx * fa / (fc - fa) * fb / dcb,
-                             secant)
-                x = xa + np.minimum(np.maximum(t, 0.0), 1.0) * dx
-                fit &= np.isfinite(x)
-                # off is garbage where fit is False, and unused there
-                off = np.minimum(np.maximum(_key(x) - kl.view(np.int64), 1),
-                                 gap.view(np.int64) - 1)
-                step = np.where(fit, off.view(np.uint64), half)
-            kx = kl + step
-            x = _double(kx.view(np.int64))
+        x = lo + (y - gl) / (gh - gl) * (hi - lo)
+    while np.count_nonzero(live):
+        fit, step = live & np.isfinite(x), gap >> 1
+        if np.count_nonzero(fit):
+            # x's key offset from lo, modulo 2**64, so that an x below lo
+            # lands past the gap; then one key inside each end
+            off = _key(x).view(np.uint64) - kl
+            fit &= off <= gap
+            off = np.minimum(np.maximum(off, 1), gap - 1)
+            if below is not None:  # a Newton step, from the end just read
+                taken = np.where(below, off, gap - off)
+                fit &= taken <= before >> 1
+                before, last = np.where(fit, last, before), np.where(fit, taken, last)
+            step = np.where(fit, off, step)
+        kx = kl + step
+        x = _double(kx.view(np.int64))
         gx = np.full(y.size, np.nan)
         gx[live] = g(x[live])
+        below, hit = gx < y, gx == y
+        left = np.where(below, gap - step, step)
+        left[hit] = 0
+        kl = np.where(live & (below | hit), kx, kl)
+        gap = np.where(live, left, gap)
+        live &= gap > 1
+        if np.count_nonzero(live):
+            d = np.full(y.size, np.nan)
+            d[live] = dg(x[live])
+            with np.errstate(all="ignore"):  # never around g or dg: theirs stand
+                x = x - (gx - y) / d
     lo[solve] = _double(kl[solve].view(np.int64))
     hi[solve] = _double((kl + gap)[solve].view(np.int64))
     return lo.reshape(shape), hi.reshape(shape)

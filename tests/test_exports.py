@@ -82,3 +82,16 @@ def test_every_exported_name_resolves():
 def test_malformed_public_input_raises_a_typed_error(call, error):
     with pytest.raises(error):
         call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: F.phi_limit0(e1, -inf), "lam"),
+    (lambda: F.phi(e1, -inf, 1.0), "p"),
+    (lambda: F.fisher(e1, inf, 1.0), "p"),
+    (lambda: F.fisher(e1, -inf, 1.0), "p"),
+], ids=["phi-limit0-neg-inf", "phi-p-neg-inf", "fisher-p-inf", "fisher-p-neg-inf"])
+def test_infinite_score_parameters_raise_naming_them(call, name):
+    # the caller's parameter, not the integrand (IntegrandError) and no
+    # silent NaN (phi_limit0 read Quantity(nan, False, nan) at lam = -inf)
+    with pytest.raises(DomainError, match=rf"\b{name} = -?inf|finite {name}, got -?inf"):
+        call()

@@ -11,9 +11,8 @@ from updown import numerics
 from updown.densities import gzero, half_restriction, power_tail, stretched_gaussian
 from updown.errors import DomainError, IntegrandError
 from updown.functionals import mu
-from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _chandrupatla,
-                             _CumTable, _double, _gk, _key, _kronrod, _refine_panels,
-                             integrate)
+from updown.numerics import (_ROUND_LEAVES, Interval, QuadResult, _CumTable, _double,
+                             _gk, _key, _kronrod, _refine_panels, _rtsafe, integrate)
 
 
 class TestInterval:
@@ -469,7 +468,7 @@ def _bisect(g, target, lo, hi):
     a bracket that straddles 0 or reaches into the subnormals closes as
     fast as any: in the bit length of the widest gap, at most 64 rounds.
 
-    The reference that _chandrupatla's contract is tested against: the
+    The reference that _rtsafe's contract is tested against: the
     same adjacent pair, bit for bit, unless g hits the target exactly.
     """
     klo = _key(lo)
@@ -518,17 +517,19 @@ def _counted(g):
 
 
 _SG = stretched_gaussian(2.0, 1.0)
+_GZ = gzero(1.5)
+_HALF = half_restriction(_SG)
 
 
-@pytest.mark.parametrize("g, lo, hi", [
-    (np.expm1, -3.0, 2.0),
-    (lambda x: x ** 3, -2.0, 1.5),
-    (lambda x: -np.expm1(-1.3 * np.maximum(x, 0.0)), 0.0, 30.0),
-    (_SG.cdf_at, -6.0, 6.0),
-    (gzero(1.5).cdf_at, -1.0, 0.0),
-    (half_restriction(_SG).cdf_at, 0.0, 6.0),
+@pytest.mark.parametrize("g, dg, lo, hi", [
+    (np.expm1, np.exp, -3.0, 2.0),
+    (lambda x: x ** 3, lambda x: 3.0 * x * x, -2.0, 1.5),
+    (lambda x: -np.expm1(-1.3 * np.maximum(x, 0.0)), lambda x: 1.3 * np.exp(-1.3 * x), 0.0, 30.0),
+    (_SG.cdf_at, _SG.pdf_at, -6.0, 6.0),
+    (_GZ.cdf_at, _GZ.pdf_at, -1.0, 0.0),
+    (_HALF.cdf_at, _HALF.pdf_at, 0.0, 6.0),
 ], ids=["expm1", "cube", "exp-cdf", "sg21-table-cdf", "gzero-table-cdf", "half-sg21-table-cdf"])
-def test_chandrupatla_lands_where_bisect_does(g, lo, hi):
+def test_chandrupatla_lands_where_bisect_does(g, dg, lo, hi):
     # on monotone g the pair is _bisect's, bit for bit, unless the solver
     # hit g(t) == target exactly: common where g compresses the doubles,
     # as the cdf does near 1; x**3 also hits at 0. The solver inverts a
@@ -544,13 +545,54 @@ def test_chandrupatla_lands_where_bisect_does(g, lo, hi):
     h, bisect_calls = _counted(g)
     want = _bisect(h, target, nodes[i - 1], nodes[i])
     h, calls = _counted(g)
-    a, b = _chandrupatla(h, target, nodes, table)
+    a, b = _rtsafe(h, dg, target, nodes, table)
     same = (a == want[0]) & (b == want[1])
     hit = (a == b) & (g(a) == target)
     assert np.all(same | hit)
     assert np.count_nonzero(same & (b == np.nextafter(a, math.inf))) >= 10
-    # brackets across 0 bisect their keys down to one binade first
-    assert sum(calls) < 0.3 * sum(bisect_calls)
+    # Newton steps on the exact slope read g at 7-9% of bisection's points
+    assert sum(calls) < 0.1 * sum(bisect_calls)
+
+
+def _newton_bound(lo, hi):
+    """_rtsafe's round bound for the bracket [lo, hi]: 1 + ceil(log2 G) +
+    2 floor(log2 G), with G its key gap."""
+    gap = int(_key(hi)) - int(_key(lo))
+    return 1 + (gap - 1).bit_length() + 2 * (gap.bit_length() - 1)
+
+
+@pytest.mark.parametrize("wrong", ["zero", "nan", "negated", "100x", "0.01x", "inf"])
+@pytest.mark.parametrize("g, dg, lo, hi", [
+    (np.expm1, np.exp, -3.0, 2.0),
+    (lambda x: x ** 3, lambda x: 3.0 * x * x, -1e100, 1e100),
+    (np.arcsinh, lambda x: 1.0 / np.hypot(1.0, x), -1e300, 1e300),
+    (_SG.cdf_at, _SG.pdf_at, -6.0, 6.0),
+], ids=["expm1", "cube-wide", "arcsinh-most-doubles", "sg21-table-cdf"])
+def test_wrong_slopes_keep_the_round_bound(g, dg, lo, hi, wrong):
+    # a slope of 0, NaN or inf gives no finite step, a negated one steps out
+    # of the bracket, and one 100 times off creeps or overshoots: every
+    # bracket still closes on a hit or on the adjacent pair across the
+    # target, the exact slope's unless that one hit, within the documented
+    # bound, counted one target at a time
+    bad = {"zero": np.zeros_like, "nan": lambda x: np.full_like(x, np.nan),
+           "negated": lambda x: -dg(x), "100x": lambda x: 100.0 * dg(x),
+           "0.01x": lambda x: 0.01 * dg(x), "inf": lambda x: np.full_like(x, np.inf)}[wrong]
+    nodes = np.array([lo, hi])
+    table = g(nodes)
+    rng = np.random.default_rng(5)
+    target = np.concatenate([rng.uniform(table[0], table[1], 8),
+                             [0.0] if table[0] < 0.0 < table[1] else []])
+    exact = _rtsafe(g, dg, target, nodes, table)
+    bound = _newton_bound(lo, hi)
+    for j, y in enumerate(target):
+        h, calls = _counted(g)
+        a, b = _rtsafe(h, bad, y, nodes, table)
+        assert len(calls) <= bound
+        if a[0] == b[0]:
+            assert g(a) == y
+        else:
+            assert b[0] == np.nextafter(a[0], math.inf) and g(a) < y <= g(b)
+            assert (a[0], b[0]) == (exact[0][j], exact[1][j]) or exact[0][j] == exact[1][j]
 
 
 def test_chandrupatla_keeps_the_target_shape():
@@ -558,11 +600,11 @@ def test_chandrupatla_keeps_the_target_shape():
     # comes back as (1,), with the bits of the one-element 1-D call
     nodes = np.linspace(-3.0, 2.0, 9)
     target = np.expm1(np.array([[-2.5, 0.1], [1.0, 1.9]]))
-    lo, hi = _chandrupatla(np.expm1, target, nodes, np.expm1(nodes))
-    flat = _chandrupatla(np.expm1, target.ravel(), nodes, np.expm1(nodes))
+    lo, hi = _rtsafe(np.expm1, np.exp, target, nodes, np.expm1(nodes))
+    flat = _rtsafe(np.expm1, np.exp, target.ravel(), nodes, np.expm1(nodes))
     assert lo.shape == hi.shape == (2, 2)
     assert lo.tobytes() == flat[0].tobytes() and hi.tobytes() == flat[1].tobytes()
-    one = _chandrupatla(np.expm1, target[1, 0], nodes, np.expm1(nodes))
+    one = _rtsafe(np.expm1, np.exp, target[1, 0], nodes, np.expm1(nodes))
     assert one[0].shape == (1,)
     assert one[0][0] == lo[1, 0] and one[1][0] == hi[1, 0]
 
@@ -572,7 +614,7 @@ def test_chandrupatla_closes_brackets_that_miss_on_the_nearest_end():
     # image inversion, whose cdf relies on landing on the nearest edge
     target = np.array([-5.0, 100.0, np.nan, np.inf, -np.inf])
     lo, hi = np.full(5, -1.0), np.full(5, 2.0)
-    a, b = _chandrupatla(np.expm1, target, np.array([-1.0, 2.0]), np.expm1([-1.0, 2.0]))
+    a, b = _rtsafe(np.expm1, np.exp, target, np.array([-1.0, 2.0]), np.expm1([-1.0, 2.0]))
     want = _bisect(np.expm1, target, lo, hi)
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(a, [-1.0, 2.0, -1.0, 2.0, -1.0])
@@ -583,42 +625,42 @@ def test_chandrupatla_closes_brackets_that_miss_on_the_nearest_end():
 def test_chandrupatla_closes_on_exact_hits_and_staircases():
     # a query at a table node, as when an image is queried at a
     # coordinate its bracket table holds, stops on that node; a staircase
-    # and a jump defeat interpolation and still close, within two rounds
-    # per halving of the key gap (the jump took 43,462 rounds without the
-    # halving rule)
+    # and a jump, read with the slope of their trend, mislead every Newton
+    # step and still close within the round bound of their brackets
     ident, calls = _counted(lambda x: x)
     nodes = np.array([0.25, 0.5])
-    a, b = _chandrupatla(ident, np.array([0.5, 0.25, 0.3]), nodes, nodes)
+    a, b = _rtsafe(ident, np.ones_like, np.array([0.5, 0.25, 0.3]), nodes, nodes)
     np.testing.assert_array_equal(a, [0.5, 0.25, 0.3])
     np.testing.assert_array_equal(b, a)
-    assert len(calls) <= 2 * 64
+    assert len(calls) <= _newton_bound(0.25, 0.5)
     step = lambda x: np.floor(8.0 * x) / 8.0
     stairs, calls = _counted(step)
     nodes = np.array([0.0, 1.0])
-    a, b = _chandrupatla(stairs, np.array([0.3, 0.25]), nodes, step(nodes))
-    assert len(calls) <= 2 * 64
+    a, b = _rtsafe(stairs, np.ones_like, np.array([0.3, 0.25]), nodes, step(nodes))
+    assert len(calls) <= _newton_bound(0.0, 1.0)
     assert b[0] == 0.375 and a[0] == np.nextafter(0.375, 0.0)
     # 0.25 is a step value: any point of its flat run is a hit
     assert a[1] == b[1] and stairs(a[1:]) == 0.25
     # a bracket across nearly all doubles, on its own solve
     stairs, calls = _counted(step)
     nodes = np.array([-1e300, 1e300])
-    a, b = _chandrupatla(stairs, np.array([0.3]), nodes, step(nodes))
-    assert len(calls) <= 2 * 64
+    a, b = _rtsafe(stairs, np.ones_like, np.array([0.3]), nodes, step(nodes))
+    assert len(calls) <= _newton_bound(-1e300, 1e300)
     assert b[0] == 0.375 and a[0] == np.nextafter(0.375, 0.0)
     leap = lambda x: x + 1e6 * (x > 0.7)
     jump, calls = _counted(leap)
     nodes = np.array([0.5, 1.0])
-    a, b = _chandrupatla(jump, np.array([100.0]), nodes, leap(nodes))
-    assert len(calls) <= 2 * 64
+    a, b = _rtsafe(jump, np.ones_like, np.array([100.0]), nodes, leap(nodes))
+    assert len(calls) <= _newton_bound(0.5, 1.0)
     assert a[0] == 0.7 and b[0] == np.nextafter(0.7, 1.0)
 
 
 def test_chandrupatla_empty_batch_makes_no_call():
     g, calls = _counted(lambda x: x)
+    dg, slopes = _counted(np.ones_like)
     nodes = np.array([0.0, 1.0])
-    a, b = _chandrupatla(g, np.empty(0), nodes, nodes)
-    assert a.size == b.size == 0 and not calls
+    a, b = _rtsafe(g, dg, np.empty(0), nodes, nodes)
+    assert a.size == b.size == 0 and not calls and not slopes
 
 
 def _tiers(x):
@@ -628,22 +670,30 @@ def _tiers(x):
                                           2.0 + (x - 2.0) ** 3))
 
 
+def _tiers_slope(x):
+    # the trend of each region: the staircase reads 1
+    return np.where(x <= 2.0, 1.0, 3.0 * (x - 2.0) ** 2)
+
+
 def test_chandrupatla_calls_g_on_the_open_brackets_only():
     # brackets that close in different rounds: an exact hit inside
     # [0.25, 0.75], a target past the last node (closed on its end, no
     # round), a bracket of two adjacent doubles (no round), a staircase and
     # a smooth target. Each round's g call holds exactly the brackets still
-    # open, in batch order, at the points their own solves would take
+    # open, in batch order, at the points their own solves would take, and
+    # dg then reads the points of those that g left open
     nodes = np.array([0.0, 0.25, 0.75, 1.0, 2.0, 3.0, np.nextafter(3.0, 4.0), 4.0])
     table = _tiers(nodes)
     target = np.array([0.5, 20.0, 3.0 + 2.0 ** -51, 1.3, 2.7])
     assert table[5] < target[2] < table[6]
-    seen = []
-    a, b = _chandrupatla(lambda x: seen.append(x.copy()) or _tiers(x), target, nodes, table)
+    seen, slopes = [], []
+    a, b = _rtsafe(lambda x: seen.append(x.copy()) or _tiers(x),
+                   lambda x: slopes.append(x.copy()) or _tiers_slope(x), target, nodes, table)
     solo = []
     for j, y in enumerate(target):
         alone = []
-        aj, bj = _chandrupatla(lambda x: alone.append(x.copy()) or _tiers(x), y, nodes, table)
+        aj, bj = _rtsafe(lambda x: alone.append(x.copy()) or _tiers(x), _tiers_slope, y,
+                         nodes, table)
         assert (aj[0], bj[0]) == (a[j], b[j])
         solo.append(alone)
     rounds = [len(s) for s in solo]
@@ -651,6 +701,9 @@ def test_chandrupatla_calls_g_on_the_open_brackets_only():
     assert [x.size for x in seen] == [sum(r > k for r in rounds) for k in range(max(rounds))]
     for k, x in enumerate(seen):
         np.testing.assert_array_equal(x, [s[k][0] for s in solo if len(s) > k])
+    assert len(slopes) == max(rounds) - 1
+    for k, x in enumerate(slopes):
+        np.testing.assert_array_equal(x, [s[k][0] for s in solo if len(s) > k + 1])
     assert a[0] == b[0] == 0.5
     assert a[1] == b[1] == 4.0
     assert (a[2], b[2]) == (3.0, nodes[6])
@@ -664,7 +717,7 @@ def test_chandrupatla_answers_unsolved_brackets_with_their_nodes():
     # sign of a -0.0 node survives
     g, calls = _counted(lambda x: x)
     nodes = np.array([-1.0, -0.0, 5e-324, 1.0])
-    a, b = _chandrupatla(g, np.array([5e-324, 0.0]), nodes, nodes)
+    a, b = _rtsafe(g, np.ones_like, np.array([5e-324, 0.0]), nodes, nodes)
     assert not calls
     assert (a[0], b[0]) == (0.0, 5e-324) and math.copysign(1.0, a[0]) == -1.0
     assert a[1] == b[1] == 0.0 and np.all(np.signbit([a[1], b[1]]))
@@ -673,10 +726,11 @@ def test_chandrupatla_answers_unsolved_brackets_with_their_nodes():
 def test_chandrupatla_leaves_g_its_own_warnings():
     # the solver's errstate never wraps g: log of the negative points that
     # bisecting [-1, 0.5] probes warns as it would outside the solver, while
-    # the other bracket of the batch stays clear of them
+    # the other bracket of the batch stays clear of them. The secant across
+    # [-1, 0.5] is NaN, from the -inf table end, so the first round bisects
     nodes = np.array([-1.0, 0.5, 2.0])
     table = np.array([-np.inf, math.log(0.5), math.log(2.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(RuntimeWarning, match="invalid value encountered in log"):
-            _chandrupatla(np.log, np.array([-5.0, 0.0]), nodes, table)
+            _rtsafe(np.log, np.reciprocal, np.array([-5.0, 0.0]), nodes, table)

@@ -613,11 +613,14 @@ def test_state_push_asks_its_base_only_for_what_its_step_needs(monkeypatch):
     # the root's abscissae and log pdf; an up step at order 0 needs its
     # base's coordinate alone, and never reads its own table. While every
     # push also returned its own coordinate, the pdf query below cost 3,889
-    # root-pdf points and the push read its own table and the inner twice
+    # root-pdf points and the push read its own table and the inner twice.
+    # The inversion's slope reads the root's log pdf and the state of order
+    # 0, so two log pdf points per slope point; the state costs 64
     u = uniform(0.0, 1.0)
     img = down(up(u, 3.0), 3.0)
     y = img._chi(u.quantiles(64))
     logpdf, n = u.logpdf, [0]
+    dz, slopes = img._dz, [0]
 
     def counted(x):
         n[0] += np.size(x)
@@ -626,9 +629,14 @@ def test_state_push_asks_its_base_only_for_what_its_step_needs(monkeypatch):
     def no_pdf(x):
         raise AssertionError("the state reads the root's logpdf, not its pdf")
 
+    def counted_dz(t):
+        slopes[0] += np.size(t)
+        return dz(t)
+
     u.logpdf, u.pdf = counted, no_pdf
+    monkeypatch.setattr(img, "_dz", counted_dz)
     img.pdf(y)
-    assert n[0] == 64
+    assert slopes[0] == 3 and n[0] == 64 + 2 * slopes[0]
 
     g = up(up(exponential(1.0, 0.0), 3.0), 3.0)
     reads, read = {}, _CumTable.__call__
@@ -886,12 +894,12 @@ def test_down_undoes_up_near_alpha_2(f, alpha):
 
 def _solve_counted(run, monkeypatch):
     """run() with the transforms solver's g counted; (result, g calls)."""
-    solve, calls = numerics._chandrupatla, []
+    solve, calls = numerics._rtsafe, []
 
     def solver(g, *table):
         return solve(lambda t: calls.append(t) or g(t), *table)
 
-    monkeypatch.setattr(transforms, "_chandrupatla", solver)
+    monkeypatch.setattr(transforms, "_rtsafe", solver)
     return run(), len(calls)
 
 
@@ -939,6 +947,31 @@ def test_seeded_solves_match_unseeded(make, straddles, monkeypatch):
         zc = img._zero()
         z = sigma * img._chi(np.array([zc, np.nextafter(zc, -np.inf)]))
         assert z[0] == 0.0 or (z[0] > 0.0 and z[1] < 0.0)
+
+
+@pytest.mark.parametrize("make, rounds, points, slopes", [
+    (lambda: up(e1, 3.0), 5, 197, 133),
+    (lambda: up(up(e1, 3.0), 3.0), 5, 200, 136),
+], ids=["up3-e1", "up3-up3-e1"])
+def test_newton_inversion_work_count(make, rounds, points, slopes, monkeypatch):
+    # 64 image coordinates at seeded root quantiles, inverted on a built
+    # bracket table: the secant and Newton steps on the slope f_root/h take
+    # 5 rounds, reading the coordinate at about 3 points per query. The
+    # interpolating solver this replaced took 9 and 10 rounds at 288 and
+    # 279 points; key bisection alone takes 48 and 50 rounds
+    img = make()
+    t = e1.quantile_many(np.random.default_rng(7).uniform(0.02, 0.98, 64))
+    y = img._chi(t)
+    img._brackets
+    reads = {"_z": [], "_dz": []}
+    for name, seen in reads.items():
+        read = getattr(img, name)
+        monkeypatch.setattr(img, name,
+                            lambda x, read=read, seen=seen: seen.append(x.size) or read(x))
+    got, oob = img._invert(y)
+    assert (len(reads["_z"]), sum(reads["_z"]), sum(reads["_dz"])) == (rounds, points, slopes)
+    assert not oob.any()
+    np.testing.assert_allclose(img._chi(got), y, rtol=1e-14)
 
 
 @pytest.mark.parametrize("make, alpha", [
