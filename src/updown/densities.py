@@ -7,7 +7,8 @@ derivative is kinked or singular. Constructing a root density verifies unit
 mass, and its node table's total is held to that mass; an image (transforms,
 affine_image and rescale included) preserves its root's mass by
 construction. Expectations are computed by adaptive quadrature over the
-support with cuts at the interior points. Derivatives are read in one
+root's support, pulled back through the stack (Density.integral), with cuts
+at the stack's cut points. Derivatives are read in one
 scale-free form, the pdf state (_state, _push): log f, s1 = f'/f,
 kappa = f f''/f'**2 and tau = f**2 f'''/f'**3, truncated at the order asked.
 
@@ -25,6 +26,27 @@ from .errors import AccuracyError, CapabilityError, DomainError, UnsupportedCase
 from .numerics import INF, _SLOW, Interval, _CumTable, _rtsafe, integrate
 
 _SNAP = 1e-13  # parameters this close to a removable limit snap onto it
+_MASS_TOL = 1e-7  # a root's pdf mass, and its node table's, lie this close to 1
+
+
+def _numbers(**params):
+    """The named parameters as floats. A NaN among them raises DomainError
+    here, where it would otherwise reach an integrand or a verdict."""
+    vals = tuple(float(v) for v in params.values())
+    for name, v in zip(params, vals):
+        if math.isnan(v):
+            raise DomainError(f"{name} must be a number, got nan")
+    return vals
+
+
+def _finite(**params):
+    """_numbers, where an infinite value raises DomainError too: for a
+    parameter whose limit at inf the library does not state."""
+    vals = _numbers(**params)
+    for name, v in zip(params, vals):
+        if math.isinf(v):
+            raise DomainError(f"expected a finite {name}, got {v!r}")
+    return vals
 
 
 def texp(y, lam):
@@ -60,7 +82,7 @@ class Density:
 
     def __init__(self, pdf, support, *, d1=None, d2=None, d3=None,
                  label="density", interior_points=(), logpdf=None, cdf=None,
-                 quantile=None, normalization_tol=1e-7):
+                 quantile=None):
         self.support = support if isinstance(support, Interval) else Interval(*support)
         self.pdf = _as_callable_on_array(pdf)
         self._logpdf = _as_callable_on_array(logpdf) if logpdf is not None else None
@@ -75,11 +97,10 @@ class Density:
             {float(p) for p in interior_points if lo < float(p) < hi}))
         self._table = None
         self._grids = {}
-        self._mass = None  # (mass, tol) that the node table's total must meet
-        if normalization_tol is not None:
+        if not self.chain:  # an image's step preserves its root's mass
             total = integrate(self.pdf, self.support, tol=1e-9,
                               interior=self.interior_points)
-            if not math.isfinite(total.value) or abs(total.value - 1.0) > normalization_tol:
+            if not math.isfinite(total.value) or abs(total.value - 1.0) > _MASS_TOL:
                 # an unconverged mass, as on a heavy tail near eta = 1, says
                 # nothing about the pdf
                 if not total.converged:
@@ -87,8 +108,8 @@ class Density:
                         f"{label}: pdf mass {total.value!r} did not converge "
                         f"(error estimate {total.abs_error_estimate:.3g})")
                 raise DomainError(
-                    f"{label}: pdf mass is {total.value!r}, not 1 within {normalization_tol}")
-            self._mass = (total.value, normalization_tol)
+                    f"{label}: pdf mass is {total.value!r}, not 1 within {_MASS_TOL}")
+            self._mass = total.value  # what the node table's total must meet
 
     def __repr__(self):
         return f"Density({self.label})"
@@ -156,21 +177,27 @@ class Density:
         With needs >= 1 fn gets the state's ratios, not the derivatives,
         which over- or underflow where the ratios do not. fn supplies the
         whole integrand (no implicit pdf weight) and must be elementwise: it
-        is called only at the quadrature points where the pdf is nonzero,
-        possibly on a subset of a batch, and not at all when the pdf is 0 at
-        every point. Where the pdf has underflowed to exactly 0 the integrand
-        is 0: those regions carry no mass. Divergent integrals come back
-        flagged non-convergent. force_singular_edges marks finite support
-        edges singular, for integrands that blow up where the pdf does not.
+        is called only at the quadrature points where the root pdf is
+        nonzero, possibly on a subset of a batch, and not at all when the
+        root pdf is 0 at every point. Where that pdf has underflowed to
+        exactly 0 the integrand is 0: those regions carry no mass. Divergent
+        integrals come back flagged non-convergent.
+
+        The quadrature runs in root abscissae, cut at the stack's cut points
+        (_stack_cuts) and the root abscissae of extra_interior, on the
+        integrand pulled back through the stack (_integrand).
+        force_singular_edges marks the root's finite support edges singular,
+        for integrands that blow up where the pdf does not; an image's
+        pullback can, so an image always marks them.
 
         fn runs under np.errstate(all="ignore"), so it needs no guard of its
         own. The quadrature's arithmetic runs outside it: a caller whose
         integral may sum to inf wraps the whole call.
         """
 
-        def values(x, f0):
+        def values(t, f0):
             with np.errstate(all="ignore"):
-                y = np.asarray(fn(x, f0, *self._ratios(x, needs, f0)), dtype=float)
+                y = np.asarray(self._integrand(fn, t, f0, needs), dtype=float)
             # Past the point where the pdf (or products of its derivatives)
             # underflow, 0*inf artifacts appear even though the true
             # integrand carries no weighable mass. Genuine divergences blow
@@ -178,24 +205,33 @@ class Density:
             # zeroing non-finite values out there cannot hide one.
             return np.where(~np.isfinite(y) & (f0 < 1e-160), 0.0, y)
 
-        def integrand(x):
-            f0 = self.pdf(x)
+        def integrand(t):
+            f0 = self.root.pdf(t)
             live = np.flatnonzero(f0)
-            if live.size == x.size:
-                return values(x, f0)
-            y = np.zeros_like(x)
+            if live.size == t.size:
+                return values(t, f0)
+            y = np.zeros_like(t)
             if live.size:
-                y[live] = values(x[live], f0[live])
+                y[live] = values(t[live], f0[live])
             return y
 
         self._check_order(needs)
-        iv = self.support
-        if force_singular_edges:
+        cuts = self._stack_cuts()
+        extra = np.asarray(tuple(extra_interior), dtype=float)
+        if extra.size:
+            t, oob = self._invert(extra)
+            cuts += tuple(t[~oob])
+        iv = self.root.support
+        if force_singular_edges or self.chain:
             iv = Interval(iv.lo, iv.hi,
                           singular_lo=math.isfinite(iv.lo),
                           singular_hi=math.isfinite(iv.hi))
-        cuts = self.interior_points + tuple(extra_interior)
         return integrate(integrand, iv, tol=tol, rtol=3e-8, interior=cuts)
+
+    def _integrand(self, fn, t, f0, needs):
+        """integral's integrand at root abscissae t, where the root pdf is
+        f0: at a root, fn itself, with the state's ratios from the hooks."""
+        return fn(t, f0, *self._ratios(t, needs, f0))
 
     def expect(self, fn, **kw):
         """Integral of fn(x, f, ...) weighted by the pdf; see integral()."""
@@ -267,7 +303,7 @@ class Density:
         3e-313). The singular edges and interior points are listed on both
         sides; _CumTable lays a ladder on each side where the table
         continues. A root's table must total its constructor's mass within
-        normalization_tol, else AccuracyError.
+        _MASS_TOL, else AccuracyError.
         """
         if self._table is not None:
             return self._table
@@ -314,9 +350,9 @@ class Density:
                                                              (hi, sup.singular_hi)) if sing)
         tab = _CumTable(self.pdf, xs, [(p, s) for p in pts for s in (-1.0, 1.0)])
         total = float(tab.above - tab.below)
-        if self._mass is not None and not abs(total - self._mass[0]) <= self._mass[1]:
+        if not abs(total - self._mass) <= _MASS_TOL:
             raise AccuracyError(f"{self.label}: node table holds mass {total!r}, "
-                                f"the pdf {self._mass[0]!r}")
+                                f"the pdf {self._mass!r}")
         self._table = tab
         return tab
 
@@ -419,6 +455,21 @@ class Density:
 
     def _zero(self):
         return 0.0 if self.support.lo < 0.0 < self.support.hi else None
+
+    def _up_steps(self):
+        """The up steps of the stack, the top one first, down the base chain."""
+        d = self
+        while d.chain:
+            if d.kind == "up":
+                yield d
+            d = d.base
+
+    def _stack_cuts(self):
+        """The stack's cut points in root abscissae, where an integrand or
+        an up weight can be singular: the root's interior points and each up
+        step's interior zero zc."""
+        return self.root.interior_points + tuple(
+            d.zc for d in self._up_steps() if d.zc is not None)
 
 
 # tail mass levels 2**-j of the condensation test and of the edge-limit rule,
@@ -543,8 +594,8 @@ def uniform(a, b):
 
 
 def exponential(rate, shift=0.0):
-    rate, shift = float(rate), float(shift)
-    if not (rate > 0.0 and math.isfinite(rate) and math.isfinite(shift)):
+    rate, shift = _finite(rate=rate, shift=shift)
+    if not rate > 0.0:
         raise DomainError(f"exponential needs rate > 0, got {rate}")
 
     def pdf(x):
@@ -599,13 +650,6 @@ def power_tail(eta, x0):
         quantile=quantile)
 
 
-def _conjugate(p):
-    p = float(p)
-    if abs(p - 1.0) < _SNAP:
-        return INF
-    return p / (p - 1.0)
-
-
 def stretched_gaussian(p, lam):
     """Symmetric profile a exp_{2-lam}(-|x|^{p*}) with p* = p/(p-1).
 
@@ -613,12 +657,12 @@ def stretched_gaussian(p, lam):
     used here. Requires p* > 0 (p outside [0, 1]); the p = 0 profile is
     gzero and p = 1 has no finite conjugate.
     """
-    p, lam = float(p), float(lam)
+    p, lam = _finite(p=p, lam=lam)
     if abs(p) < _SNAP:
         raise UnsupportedCaseError("p = 0 profile is gzero(lam)")
     if abs(p - 1.0) < _SNAP:
         raise UnsupportedCaseError("p = 1 has an infinite conjugate exponent")
-    ps = _conjugate(p)
+    ps = p / (p - 1.0)
     if ps <= 0.0:
         raise UnsupportedCaseError(
             f"conjugate exponent {ps} <= 0 gives a non-normalizable profile")

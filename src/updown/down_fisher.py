@@ -21,9 +21,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals
-from .densities import _condensation_diverges, uniform
-from .errors import CapabilityError, DomainError, PreconditionError
-from .functionals import Quantity, _from_quad, _numbers, _pow, _zero_slope
+from .densities import _condensation_diverges, _finite, _numbers, uniform
+from .errors import CapabilityError, PreconditionError
+from .functionals import Quantity, _from_quad, _pow, _zero_slope
 from .transforms import chain, down
 
 __all__ = [
@@ -55,9 +55,8 @@ def down_fisher(f, p, q, lam, *, tol=1e-10):
     ratio divides by f'. Divergent integrals come back as inf with
     converged False, matching the other functionals.
     """
-    p, q, lam = _numbers(p=p, q=q, lam=lam)
-    if math.isinf(p):
-        raise DomainError(f"down_fisher needs a finite p, got {p!r}")
+    p, = _finite(p=p)
+    q, lam = _numbers(q=q, lam=lam)
     if p == q:
         raise PreconditionError("the measure needs p != q")
     if f.order < 2:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import _SNAP
+from .densities import _SNAP, _finite, _numbers
 from .errors import DomainError
 from .numerics import INF
 
@@ -21,16 +21,6 @@ class Quantity(NamedTuple):
     value: float
     converged: bool
     err: float
-
-
-def _numbers(**params):
-    """The named parameters as floats. A NaN among them raises DomainError
-    here, where it would otherwise reach an integrand or a verdict."""
-    vals = tuple(float(v) for v in params.values())
-    for name, v in zip(params, vals):
-        if math.isnan(v):
-            raise DomainError(f"{name} must be a number, got nan")
-    return vals
 
 
 def _from_quad(q):
@@ -111,10 +101,15 @@ def mean_log_abs(f, *, tol=1e-10):
 
 
 def exp_moment(f, p, *, tol=1e-10):
-    """Exponential deviation <exp(-p x)>^(1/p), p != 0."""
+    """Exponential deviation <exp(-p x)>^(1/p), p != 0; at p = inf and -inf
+    its limits, exp(-x) at the lower and at the upper support edge."""
     p, = _numbers(p=p)
     if p == 0.0:
         raise DomainError("exponential deviation is undefined at p = 0")
+    if math.isinf(p):
+        with np.errstate(over="ignore"):
+            return Quantity(float(np.exp(-(f.support.lo if p > 0.0 else f.support.hi))),
+                            True, 0.0)
     # exp(-p x) and the pdf can over/underflow separately while the product
     # stays tame; summing in log space keeps the integrand finite
     with np.errstate(divide="ignore", over="ignore"):
@@ -132,9 +127,8 @@ def _log_order_integral(f, lam, tol):
     the largest finite log pdf on the 64-point quantile grid: f^lam over- or
     underflows at a large lam or a far scale where its log does not. The
     error is inf wherever the log is not finite. The family has no limit
-    here at an infinite lam, where f^lam is 0 or inf wherever f is not 1."""
-    if math.isinf(lam):
-        raise DomainError(f"the Renyi family needs a finite lam, got {lam!r}")
+    here at an infinite lam, where f^lam is 0 or inf wherever f is not 1,
+    so its callers take lam through _finite."""
     top = f._grid_state(64, 0)[0]
     top = float(np.max(top[np.isfinite(top)]))
     with np.errstate(divide="ignore", over="ignore"):
@@ -152,7 +146,7 @@ def shannon(f, *, tol=1e-10):
 
 def renyi(f, lam, *, tol=1e-10):
     """Renyi entropy log(int f^lam) / (1 - lam); Shannon at lam = 1."""
-    lam, = _numbers(lam=lam)
+    lam, = _finite(lam=lam)
     if abs(lam - 1.0) < _SNAP:
         return shannon(f, tol=tol)
     v, c, e = _log_order_integral(f, lam, tol)
@@ -161,7 +155,7 @@ def renyi(f, lam, *, tol=1e-10):
 
 def tsallis(f, lam, *, tol=1e-10):
     """Tsallis entropy (int f^lam - 1) / (1 - lam); Shannon at lam = 1."""
-    lam, = _numbers(lam=lam)
+    lam, = _finite(lam=lam)
     if abs(lam - 1.0) < _SNAP:
         return shannon(f, tol=tol)
     v, c, e = _exp(_log_order_integral(f, lam, tol))
@@ -170,17 +164,15 @@ def tsallis(f, lam, *, tol=1e-10):
 
 def renyi_power(f, lam, *, tol=1e-10):
     """Entropy power (int f^lam)^(1/(1-lam)); exp(Shannon) at lam = 1."""
-    lam, = _numbers(lam=lam)
+    lam, = _finite(lam=lam)
     if abs(lam - 1.0) < _SNAP:
         return _exp(shannon(f, tol=tol))
     return _exp(_log_order_integral(f, lam, tol), 1.0 / (1.0 - lam))
 
 
 def fisher(f, p, lam, *, tol=1e-10):
-    """Generalized Fisher information <|f^(lam-2) f'|^p>, for finite p."""
-    p, lam = _numbers(p=p, lam=lam)
-    if math.isinf(p):
-        raise DomainError(f"the Fisher form needs a finite p, got {p!r}")
+    """Generalized Fisher information <|f^(lam-2) f'|^p>, for finite p and lam."""
+    p, lam = _finite(p=p, lam=lam)
 
     def fn(x, f0, s1):
         # |s1|^p f^(p(lam-1)+1): the f power can over- or underflow where

@@ -93,16 +93,7 @@ class TransformedDensity(Density):
                          d1=img[1], d2=img[2], d3=img[3],
                          label=label or f"{self.kind}({self.base.label},{self.alpha:g})",
                          interior_points=self._image_cuts(),
-                         logpdf=lambda y: self._state(y, 0)[0],
-                         normalization_tol=None)
-
-    def _up_steps(self):
-        """The up images of the stack, this one first, down the base chain."""
-        d = self
-        while d is not self.root:
-            if d.kind == "up":
-                yield d
-            d = d.base
+                         logpdf=lambda y: self._state(y, 0)[0])
 
     # -- coordinate map -------------------------------------------------------
 
@@ -200,37 +191,20 @@ class TransformedDensity(Density):
         return Interval(u_lo, u_hi, singular_lo=slo, singular_hi=shi)
 
     def _image_cuts(self):
-        pts = set(self.root.interior_points)
-        pts.update(float(d.zc) for d in self._up_steps() if d.zc is not None)
+        pts = self._stack_cuts()
         if not pts:
             return ()
-        img = np.atleast_1d(self._chi(np.array(sorted(pts), dtype=float)))
+        img = np.atleast_1d(self._chi(np.unique(pts)))
         return tuple(float(v) for v in img if math.isfinite(v))
 
-    # -- overrides: work in root coordinates -----------------------------------
-
-    def integral(self, fn, *, needs=0, tol=1e-10, extra_interior=(),
-                 force_singular_edges=False):
-        """Density.integral pulled back to root coordinates, cut at each up
-        step's zc and at the root points of extra_interior. It ignores
-        force_singular_edges: the root's finite edges are always peeled,
-        as the pullback can blow up there where the root pdf does not."""
-        self._check_order(needs)
-        cuts = [d.zc for d in self._up_steps() if d.zc is not None]
-        extra = np.asarray(tuple(extra_interior), dtype=float)
-        if extra.size:
-            tt, oob = self._invert(extra)
-            cuts.extend(float(v) for v, bad in zip(tt, oob) if not bad)
-
-        def g(t, fr):
-            st = self._push(t, needs)
-            h0 = np.exp(st[0])
-            vals = np.asarray(fn(self._chi(t), h0, *st[1:]), dtype=float) * (fr / h0)
-            # root.integral drops fr == 0 and non-finite values under 1e-160
-            return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
-
-        return self.root.integral(g, needs=0, tol=tol, extra_interior=tuple(cuts),
-                                  force_singular_edges=True)
+    def _integrand(self, fn, t, fr, needs):
+        """integral's integrand at root abscissae t, where the root pdf is
+        fr: fn at the image point chi(t) with the pushed state, times fr/h
+        (mass preservation), and 0 where h is 0 or not finite."""
+        st = self._push(t, needs)
+        h0 = np.exp(st[0])
+        vals = np.asarray(fn(self._chi(t), h0, *st[1:]), dtype=float) * (fr / h0)
+        return np.where((h0 == 0.0) | ~np.isfinite(h0), 0.0, vals)
 
     def reseat(self, scale, shift):
         """The law of scale * U + shift when U has this density, for any
@@ -295,10 +269,12 @@ class _UpImage(TransformedDensity):
     GK15 panel's (on up(exponential(1), 1.5), 1.4e-13 relative at t = 20
     but 8.4e-5 at t = 64, where one panel spans a factor-2 walk step).
 
-    W can be singular only at a finite support edge, at an interior point of
-    the root and at the interior zero zc of chi, which the base states
-    (base._zero): a root 0, an up base its median anchor, a down base off
-    alpha = 2 none, another the crossing in its bracket table. The table is a
+    W can be singular only at a finite support edge and at the stack's cut
+    points (Density._stack_cuts): the root's interior points and the zero zc
+    of each up step's base coordinate, this step's among them, which the
+    base states (base._zero): a root 0, an up base its median anchor, a down
+    base off alpha = 2 none, another the crossing in its bracket table; a
+    lower step's zero kinks chi. The table is a
     numerics._CumTable on the root's node table and quantiles, whose infinite
     ends already reach the subnormal pdf. Each such point is listed on both
     sides, and the table lays a ladder on each side where it continues. The
@@ -331,8 +307,7 @@ class _UpImage(TransformedDensity):
         w_root = _weighted_pdf(root, self._logw)
         lo, hi = root.support.lo, root.support.hi
         ts = np.unique(np.r_[root._node_table().ts, root.quantiles(129)])
-        pts = root.interior_points + ((self.zc,) if self.zc is not None else ()) + (lo, hi)
-        ends = [(p, s) for p in pts for s in (-1.0, 1.0)]
+        ends = [(p, s) for p in self._stack_cuts() + (lo, hi) for s in (-1.0, 1.0)]
 
         def mass(side, end, node):
             # beyond the table end at node: infinite by the condensation
@@ -499,6 +474,8 @@ def chain(f, ops):
             kind, alpha = step
         except (TypeError, ValueError):
             raise DomainError(f"chain step {i} is not a (kind, alpha) pair: {step!r}") from None
+        if kind not in ("down", "up"):
+            raise DomainError(f"chain step {i} has unknown transform kind {kind!r}")
         try:
             if kind == "down":
                 if prev == "down":
@@ -508,10 +485,8 @@ def chain(f, ops):
                             f"alpha={alpha:g} does not clear the curvature"
                             f" supremum {sup:g}")
                 g = down(g, alpha)
-            elif kind == "up":
-                g = up(g, alpha)
             else:
-                raise DomainError(f"unknown transform kind {kind!r}")
+                g = up(g, alpha)
         except TransformChainError:
             raise
         except (DomainError, PreconditionError, CapabilityError) as e:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import functionals
-from .densities import Density, _condensation_diverges, _weighted_pdf
+from .densities import Density, _condensation_diverges, _finite, _weighted_pdf
 from .errors import (AccuracyError, CapabilityError, DomainError,
                      PreconditionError, TransformChainError,
                      UnsupportedCaseError)
@@ -91,6 +91,7 @@ def prefactor(p, alphas):
     log space; an alpha = 2 entry stops the product, since nothing can be
     pulled out through an exponential kernel.
     """
+    p, = _finite(p=p)
     vec = AlphaVector(alphas)
     logk = 0.0
     acc = 1.0
@@ -99,7 +100,7 @@ def prefactor(p, alphas):
             break
         acc /= a - 2.0
         logk += acc * math.log(abs(a - 2.0))
-    return math.exp(float(p) * logk)
+    return math.exp(p * logk)
 
 
 def _package(M, p, vec, path, converged, err):
@@ -184,7 +185,7 @@ def upper_moment(f, p, alphas, *, tol=1e-10):
     the sorted points of the level above and its anchor.
     """
     vec = AlphaVector(alphas)
-    p, = functionals._numbers(p=p)
+    p, = _finite(p=p)
     return _nested(f, p, vec, tol if vec.order == 1 else max(tol, 1e-9))
 
 
@@ -192,7 +193,7 @@ def upper_moment_n(f, p, alphas, *, tol=1e-10):
     """(p, vec-alpha)-upper-moment as the p-th absolute moment of the
     iterated up chain of f, innermost alpha last."""
     vec = AlphaVector(alphas)
-    p = float(p)
+    p, = _finite(p=p)
     q = functionals.mu(chain(f, [("up", a) for a in reversed(vec)]), p, tol=tol)
     return _package(q.value, p, vec, "via-up", q.converged, q.err)
 

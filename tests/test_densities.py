@@ -339,6 +339,12 @@ def test_expect_divergent_flagged():
     assert not got.converged
 
 
+def test_exponential_names_a_non_finite_shift():
+    for shift in (math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"\bshift\b"):
+            exponential(1.0, shift)
+
+
 def test_power_tail_needs_eta_above_one():
     with pytest.raises(DomainError):
         power_tail(1.0, 1.0)

@@ -88,6 +88,11 @@ def test_exp_moment():
     close(F.exp_moment(e1, -0.5), (1.0 / 0.5) ** (1.0 / -0.5))
     with pytest.raises(DomainError):
         F.exp_moment(e1, 0.0)
+    # the limits p -> inf and -inf: exp(-x) at the lower and the upper edge
+    assert F.exp_moment(uniform(2.0, 3.0), math.inf) == (math.exp(-2.0), True, 0.0)
+    assert F.exp_moment(uniform(2.0, 3.0), -math.inf) == (math.exp(-3.0), True, 0.0)
+    assert F.exp_moment(exponential(1.0, 2.0), math.inf) == (math.exp(-2.0), True, 0.0)
+    assert F.exp_moment(exponential(1.0, 2.0), -math.inf) == (0.0, True, 0.0)
 
 
 def test_fractional_power_of_a_negative_value_is_a_domain_error():

@@ -98,6 +98,21 @@ def test_down_requires_monotone():
         down(g21, 3.0)
 
 
+def test_down_needs_a_finite_edge_under_the_pdf_supremum():
+    # pdf e^(-x) expit(k x) / Z on the whole line, Z = (pi/k)/sin(pi/k),
+    # peaks at log(k - 1)/k, below the 64-point quantile grid, so the grid
+    # reads it as falling toward its edge at -inf
+    k = 1e4
+    logz = math.log(math.pi / k / math.sin(math.pi / k))
+    logpdf = lambda x: -x - np.logaddexp(0.0, -k * x) - logz
+    f = Density(lambda x: np.exp(logpdf(x)), (-math.inf, math.inf), logpdf=logpdf,
+                d1=lambda x: np.exp(logpdf(x)) * (k * np.exp(-np.logaddexp(0.0, k * x)) - 1.0),
+                interior_points=(0.0,), label="skewed")
+    assert f.strict_monotone_sign() == -1
+    with pytest.raises(PreconditionError, match="support edge under the pdf supremum"):
+        down(f, 3.0)
+
+
 def test_down_requires_derivative():
     flat = Density(lambda x: np.ones_like(x), uniform(0.0, 1.0).support,
                    label="bare")
@@ -218,6 +233,21 @@ def test_up_table_ladders_stop_at_the_root_depth(f):
     shared = root.keys() & img.keys()
     assert shared
     assert all(img[k] >= root[k] for k in shared)
+
+
+def test_up_table_ladders_at_every_zero_of_the_stack():
+    # the middle step of up(up(up(pt21, 3), 3), 3) has the zero 2.0, its
+    # base's median anchor; the outer weight, a function of the middle
+    # coordinate, is kinked there, so the outer table lays a stub at 2.0 on
+    # each side beside the one at the root's edge 1.0, with unit mass
+    inner = up(pt21, 3.0)
+    middle = up(inner, 3.0)
+    outer = up(middle, 3.0)
+    assert (inner.zc, middle.zc, outer.zc) == (None, 2.0, None)
+    assert outer._stack_cuts() == (2.0,)
+    assert sorted(map(tuple, outer.table._stubs[:, :2].tolist())) == \
+        [(1.0, 1.0), (2.0, -1.0), (2.0, 1.0)]
+    assert mass_of(outer) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_up_uniform_alpha3_is_a_beta_density():
@@ -1110,9 +1140,11 @@ def test_chain_gate_failure_carries_index():
 
 
 def test_chain_bad_kind():
-    with pytest.raises(TransformChainError) as ei:
+    # the caller's step, like one that is not a (kind, alpha) pair: a
+    # DomainError naming its index, not a failed step's TransformChainError
+    with pytest.raises(DomainError, match="chain step 0 has unknown transform kind") as ei:
         chain(e1, [("sideways", 3.0)])
-    assert ei.value.index == 0
+    assert not isinstance(ei.value, TransformChainError)
 
 
 def test_down_applicable():
@@ -1288,13 +1320,13 @@ def test_rescaled_pdf_solves_nothing(root, monkeypatch):
 
 
 def test_images_share_the_read_surface_of_density():
-    # the state, quantile and cdf reads are written once, on Density; an
-    # image class states only step primitives. bench/tracing's uninstall
-    # can leave its wrapper of an inherited method on a class: unwrapped,
-    # that is Density's own
+    # the state, quantile and cdf reads and the pullback integral are
+    # written once, on Density; an image class states only step primitives.
+    # bench/tracing's uninstall can leave its wrapper of an inherited method
+    # on a class: unwrapped, that is Density's own
     for cls in (transforms.TransformedDensity, transforms._UpImage,
                 transforms._DownImage, transforms._AffineImage):
-        for name in ("_state", "quantile_many", "cdf_at", "_cdf_img"):
+        for name in ("_state", "quantile_many", "cdf_at", "_cdf_img", "integral"):
             own = vars(cls).get(name)
             assert own is None or inspect.unwrap(own) is vars(Density).get(name), \
                 f"{cls.__name__} defines {name}"
